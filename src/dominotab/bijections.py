@@ -18,13 +18,14 @@ from .domino_tableaux import (
     validate_domino_tableau,
 )
 from .pavings import Domino
-from .partitions import Shape
+from .partitions import Shape, inverse_two_quotient
 from .tableaux import (
     Family,
     Fill,
     ReadingWord,
     Tableau,
     X_FILL,
+    is_primed,
     tableau_from_reading_word,
     validate_tableau,
 )
@@ -258,6 +259,61 @@ def gamma_merge(family: Family, t1: Tableau, t2: Tableau) -> DominoTableau:
     if result is None:
         raise ValueError("no consistent domino placement; inputs are inconsistent")
     return result
+
+
+def _chain(family: Family, t1: Tableau, t2: Tableau) -> list[tuple[int, int, Fill]]:
+    """(type, flat row, fill) for every cell of the pair, in merge order.
+
+    Letter cells run by ascending minimum letter u; for an unprimed u by
+    ascending content, type 1 before type 2, for a primed u by descending
+    content, type 2 before type 1.  In shifted families a row's X cells come
+    left to right just before the row's first letter cell, on D_0.
+    """
+    letters = []
+    for dtype, t in ((1, t1), (2, t2)):
+        for r, c, fill in t.cells_with_fills():
+            if fill == X_FILL:
+                continue
+            u = fill[0]
+            key = (u, r - c, -dtype) if is_primed(u) else (u, c - r, dtype)
+            letters.append((key, dtype, r, c, fill))
+    letters.sort()
+    order = []
+    for _, dtype, r, c, fill in letters:
+        if family.shifted and c == r:
+            order.extend((dtype, r, X_FILL) for _ in range(r - 1))
+        order.append((dtype, r, fill))
+    return order
+
+
+def _added_domino(old: Shape, new: Shape) -> Domino:
+    """The domino new / old, for shapes differing by exactly two cells."""
+    (r, c), (r2, _) = [
+        (r, c)
+        for r, length in enumerate(new, start=1)
+        for c in range((old[r - 1] if r <= len(old) else 0) + 1, length + 1)
+    ]
+    return Domino(r, c, horiz=r == r2)
+
+
+def gamma_merge_chain(family: Family, t1: Tableau, t2: Tableau) -> DominoTableau:
+    for t in (t1, t2):
+        if t.family != family:
+            raise ValueError("tableau family does not match the requested merge")
+        if not validate_tableau(t):
+            raise ValueError("gamma_merge requires valid tableaux")
+    rows: dict[int, list[int]] = {1: [], 2: []}
+    shape: Shape = ()
+    pieces = []
+    for dtype, r, fill in _chain(family, t1, t2):
+        if r > len(rows[dtype]):
+            rows[dtype].append(1)
+        else:
+            rows[dtype][r - 1] += 1
+        grown = inverse_two_quotient(tuple(rows[1]), tuple(rows[2]))
+        pieces.append((_added_domino(shape, grown), fill))
+        shape = grown
+    return DominoTableau(family, shape, tuple(pieces))
 
 
 def _covered_shape(covered: set) -> Shape:

@@ -138,17 +138,20 @@ def is_pavable(shape: Shape) -> bool:
 def inverse_two_quotient(q1: Shape, q2: Shape) -> Shape:
     """The unique pavable partition whose 2-quotient is (q1, q2).
 
-    Realised by merging minimally filled tableaux of shapes q1 and q2 through
-    the domino bijection, so that a single code path is the source of truth
-    for the correspondence.
+    With both components padded by zeros to m = max(len(q1), len(q2)) parts,
+    q1 gives the even beta numbers 2(q1_j + m-1-j) and q2 the odd ones
+    2(q2_j + m-1-j) + 1; sorting these 2m numbers in decreasing order and
+    subtracting the staircase 2m-1, ..., 1, 0 gives the parts.  An even count
+    of beta numbers keeps q1 first, matching the order of two_quotient.
     """
-    from .bijections import gamma_merge
-    from .tableaux import PLAIN, minimal_tableau
-
-    t1 = minimal_tableau(PLAIN, check_partition(q1))
-    t2 = minimal_tableau(PLAIN, check_partition(q2))
-    merged = gamma_merge(PLAIN, t1, t2)
-    return merged.shape
+    q1, q2 = check_partition(q1), check_partition(q2)
+    m = max(len(q1), len(q2))
+    beta = sorted(
+        [2 * (p + m - 1 - j) for j, p in enumerate(q1 + (0,) * (m - len(q1)))]
+        + [2 * (p + m - 1 - j) + 1 for j, p in enumerate(q2 + (0,) * (m - len(q2)))],
+        reverse=True,
+    )
+    return tuple(p for p in (b - (2 * m - 1 - i) for i, b in enumerate(beta)) if p)
 
 
 def partitions_of(n: int) -> Iterator[Shape]:
