@@ -13,8 +13,6 @@ from .pavings import (
     Domino,
     Paving,
     RegionSplit,
-    crossing_diagonal,
-    domino_type,
     enumerate_pavings,
     is_shifted_pavable,
     is_shifted_paving,
@@ -49,7 +47,7 @@ from .domino_tableaux import (
     weakly_southeast,
 )
 from .bijections import gamma_merge, gamma_split
-from .polyring import Polynomial, domino_genfun, genfun, poly_mul
+from .polyring import Polynomial, domino_genfun, genfun
 from .verify import VerificationReport, verify_identity, verify_sweep
 
 __version__ = "0.1.0"
@@ -63,8 +61,6 @@ __all__ = [
     "Domino",
     "Paving",
     "RegionSplit",
-    "crossing_diagonal",
-    "domino_type",
     "enumerate_pavings",
     "is_shifted_pavable",
     "is_shifted_paving",
@@ -98,7 +94,6 @@ __all__ = [
     "Polynomial",
     "domino_genfun",
     "genfun",
-    "poly_mul",
     "VerificationReport",
     "verify_identity",
     "verify_sweep",

@@ -3,20 +3,14 @@
 One generic engine drives all four families: the plain maps are the
 restriction of the shifted set-valued ones to singleton, unprimed, X-free
 data.  Splitting restricts the diagonal reading word to type-1 and type-2
-dominoes, halving each diagonal index; merging rebuilds the domino tableau by
-ascending minimum letters, placing one domino per new cell on the doubled
-diagonal.
+dominoes, halving each diagonal index.  Merging adds the pair's cells to the
+2-quotient one at a time; each addition grows the inverse 2-quotient by
+exactly one domino, which takes the cell's fill.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
-
-from .domino_tableaux import (
-    DominoTableau,
-    FillState,
-    validate_domino_tableau,
-)
+from .domino_tableaux import DominoTableau, validate_domino_tableau
 from .pavings import Domino
 from .partitions import Shape, inverse_two_quotient
 from .tableaux import (
@@ -60,207 +54,6 @@ def gamma_split(t: DominoTableau) -> tuple[Tableau, Tableau]:
     return (halves[0], halves[1])
 
 
-def _letter_cells(t: Tableau) -> list[tuple[int, int, int, Fill]]:
-    """(min rank, row, col, fill) for each non-X cell."""
-    return [
-        (fill[0], r, c, fill) for r, c, fill in t.cells_with_fills() if fill != X_FILL
-    ]
-
-
-_Item = tuple[int, int, Fill]  # (flat diagonal, type, fill)
-
-
-def _merge_steps(family: Family, t1: Tableau, t2: Tableau) -> list[list[_Item]]:
-    """Group the cells of the pair into placement steps by ascending minimum.
-
-    Each step holds the cells whose minimum entry is the next letter, plus,
-    for shifted families, the X cells lying left of a cell entering this step
-    (added once, when their row first receives a letter).
-    """
-    cells = {1: _letter_cells(t1), 2: _letter_cells(t2)}
-    xcells = {1: [], 2: []}
-    if family.shifted:
-        for tag, t in ((1, t1), (2, t2)):
-            xcells[tag] = [
-                (r, c) for r, c, fill in t.cells_with_fills() if fill == X_FILL
-            ]
-    dragged: dict[int, set[int]] = {1: set(), 2: set()}
-    steps: list[list[_Item]] = []
-    for u in sorted({m for tag in (1, 2) for m, _, _, _ in cells[tag]}):
-        items: list[_Item] = []
-        for tag in (1, 2):
-            for m, r, c, fill in cells[tag]:
-                if m != u:
-                    continue
-                if family.shifted and r not in dragged[tag]:
-                    dragged[tag].add(r)
-                    for xr, xc in xcells[tag]:
-                        if xr == r:
-                            items.append((xc - xr, tag, X_FILL))
-                items.append((c - r, tag, fill))
-        steps.append(items)
-    return steps
-
-
-def _slot_cell(even_diag: int, index: int) -> tuple[int, int]:
-    """The index-th cell (0-based, NW to SE) of diagonal D_{even_diag}."""
-    r = max(1, 1 - even_diag) + index
-    return (r, r + even_diag)
-
-
-def _piece_options(item: _Item, slot: tuple[int, int]) -> list[Domino]:
-    """Both orientations of a typed domino whose even cell is the slot.
-
-    A type-1 domino pairs the slot with the cell below or to the left (content
-    one less); a type-2 domino with the cell above or to the right.
-    """
-    r, c = slot
-    _, dtype, _ = item
-    if dtype == 1:
-        opts = [Domino(r, c, horiz=False), Domino(r, c - 1, horiz=True)]
-    else:
-        opts = [Domino(r - 1, c, horiz=False), Domino(r, c, horiz=True)]
-    return [d for d in opts if d.row >= 1 and d.col >= 1]
-
-
-def _diag_candidates(
-    items: list[_Item], even_diag: int, base: int, covered: set
-) -> list[list[tuple[Domino, Fill]]]:
-    """All ways to lay the step's dominoes of one diagonal onto its next slots."""
-    results = []
-    seen_orders = set()
-    for order in permutations(range(len(items))):
-        key = tuple(items[i] for i in order)
-        if key in seen_orders:
-            continue
-        seen_orders.add(key)
-        slot_opts = []
-        for pos, i in enumerate(order):
-            slot = _slot_cell(even_diag, base + pos)
-            opts = [
-                d
-                for d in _piece_options(items[i], slot)
-                if not any(cell in covered for cell in d.cells())
-            ]
-            slot_opts.append([(d, items[i][2]) for d in opts])
-        for combo in product(*slot_opts):
-            cells = [cell for d, _ in combo for cell in d.cells()]
-            if len(cells) == len(set(cells)):
-                results.append(list(combo))
-    return results
-
-
-def _is_young(covered: set) -> bool:
-    if not covered:
-        return True
-    rows: dict[int, int] = {}
-    for r, c in covered:
-        rows[r] = max(rows.get(r, 0), c)
-    nrows = max(rows)
-    lengths = [rows.get(r, 0) for r in range(1, nrows + 1)]
-    if any(
-        lengths[r] < lengths[r + 1] for r in range(nrows - 1)
-    ) or lengths.count(0):
-        return False
-    return len(covered) == sum(lengths)
-
-
-def _no_forbidden_vertical(state: FillState) -> bool:
-    """No placed vertical on D_0 may have all covered left neighbours below D_0.
-
-    Left cells not yet covered leave the vertical unjudged for now; the check
-    repeats at each step and at the end, when all neighbours exist.
-    """
-    for dom, _ in state.pieces:
-        if dom.horiz or dom.crossing() != 0 or dom.col == 1:
-            continue
-        left = [(dom.row, dom.col - 1), (dom.row + 1, dom.col - 1)]
-        owners = {state.owner.get(cell) for cell in left}
-        if None in owners:
-            continue
-        if all(state.pieces[i][0].crossing() < 0 for i in owners):
-            return False
-    return True
-
-
-def gamma_merge(family: Family, t1: Tableau, t2: Tableau) -> DominoTableau:
-    """Merge a pair of flat tableaux into the domino tableau splitting to it.
-
-    Steps run over ascending minimum letters; within a step every diagonal
-    D_{2k} receives one domino per new cell on D_k of either half (type 1 from
-    the first, type 2 from the second), occupying the next free cells of
-    D_{2k}.  Which domino takes which slot and which orientation each takes is
-    resolved by searching the small set of layouts per step, keeping only
-    those whose running region stays a Young diagram and whose fills satisfy
-    every family rule; dead ends backtrack across steps.  For valid input
-    exactly one result exists up to equivalence of the X-filled down region.
-    """
-    for t in (t1, t2):
-        if t.family != family:
-            raise ValueError("tableau family does not match the requested merge")
-        if not validate_tableau(t):
-            raise ValueError("gamma_merge requires valid tableaux")
-    steps = _merge_steps(family, t1, t2)
-    state = FillState(family)
-    covered: set = set()
-
-    def place_step(step_idx: int) -> DominoTableau | None:
-        if step_idx == len(steps):
-            return DominoTableau(family, _covered_shape(covered), tuple(state.pieces))
-        by_diag: dict[int, list[_Item]] = {}
-        for item in steps[step_idx]:
-            by_diag.setdefault(2 * item[0], []).append(item)
-        diags = sorted(by_diag)
-        bases = {}
-        for d in diags:
-            j = 0
-            while _slot_cell(d, j) in covered:
-                j += 1
-            bases[d] = j
-
-        def lay(diag_idx: int, added: list[tuple[Domino, Fill]]) -> DominoTableau | None:
-            if diag_idx == len(diags):
-                new_cells = [cell for dom, _ in added for cell in dom.cells()]
-                if not _is_young(covered | set(new_cells)):
-                    return None
-                pushed = 0
-                ok = True
-                for dom, fill in added:
-                    if not state.try_add(dom, fill):
-                        ok = False
-                        break
-                    pushed += 1
-                if ok and family.shifted and not _no_forbidden_vertical(state):
-                    ok = False
-                if ok:
-                    covered.update(new_cells)
-                    result = place_step(step_idx + 1)
-                    if result is not None:
-                        return result
-                    covered.difference_update(new_cells)
-                for _ in range(pushed):
-                    state.pop()
-                return None
-
-            d = diags[diag_idx]
-            for combo in _diag_candidates(by_diag[d], d, bases[d], covered):
-                cells = [cell for dom, _ in combo for cell in dom.cells()]
-                prior = {cell for dom, _ in added for cell in dom.cells()}
-                if any(cell in prior for cell in cells):
-                    continue
-                result = lay(diag_idx + 1, added + combo)
-                if result is not None:
-                    return result
-            return None
-
-        return lay(0, [])
-
-    result = place_step(0)
-    if result is None:
-        raise ValueError("no consistent domino placement; inputs are inconsistent")
-    return result
-
-
 def _chain(family: Family, t1: Tableau, t2: Tableau) -> list[tuple[int, int, Fill]]:
     """(type, flat row, fill) for every cell of the pair, in merge order.
 
@@ -296,7 +89,16 @@ def _added_domino(old: Shape, new: Shape) -> Domino:
     return Domino(r, c, horiz=r == r2)
 
 
-def gamma_merge_chain(family: Family, t1: Tableau, t2: Tableau) -> DominoTableau:
+def gamma_merge(family: Family, t1: Tableau, t2: Tableau) -> DominoTableau:
+    """Merge a pair of flat tableaux into the domino tableau splitting to it.
+
+    The cells of t1 (type 1) and t2 (type 2) are added to the quotient pair in
+    the order of ``_chain``; after each one the shape is the inverse
+    2-quotient of the cells added so far, so it grows by one domino, which
+    takes the cell's fill.  For shifted families the X cells lay down the
+    lexicographically least down region, the representative that
+    ``enumerate_domino_tableaux`` keeps.
+    """
     for t in (t1, t2):
         if t.family != family:
             raise ValueError("tableau family does not match the requested merge")
@@ -314,10 +116,3 @@ def gamma_merge_chain(family: Family, t1: Tableau, t2: Tableau) -> DominoTableau
         pieces.append((_added_domino(shape, grown), fill))
         shape = grown
     return DominoTableau(family, shape, tuple(pieces))
-
-
-def _covered_shape(covered: set) -> Shape:
-    if not covered:
-        return ()
-    nrows = max(r for r, _ in covered)
-    return tuple(max(c for rr, c in covered if rr == r) for r in range(1, nrows + 1))

@@ -35,9 +35,25 @@ def _fill_out(fill: Fill) -> Any:
 def _fill_in(data: Any) -> Fill:
     if data == "X":
         return X_FILL
-    if not isinstance(data, list) or not data:
+    if not isinstance(data, list) or not data or not all(isinstance(x, str) for x in data):
         raise ValueError(f"bad fill: {data!r}")
     return tuple(sorted(parse_letter(x) for x in data))
+
+
+def _field(data: Any, key: str, kind: type = object) -> Any:
+    """data[key], raising ValueError unless it is present and of the kind."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"missing key {key!r} in {data!r}")
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"bad {key!r}: {value!r}")
+    return value
+
+
+def _domino_in(data: Any) -> Domino:
+    if _field(data, "orient", str) not in ("H", "V"):
+        raise ValueError(f"bad 'orient': {data['orient']!r}")
+    return Domino(_field(data, "row", int), _field(data, "col", int), data["orient"] == "H")
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -104,47 +120,47 @@ def serialize(obj: Any) -> str:
 
 def _family(data: dict) -> Family:
     name = data.get("family")
-    if name not in FAMILIES:
+    if not isinstance(name, str) or name not in FAMILIES:
         raise ValueError(f"unknown family: {name!r}")
     return FAMILIES[name]
 
 
 def from_jsonable(data: Any) -> Any:
+    """Rebuild a domain value, raising ValueError on any malformed structure."""
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     if "rows" in data:
+        rows = _field(data, "rows", list)
+        if not all(isinstance(row, list) for row in rows):
+            raise ValueError(f"bad 'rows': {rows!r}")
         return make_tableau(
             _family(data),
-            check_partition(data["shape"]),
-            [[_fill_in(f) for f in row] for row in data["rows"]],
+            check_partition(_field(data, "shape", list)),
+            [[_fill_in(f) for f in row] for row in rows],
         )
     if "dominoes" in data and "family" in data:
         pieces = [
-            (
-                Domino(d["row"], d["col"], d["orient"] == "H"),
-                _fill_in(d["fill"]),
-            )
-            for d in data["dominoes"]
+            (_domino_in(d), _fill_in(_field(d, "fill")))
+            for d in _field(data, "dominoes", list)
         ]
-        return make_domino_tableau(_family(data), check_partition(data["shape"]), pieces)
+        return make_domino_tableau(
+            _family(data), check_partition(_field(data, "shape", list)), pieces
+        )
     if "dominoes" in data:
         return Paving(
-            check_partition(data["shape"]),
-            tuple(
-                Domino(d["row"], d["col"], d["orient"] == "H")
-                for d in data["dominoes"]
-            ),
+            check_partition(_field(data, "shape", list)),
+            tuple(_domino_in(d) for d in _field(data, "dominoes", list)),
         )
     if "terms" in data:
-        n = data["n"]
         terms = {}
-        for t in data["terms"]:
-            m = tuple(t["exps"])
+        for t in _field(data, "terms", list):
+            m = tuple(_field(t, "exps", list))
+            if not all(isinstance(e, int) for e in m):
+                raise ValueError(f"bad 'exps': {list(m)!r}")
             if m in terms:
                 raise ValueError("duplicate monomial")
-            terms[m] = t["coeff"]
-        poly = Polynomial(n, terms)
-        return poly
+            terms[m] = _field(t, "coeff", int)
+        return Polynomial(_field(data, "n", int), terms)
     raise ValueError("unrecognised object")
 
 

@@ -31,6 +31,12 @@ def _family(name: str):
     return FAMILIES[name]
 
 
+def _at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+    return value
+
+
 def _read_input(path: Optional[str]) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
@@ -139,10 +145,11 @@ def run(argv: list[str]) -> int:
     if cmd == "enumerate":
         family = _family(args.family)
         shape = canonical.parse_shape(args.shape)
+        max_letter = _at_least(args.max_letter, 1, "--max-letter")
         if args.kind == "domino":
-            items = enumerate_domino_tableaux(family, shape, args.max_letter)
+            items = enumerate_domino_tableaux(family, shape, max_letter)
         else:
-            items = enumerate_tableaux(family, shape, args.max_letter)
+            items = enumerate_tableaux(family, shape, max_letter)
         _emit("\n".join(canonical.serialize(t) for t in items), args.out)
         return 0
 
@@ -171,7 +178,7 @@ def run(argv: list[str]) -> int:
         family = _family(args.family)
         shape = canonical.parse_shape(args.shape)
         fn = domino_genfun if args.domino else genfun
-        poly = fn(family, shape, args.vars)
+        poly = fn(family, shape, _at_least(args.vars, 1, "--vars"))
         text = canonical.serialize(poly) if args.format == "canonical" else str(poly)
         _emit(text, args.out)
         return 0
@@ -180,10 +187,12 @@ def run(argv: list[str]) -> int:
         family = _family(args.family)
         if (args.shape is None) == (args.max_size is None):
             raise ValueError("verify needs exactly one of --shape or --max-size")
+        n = _at_least(args.vars, 1, "--vars")
         if args.shape is not None:
-            reports = [verify_identity(family, canonical.parse_shape(args.shape), args.vars)]
+            reports = [verify_identity(family, canonical.parse_shape(args.shape), n)]
         else:
-            reports = verify_sweep(family, args.max_size, args.vars, jobs=args.jobs)
+            max_size = _at_least(args.max_size, 0, "--max-size")
+            reports = verify_sweep(family, max_size, n, jobs=args.jobs)
         if args.format == "canonical":
             text = "\n".join(canonical.serialize(r) for r in reports)
         else:

@@ -29,6 +29,7 @@ from .tableaux import (
     Fill,
     ReadingWord,
     X_FILL,
+    _candidate_fills,
     check_fill,
     format_fill,
     is_primed,
@@ -70,7 +71,7 @@ def weakly_southeast(f1: Domino, f2: Domino) -> bool:
 
 
 class FillState:
-    """Incremental validity checker shared by enumeration and the bijections.
+    """Incremental validity checker shared by enumeration and validation.
 
     Pieces are added one at a time; ``try_add`` accepts a piece only if every
     family rule involving it and the pieces already present holds.  Adding
@@ -276,12 +277,6 @@ def up_domino_count(t: DominoTableau) -> int:
     return len(t.up_pieces())
 
 
-def _candidate_piece_fills(family: Family, max_letter: int) -> list[Fill]:
-    from .tableaux import _candidate_fills
-
-    return _candidate_fills(family, max_letter)
-
-
 def enumerate_domino_tableaux(
     family: Family, shape: Shape, max_letter: int
 ) -> list[DominoTableau]:
@@ -298,7 +293,7 @@ def enumerate_domino_tableaux(
     pavings = enumerate_pavings(shape)
     if not pavings:
         raise ValueError(f"shape {shape} is not pavable")
-    candidates = _candidate_piece_fills(family, max_letter)
+    candidates = _candidate_fills(family, max_letter)
 
     if family.shifted:
         shifted = [p for p in pavings if is_shifted_paving(p)]

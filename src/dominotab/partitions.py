@@ -117,7 +117,6 @@ def two_quotient(shape: Shape) -> tuple[Shape, Shape]:
     ne, no = len(evens), len(odds)
     from_evens = [(evens[j] - 2 * (ne - 1 - j)) // 2 for j in range(ne)]
     from_odds = [(odds[j] - 2 * (no - 1 - j) - 1) // 2 for j in range(no)]
-    assert all(p >= 0 for p in from_evens) and all(p >= 0 for p in from_odds)
     q_even = tuple(p for p in from_evens if p > 0)
     q_odd = tuple(p for p in from_odds if p > 0)
     if k % 2 == 1:

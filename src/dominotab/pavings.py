@@ -52,14 +52,6 @@ class Domino:
         return self._dtype
 
 
-def domino_type(d: Domino) -> int:
-    return d.dtype()
-
-
-def crossing_diagonal(d: Domino) -> int:
-    return d.crossing()
-
-
 @dataclass(frozen=True)
 class Paving:
     """A tiling of a Young diagram by disjoint dominoes."""

@@ -123,10 +123,6 @@ class Polynomial:
         return "\n".join(lines)
 
 
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
 def _flat_sign(family: Family, t: Tableau, shape: Shape) -> int:
     if not family.set_valued:
         return 1

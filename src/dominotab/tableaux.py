@@ -16,6 +16,7 @@ from typing import Iterator
 
 from .partitions import (
     Shape,
+    cells,
     check_partition,
     diagonal_cells,
     diagonal_range,
@@ -336,11 +337,11 @@ def enumerate_tableaux(family: Family, shape: Shape, max_letter: int) -> list[Ta
         return [Tableau(family, (), ())]
 
     letter_cells = [
-        (r, c) for r, c in _row_major(shape) if not (family.shifted and c - r < 0)
+        (r, c) for r, c in cells(shape) if not (family.shifted and c - r < 0)
     ]
     candidates = _candidate_fills(family, max_letter)
     grid: dict[tuple[int, int], Fill] = {
-        (r, c): X_FILL for r, c in _row_major(shape) if family.shifted and c - r < 0
+        (r, c): X_FILL for r, c in cells(shape) if family.shifted and c - r < 0
     }
     col_unprimed: set[tuple[int, int]] = set()
     row_primed: set[tuple[int, int]] = set()
@@ -392,20 +393,4 @@ def enumerate_tableaux(family: Family, shape: Shape, max_letter: int) -> list[Ta
 
     rec(0)
     return out
-
-
-def _row_major(shape: Shape):
-    for r, length in enumerate(shape, start=1):
-        for c in range(1, length + 1):
-            yield (r, c)
-
-
-def minimal_tableau(family: Family, shape: Shape) -> Tableau:
-    """The minimal semistandard filling: cell (i, j) holds the letter i."""
-    shape = check_partition(shape)
-    rows = tuple(
-        tuple((rank(r),) for _ in range(length))
-        for r, length in enumerate(shape, start=1)
-    )
-    return Tableau(family, shape, rows)
 

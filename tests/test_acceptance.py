@@ -82,7 +82,7 @@ def test_criterion_2_bijection_fixtures(
                 assert merged == T
 
 
-def _roundtrip_sweep(family, max_size, max_letter, up_to_equiv):
+def _roundtrip_sweep(family, max_size, max_letter):
     count = 0
     for lam in partitions_up_to(max_size):
         if not lam or not is_pavable(lam):
@@ -91,21 +91,17 @@ def _roundtrip_sweep(family, max_size, max_letter, up_to_equiv):
             continue
         for T in enumerate_domino_tableaux(family, lam, max_letter):
             t1, t2 = gamma_split(T)
-            merged = gamma_merge(family, t1, t2)
-            if up_to_equiv:
-                assert up_fingerprint(merged) == up_fingerprint(T), lam
-            else:
-                assert merged == T, lam
+            assert gamma_merge(family, t1, t2) == T, lam
             count += 1
     return count
 
 
 def test_criterion_3_roundtrip_sweeps():
     with Criterion("criterion 3: bijection roundtrip sweeps", 300):
-        n = _roundtrip_sweep(PLAIN, 12, 3, False)
-        n += _roundtrip_sweep(SET_VALUED, 8, 3, False)
-        n += _roundtrip_sweep(SHIFTED, 12, 2, True)
-        n += _roundtrip_sweep(SHIFTED_SET_VALUED, 12, 2, True)
+        n = _roundtrip_sweep(PLAIN, 12, 3)
+        n += _roundtrip_sweep(SET_VALUED, 8, 3)
+        n += _roundtrip_sweep(SHIFTED, 12, 2)
+        n += _roundtrip_sweep(SHIFTED_SET_VALUED, 12, 2)
         assert n > 30000
 
 

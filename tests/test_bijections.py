@@ -113,7 +113,7 @@ def test_roundtrip_a_shifted(family):
             continue
         for T in enumerate_domino_tableaux(family, lam, 2):
             t1, t2 = gamma_split(T)
-            assert up_fingerprint(gamma_merge(family, t1, t2)) == up_fingerprint(T)
+            assert gamma_merge(family, t1, t2) == T
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -41,13 +42,38 @@ def test_verify_command_exit_codes(capsys):
     assert any(line.startswith("SKIP") for line in out.splitlines())
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(monkeypatch, capsys):
     from dominotab.cli import main
 
     assert main(["quotient", "--shape", "oops"]) == 2
     assert main(["verify", "--family", "plain", "--vars", "2"]) == 2
     assert main(["genfun", "--family", "nope", "--shape", "[1]", "--vars", "1"]) == 2
     assert main(["split", "--in", "/no/such/file.json"]) == 2
+    # Sizes below their limits.
+    assert main(["verify", "--family", "plain", "--shape", "[2,2]", "--vars", "0"]) == 2
+    assert main(["verify", "--family", "plain", "--max-size", "-1", "--vars", "2"]) == 2
+    assert main(["genfun", "--family", "plain", "--shape", "[1]", "--vars", "0"]) == 2
+    assert main(
+        ["enumerate", "--family", "plain", "--shape", "[1]", "--max-letter", "0"]
+    ) == 2
+    # JSON that parses but has the wrong structure.
+    malformed = [
+        ("render", '{"dominoes":[{}],"shape":[2]}'),
+        (
+            "render",
+            '{"family":"plain","shape":[2],'
+            '"dominoes":[{"row":"1","col":1,"orient":"H","fill":["1"]}]}',
+        ),
+        ("render", '{"family":"plain","shape":[1],"rows":[[1]]}'),
+        ("render", '{"family":["plain"],"shape":[1],"rows":[["1"]]}'),
+        ("split", '{"family":"plain","shape":"[2]","dominoes":[]}'),
+        ("merge", '[{"family":"plain","shape":[1]},{}]'),
+        ("render", '{"n":2,"terms":[{"exps":[1,0]}]}'),
+    ]
+    for cmd, text in malformed:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main([cmd]) == 2, text
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_flag_rejected():

@@ -4,8 +4,6 @@ from dominotab.partitions import is_pavable, partitions_up_to, size, two_quotien
 from dominotab.pavings import (
     Domino,
     Paving,
-    crossing_diagonal,
-    domino_type,
     enumerate_pavings,
     is_shifted_pavable,
     is_shifted_paving,
@@ -17,17 +15,17 @@ def test_domino_geometry():
     d = Domino(1, 1, True)
     assert d.cells() == ((1, 1), (1, 2))
     assert d.contents() == (0, 1)
-    assert crossing_diagonal(d) == 0
-    assert domino_type(d) == 2
+    assert d.crossing() == 0
+    assert d.dtype() == 2
     d = Domino(2, 2, False)
     assert d.contents() == (0, -1)
-    assert crossing_diagonal(d) == 0
-    assert domino_type(d) == 1
+    assert d.crossing() == 0
+    assert d.dtype() == 1
     d = Domino(2, 1, False)
-    assert crossing_diagonal(d) == -2
-    assert domino_type(d) == 2
+    assert d.crossing() == -2
+    assert d.dtype() == 2
     d = Domino(1, 3, False)
-    assert crossing_diagonal(d) == 2
+    assert d.crossing() == 2
 
 
 def test_enumerate_pavings_counts():

@@ -1,3 +1,5 @@
+from dominotab import verify
+from dominotab.polyring import Polynomial
 from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED
 from dominotab.verify import verify_identity, verify_sweep
 
@@ -66,3 +68,16 @@ def test_shifted_families_small_sweeps():
     for family in (SHIFTED, SHIFTED_SET_VALUED):
         for r in verify_sweep(family, 6, 2):
             assert r.status != "FAIL"
+
+
+def test_asymmetric_side_fails_without_raising(monkeypatch):
+    x1 = Polynomial(2, {(1, 0): 1})
+    monkeypatch.setattr(verify, "domino_genfun", lambda family, lam, n: x1)
+    report = verify_identity(PLAIN, (2, 2), 2)
+    assert report.status == "FAIL" and report.first_diff is not None
+    # Both sides equal, but neither symmetric.
+    monkeypatch.setattr(verify, "genfun", lambda family, shape, n: x1)
+    monkeypatch.setattr(verify, "domino_genfun", lambda family, lam, n: x1 * x1)
+    report = verify_identity(PLAIN, (2, 2), 2)
+    assert report.status == "FAIL" and report.first_diff is None
+    assert report.line().endswith("not symmetric")
