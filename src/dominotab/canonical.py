@@ -164,8 +164,16 @@ def from_jsonable(data: Any) -> Any:
     raise ValueError("unrecognised object")
 
 
+def loads(text: str) -> Any:
+    """``json.loads``, with nesting too deep to parse as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+
+
 def parse(text: str) -> Any:
-    return from_jsonable(json.loads(text))
+    return from_jsonable(loads(text))
 
 
 def format_shape(shape: Shape) -> str:

@@ -163,7 +163,7 @@ def run(argv: list[str]) -> int:
         return 0
 
     if cmd == "merge":
-        data = json.loads(_read_input(args.infile))
+        data = canonical.loads(_read_input(args.infile))
         if not isinstance(data, list) or len(data) != 2:
             raise ValueError("merge expects a two-element array [t1,t2]")
         t1 = canonical.from_jsonable(data[0])
@@ -188,11 +188,12 @@ def run(argv: list[str]) -> int:
         if (args.shape is None) == (args.max_size is None):
             raise ValueError("verify needs exactly one of --shape or --max-size")
         n = _at_least(args.vars, 1, "--vars")
+        jobs = _at_least(args.jobs, 1, "--jobs")
         if args.shape is not None:
             reports = [verify_identity(family, canonical.parse_shape(args.shape), n)]
         else:
             max_size = _at_least(args.max_size, 0, "--max-size")
-            reports = verify_sweep(family, max_size, n, jobs=args.jobs)
+            reports = verify_sweep(family, max_size, n, jobs=jobs)
         if args.format == "canonical":
             text = "\n".join(canonical.serialize(r) for r in reports)
         else:

@@ -19,8 +19,9 @@ Validity follows the flat families, read on domino fills:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .partitions import Shape, Cell, check_partition
 from .pavings import Domino, Paving, enumerate_pavings, is_shifted_paving, region_split
@@ -37,6 +38,8 @@ from .tableaux import (
 )
 
 Piece = tuple[Domino, Fill]
+Bounds = tuple[int, float, float, float]
+INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -77,116 +80,162 @@ class FillState:
     family rule involving it and the pieces already present holds.  Adding
     pieces in any order and succeeding every time is equivalent to full
     validity of the final tableau (all rules are pairwise or per-piece).
+
+    Fills must be strictly increasing, as ``check_fill`` ensures: the rules
+    read a fill's minimum as ``fill[0]`` and its maximum as ``fill[-1]``.
+    ``add`` and ``pop`` keep these indexes in step with ``pieces``:
+
+    * ``owner`` maps each covered cell to the index of its piece, and
+      ``mins`` maps it to that piece's minimum, ``None`` for X;
+    * ``by_diagonal`` lists the placed non-X pieces of each (type, crossing)
+      as (row, col, last row, last col, min, up_even(max), up_odd(max)),
+      where up_even rounds a rank up to even (a primed letter up to its
+      unprimed one) and up_odd up to odd: the southeast rule reads only the
+      lists two diagonals below and above the new piece;
+    * ``row_primed`` and ``col_unprimed`` hold the (row, letter) and
+      (column, letter) pairs taken by the minima of shifted pieces.
+
+    Against the placed pieces, the ordering and southeast rules bound only
+    the minimum and the maximum of a new fill.  ``bounds`` computes those
+    bounds once per domino until the next ``add`` or ``pop``, and ``check``
+    compares each fill against them.
     """
 
     def __init__(self, family: Family):
         self.family = family
+        self.shifted = family.shifted
+        self.set_valued = family.set_valued
+        # Minima strictly increase down columns unless the family is shifted.
+        self.column_gap = 0 if family.shifted else 1
         self.pieces: list[Piece] = []
         self.owner: dict[Cell, int] = {}
-        self.col_unprimed: set[tuple[int, int]] = set()
+        self.mins: dict[Cell, int | None] = {}
+        self.by_diagonal: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self.row_primed: set[tuple[int, int]] = set()
+        self.col_unprimed: set[tuple[int, int]] = set()
+        self._last_bounds: tuple[Domino, Bounds | None] | None = None
 
-    def _fill_shape_ok(self, dom: Domino, fill: Fill) -> bool:
-        if self.family.shifted:
-            if (fill == X_FILL) != (dom.crossing() < 0):
-                return False
-        elif fill == X_FILL:
-            return False
-        if fill == X_FILL:
-            return True
-        if not self.family.set_valued and len(fill) != 1:
-            return False
-        if not self.family.shifted and any(is_primed(r) for r in fill):
-            return False
-        return True
+    def bounds(self, dom: Domino) -> Bounds | None:
+        """What the placed pieces require of a fill on ``dom``, or None if
+        ``dom`` overlaps one of them.
 
-    def _ordering_ok(self, dom: Domino, fill: Fill) -> bool:
-        if fill == X_FILL:
-            return True
-        lo = min(fill)
-        for r, c in dom.cells():
-            for dr, dc, before in ((0, -1, True), (0, 1, False)):
-                idx = self.owner.get((r + dr, c + dc))
-                if idx is None:
-                    continue
-                other_fill = self.pieces[idx][1]
-                if other_fill == X_FILL:
-                    continue
-                if before:  # neighbour to the left: its min at most ours
-                    if min(other_fill) > lo:
-                        return False
-                elif lo > min(other_fill):
-                    return False
-            for dr, above in ((-1, True), (1, False)):
-                idx = self.owner.get((r + dr, c))
-                if idx is None:
-                    continue
-                other_fill = self.pieces[idx][1]
-                if other_fill == X_FILL:
-                    continue
-                top, bottom = (min(other_fill), lo) if above else (lo, min(other_fill))
-                if self.family.shifted:
-                    if top > bottom:
-                        return False
-                elif top >= bottom:
-                    return False
-        return True
+        The bounds are (lowest min, highest min, highest up_odd(max),
+        highest up_even(max)); ``inf`` stands for no bound.
+        """
+        last_bounds = self._last_bounds
+        if last_bounds is not None and last_bounds[0] is dom:
+            return last_bounds[1]
+        first, last = dom.cells()
+        mins = self.mins
+        if first in mins or last in mins:
+            self._last_bounds = (dom, None)
+            return None
+        lo_min, lo_max, odd_cap, even_cap = 1, INF, INF, INF
 
-    def _multiplicity_ok(self, dom: Domino, fill: Fill) -> bool:
-        if not self.family.shifted or fill == X_FILL:
-            return True
-        m = min(fill)
-        if is_primed(m):
-            rows = {r for r, _ in dom.cells()}
-            return all((r, m) not in self.row_primed for r in rows)
-        cols = {c for _, c in dom.cells()}
-        return all((c, m) not in self.col_unprimed for c in cols)
+        # Ordering: a left neighbour's minimum is at most ours and a right
+        # one's at least ours; the same above and below, strictly unless the
+        # family is shifted.  The cells of ``dom`` itself are not in ``mins``.
+        gap = self.column_gap
+        r, c = first
+        if dom.horiz:
+            left, right = ((r, c - 1),), ((r, c + 2),)
+            above, below = ((r - 1, c), (r - 1, c + 1)), ((r + 1, c), (r + 1, c + 1))
+        else:
+            left, right = ((r, c - 1), (r + 1, c - 1)), ((r, c + 1), (r + 1, c + 1))
+            above, below = ((r - 1, c),), ((r + 2, c),)
+        for cell in left:
+            m = mins.get(cell)
+            if m is not None and m > lo_min:
+                lo_min = m
+        for cell in above:
+            m = mins.get(cell)
+            if m is not None and m + gap > lo_min:
+                lo_min = m + gap
+        for cell in right:
+            m = mins.get(cell)
+            if m is not None and m < lo_max:
+                lo_max = m
+        for cell in below:
+            m = mins.get(cell)
+            if m is not None and m - gap < lo_max:
+                lo_max = m - gap
 
-    def _southeast_ok(self, dom: Domino, fill: Fill) -> bool:
-        if not self.family.set_valued or fill == X_FILL:
-            return True
-        for other_dom, other_fill in self.pieces:
-            if other_fill == X_FILL or other_dom.dtype() != dom.dtype():
-                continue
-            if abs(other_dom.crossing() - dom.crossing()) != 2:
-                continue
-            for f1, fill1, f2, fill2 in (
-                (other_dom, other_fill, dom, fill),
-                (dom, fill, other_dom, other_fill),
+        # Southeast: for same-type F1, F2 on diagonals two apart with F2
+        # weakly southeast of F1, max(F1) <= min(F2), strictly when F2 lies
+        # on the higher diagonal and max(F1) is primed, or on the lower one
+        # and max(F1) is unprimed.  So up_even(max(F1)) <= min(F2) when F2
+        # is higher and up_odd(max(F1)) <= min(F2) when it is lower.
+        if self.set_valued:
+            last_r, last_c = last
+            dtype, d = dom.dtype(), dom.crossing()
+            for o_r, o_c, o_last_r, o_last_c, o_lo, o_hi_even, _ in self.by_diagonal.get(
+                (dtype, d - 2), ()
             ):
-                if not weakly_southeast(f1, f2):
-                    continue
-                forward = f2.crossing() == f1.crossing() + 2
-                if self.family.shifted:
-                    strict = is_primed(max(fill1)) == forward
-                else:
-                    strict = not forward
-                if max(fill1) > min(fill2) or (strict and max(fill1) >= min(fill2)):
-                    return False
-        return True
+                if last_r >= o_r and last_c >= o_c and o_hi_even > lo_min:
+                    lo_min = o_hi_even
+                if o_last_r >= r and o_last_c >= c and o_lo < odd_cap:
+                    odd_cap = o_lo
+            for o_r, o_c, o_last_r, o_last_c, o_lo, _, o_hi_odd in self.by_diagonal.get(
+                (dtype, d + 2), ()
+            ):
+                if last_r >= o_r and last_c >= o_c and o_hi_odd > lo_min:
+                    lo_min = o_hi_odd
+                if o_last_r >= r and o_last_c >= c and o_lo < even_cap:
+                    even_cap = o_lo
+        result = (lo_min, lo_max, odd_cap, even_cap)
+        self._last_bounds = (dom, result)
+        return result
 
     def check(self, dom: Domino, fill: Fill) -> bool:
-        return (
-            self._fill_shape_ok(dom, fill)
-            and all(cell not in self.owner for cell in dom.cells())
-            and self._ordering_ok(dom, fill)
-            and self._multiplicity_ok(dom, fill)
-            and self._southeast_ok(dom, fill)
-        )
+        if fill == X_FILL:  # X exactly on the dominoes below D_0 of shifted shapes
+            return self.shifted and dom.crossing() < 0 and self.bounds(dom) is not None
+        if not self.set_valued and len(fill) != 1:
+            return False
+        if self.shifted:
+            if dom.crossing() < 0:
+                return False
+        else:
+            for r in fill:
+                if is_primed(r):
+                    return False
+        bounds = self.bounds(dom)
+        if bounds is None:
+            return False
+        lo_min, lo_max, odd_cap, even_cap = bounds
+        lo, hi = fill[0], fill[-1]
+        if lo < lo_min or lo > lo_max or hi | 1 > odd_cap or hi + (hi & 1) > even_cap:
+            return False
+        if self.shifted:
+            taken, keys = self._letter_keys(dom, lo)
+            return taken.isdisjoint(keys)
+        return True
+
+    def _letter_keys(self, dom: Domino, lo: int) -> tuple[set[tuple[int, int]], tuple]:
+        """Multiplicity: a primed minimum appears once per row, an unprimed
+        one once per column.  Returns the set of taken (line, letter) pairs
+        and the pairs a minimum ``lo`` on ``dom`` takes."""
+        first, last = dom.cells()
+        if is_primed(lo):
+            return self.row_primed, ((first[0], lo), (last[0], lo))
+        return self.col_unprimed, ((first[1], lo), (last[1], lo))
 
     def add(self, dom: Domino, fill: Fill) -> None:
-        idx = len(self.pieces)
+        self._last_bounds = None
+        first, last = dom.cells()
+        self.owner[first] = self.owner[last] = len(self.pieces)
         self.pieces.append((dom, fill))
-        for cell in dom.cells():
-            self.owner[cell] = idx
-        if self.family.shifted and fill != X_FILL:
-            m = min(fill)
-            if is_primed(m):
-                for r, _ in dom.cells():
-                    self.row_primed.add((r, m))
-            else:
-                for _, c in dom.cells():
-                    self.col_unprimed.add((c, m))
+        if fill == X_FILL:
+            self.mins[first] = self.mins[last] = None
+            return
+        lo, hi = fill[0], fill[-1]
+        self.mins[first] = self.mins[last] = lo
+        if self.set_valued:
+            self.by_diagonal.setdefault((dom.dtype(), dom.crossing()), []).append(
+                (*first, *last, lo, hi + (hi & 1), hi | 1)
+            )
+        if self.shifted:
+            taken, keys = self._letter_keys(dom, lo)
+            taken.update(keys)
 
     def try_add(self, dom: Domino, fill: Fill) -> bool:
         if not self.check(dom, fill):
@@ -195,21 +244,24 @@ class FillState:
         return True
 
     def pop(self) -> None:
+        self._last_bounds = None
         dom, fill = self.pieces.pop()
-        for cell in dom.cells():
-            del self.owner[cell]
-        if self.family.shifted and fill != X_FILL:
-            m = min(fill)
-            if is_primed(m):
-                for r, _ in dom.cells():
-                    self.row_primed.discard((r, m))
-            else:
-                for _, c in dom.cells():
-                    self.col_unprimed.discard((c, m))
+        first, last = dom.cells()
+        del self.owner[first], self.owner[last], self.mins[first], self.mins[last]
+        if fill == X_FILL:
+            return
+        if self.set_valued:
+            self.by_diagonal[(dom.dtype(), dom.crossing())].pop()
+        if self.shifted:
+            taken, keys = self._letter_keys(dom, fill[0])
+            taken.difference_update(keys)
 
 
 def validate_domino_tableau(t: DominoTableau) -> bool:
-    """True iff every family rule holds; raises on malformed structure."""
+    """True iff every family rule holds; raises on malformed structure,
+    including a fill that is not strictly increasing."""
+    for _, fill in t.pieces:
+        check_fill(fill)
     Paving(t.shape, tuple(d for d, _ in t.pieces))  # structural: must tile
     if t.family.shifted and not is_shifted_paving(t.paving()):
         return False
@@ -256,10 +308,11 @@ def up_fingerprint(t: DominoTableau) -> str:
     return "|".join(parts)
 
 
-def dt_weight(t: DominoTableau, n: int) -> tuple[int, ...]:
-    """Exponent vector; each domino contributes its fill once."""
+def dt_weight(t: DominoTableau | Iterable[Piece], n: int) -> tuple[int, ...]:
+    """Exponent vector of a domino tableau or of its pieces; each domino
+    contributes its fill once."""
     exps = [0] * n
-    for _, fill in t.pieces:
+    for _, fill in t.pieces if isinstance(t, DominoTableau) else t:
         for letter in fill:
             idx = letter_index(letter)
             if idx > n:
@@ -280,7 +333,21 @@ def up_domino_count(t: DominoTableau) -> int:
 def enumerate_domino_tableaux(
     family: Family, shape: Shape, max_letter: int
 ) -> list[DominoTableau]:
-    """All valid domino tableaux with letters <= max_letter, deterministically.
+    """All valid domino tableaux with letters <= max_letter, sorted by pieces.
+
+    The tableaux are those ``domino_fills`` yields: for shifted families one
+    representative per equivalence class.
+    """
+    shape = check_partition(shape)
+    out = [DominoTableau(family, shape, p) for p in domino_fills(family, shape, max_letter)]
+    out.sort(key=lambda t: t.pieces)
+    return out
+
+
+def domino_fills(
+    family: Family, shape: Shape, max_letter: int
+) -> Iterator[tuple[Piece, ...]]:
+    """The pieces of every valid domino tableau, paving by paving.
 
     Unshifted families run over every paving.  Shifted families run over
     shifted pavings grouped by their up region (fills only constrain the up
@@ -289,75 +356,84 @@ def enumerate_domino_tableaux(
     """
     shape = check_partition(shape)
     if not shape:
-        return [DominoTableau(family, (), ())]
+        yield ()
+        return
     pavings = enumerate_pavings(shape)
     if not pavings:
         raise ValueError(f"shape {shape} is not pavable")
     candidates = _candidate_fills(family, max_letter)
 
     if family.shifted:
-        shifted = [p for p in pavings if is_shifted_paving(p)]
-        if not shifted:
-            raise ValueError(f"shape {shape} is not shifted pavable")
         groups: dict[tuple[Domino, ...], Paving] = {}
-        for p in shifted:
+        for p in pavings:
+            if not is_shifted_paving(p):
+                continue
             key = region_split(p).up
             if key not in groups or p.dominoes < groups[key].dominoes:
                 groups[key] = p
-        out: list[DominoTableau] = []
-        for key in sorted(groups):
-            out.extend(_fill_paving(family, groups[key], candidates))
-        out.sort(key=lambda t: t.pieces)
-        return out
-
-    out = []
+        if not groups:
+            raise ValueError(f"shape {shape} is not shifted pavable")
+        pavings = [groups[key] for key in sorted(groups)]
     for p in pavings:
-        out.extend(_fill_paving(family, p, candidates))
-    out.sort(key=lambda t: t.pieces)
-    return out
+        yield from _fill_paving(family, p, candidates)
+
+
+def _column_caps(order: list[Domino], max_rank: int) -> list[int]:
+    """The largest minimum each domino of ``order`` can hold in an unshifted
+    family.
+
+    Minima strictly increase down a column across distinct dominoes, and the
+    unshifted ranks are even, so a domino with a chain of k distinct
+    dominoes below it in its columns needs a minimum <= max_rank - 2k.
+    """
+    owner = {cell: i for i, d in enumerate(order) for cell in d.cells()}
+    depth = [0] * len(order)
+    for i in sorted(range(len(order)), key=lambda i: -order[i].row):  # lowest first
+        for r, c in order[i].cells():
+            j = owner.get((r + 1, c))
+            if j is not None and j != i:
+                depth[i] = max(depth[i], depth[j] + 1)
+    return [max_rank - 2 * k for k in depth]
 
 
 def _fill_paving(
     family: Family, paving: Paving, candidates: list[Fill]
-) -> list[DominoTableau]:
-    """Backtracking fill of one paving in diagonal reading order."""
+) -> Iterator[tuple[Piece, ...]]:
+    """Depth-first fill of one paving in diagonal reading order.
+
+    ``candidates`` is sorted, so the fills whose minimum lies in a range are
+    one slice of it.  A domino's range runs from the lowest to the highest
+    minimum that ``FillState.bounds`` allows, and in unshifted families to
+    the column cap at most; ``FillState.check`` still judges every fill of
+    the slice.
+    """
     order = sorted(paving.dominoes, key=lambda d: (d.crossing(), d.crossing_cell()))
+    cand_mins = [fill[0] for fill in candidates]
+    max_rank = cand_mins[-1] if candidates else 0
+    caps = [max_rank] * len(order) if family.shifted else _column_caps(order, max_rank)
     state = FillState(family)
-    out: list[DominoTableau] = []
-    by_min: dict[int, list[Fill]] = {}
-    for fill in candidates:
-        by_min.setdefault(fill[0], []).append(fill)
-    max_rank = max(by_min) if by_min else 0
 
-    def min_bound(dom: Domino) -> int:
-        # Tightest lower bound on the new fill's minimum from placed
-        # neighbours; cheap pruning, the full check still runs on survivors.
-        lb = 1
-        for r, c in dom.cells():
-            for cell, gap in (((r, c - 1), 0), ((r - 1, c), 0 if family.shifted else 1)):
-                idx = state.owner.get(cell)
-                if idx is None:
-                    continue
-                other = state.pieces[idx][1]
-                if other != X_FILL:
-                    lb = max(lb, min(other) + gap)
-        return lb
-
-    def rec(idx: int) -> None:
-        if idx == len(order):
-            out.append(DominoTableau(family, paving.shape, tuple(state.pieces)))
-            return
-        dom = order[idx]
+    def options(i: int) -> Iterator[Fill]:
+        dom = order[i]
         if family.shifted and dom.crossing() < 0:
-            if state.try_add(dom, X_FILL):
-                rec(idx + 1)
-                state.pop()
-            return
-        for m in range(min_bound(dom), max_rank + 1):
-            for fill in by_min.get(m, ()):
-                if state.try_add(dom, fill):
-                    rec(idx + 1)
-                    state.pop()
+            return iter((X_FILL,))
+        lo_min, lo_max, _, _ = state.bounds(dom)
+        top = bisect_right(cand_mins, min(lo_max, caps[i]))
+        return iter(candidates[bisect_left(cand_mins, lo_min) : top])
 
-    rec(0)
-    return out
+    stack = [options(0)]
+    while stack:
+        dom = order[len(stack) - 1]
+        for fill in stack[-1]:
+            if state.try_add(dom, fill):
+                break
+        else:  # this domino's options are spent: back up one domino
+            stack.pop()
+            if stack:
+                state.pop()
+            continue
+        if len(stack) == len(order):
+            yield tuple(state.pieces)
+            state.pop()
+        else:
+            stack.append(options(len(stack)))

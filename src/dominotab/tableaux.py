@@ -307,8 +307,16 @@ def tableau_from_reading_word(family: Family, word: ReadingWord) -> Tableau:
     return t
 
 
+# Set fills over m ranks number 2^m - 1; this allows 16 letters set-valued
+# and 8 shifted set-valued (whose letters come primed and unprimed).
+MAX_CANDIDATE_FILLS = 2**16 - 1
+
+
 def _candidate_fills(family: Family, max_letter: int) -> list[Fill]:
-    """Every admissible cell fill over the first max_letter letters, sorted."""
+    """Every admissible cell fill over the first max_letter letters, sorted.
+
+    Raises ValueError when there would be more than MAX_CANDIDATE_FILLS.
+    """
     ranks = (
         list(range(1, 2 * max_letter + 1))
         if family.shifted
@@ -316,6 +324,11 @@ def _candidate_fills(family: Family, max_letter: int) -> list[Fill]:
     )
     if not family.set_valued:
         return [(r,) for r in ranks]
+    if (1 << len(ranks)) - 1 > MAX_CANDIDATE_FILLS:
+        raise ValueError(
+            f"{family.name} fills over {max_letter} letters number "
+            f"{(1 << len(ranks)) - 1}, more than the limit {MAX_CANDIDATE_FILLS}"
+        )
     out: list[Fill] = []
     for mask in range(1, 1 << len(ranks)):
         out.append(tuple(r for i, r in enumerate(ranks) if mask >> i & 1))

@@ -56,6 +56,16 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
     assert main(
         ["enumerate", "--family", "plain", "--shape", "[1]", "--max-letter", "0"]
     ) == 2
+    for jobs in ("0", "-3"):
+        assert main(
+            ["verify", "--family", "plain", "--max-size", "2", "--vars", "2", "--jobs", jobs]
+        ) == 2
+    # Sizes above their limits: more set fills than MAX_CANDIDATE_FILLS.
+    assert main(["genfun", "--family", "set-valued", "--shape", "[1]", "--vars", "17"]) == 2
+    assert main(
+        ["enumerate", "--family", "shifted-set-valued", "--shape", "[2]",
+         "--max-letter", "9", "--kind", "domino"]
+    ) == 2
     # JSON that parses but has the wrong structure.
     malformed = [
         ("render", '{"dominoes":[{}],"shape":[2]}'),
@@ -69,6 +79,9 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
         ("split", '{"family":"plain","shape":"[2]","dominoes":[]}'),
         ("merge", '[{"family":"plain","shape":[1]},{}]'),
         ("render", '{"n":2,"terms":[{"exps":[1,0]}]}'),
+        # Nesting too deep for the JSON parser.
+        ("render", "[" * 100000 + "]" * 100000),
+        ("merge", "[" * 100000 + "]" * 100000),
     ]
     for cmd, text in malformed:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))

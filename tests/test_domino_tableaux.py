@@ -46,6 +46,13 @@ def test_malformed_structure_raises():
         )
 
 
+def test_unsorted_fill_raises():
+    # Rules read a fill's minimum as fill[0], so the order is checked first.
+    unsorted = DominoTableau(SET_VALUED, (2,), ((Domino(1, 1, True), (4, 2)),))
+    with pytest.raises(ValueError):
+        validate_domino_tableau(unsorted)
+
+
 def test_weakly_southeast():
     d = Domino(1, 1, True)
     assert weakly_southeast(d, d)

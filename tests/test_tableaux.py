@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 from conftest import tb
 from dominotab.partitions import partitions_up_to
 from dominotab.tableaux import (
+    MAX_CANDIDATE_FILLS,
     PLAIN,
     SET_VALUED,
     SHIFTED,
     SHIFTED_SET_VALUED,
     Tableau,
+    _candidate_fills,
     cardinality,
     enumerate_tableaux,
     format_fill,
@@ -170,6 +172,17 @@ def test_enumerate_validates_and_dedupes():
 def test_enumerate_rejects_bad_shifted_shape():
     with pytest.raises(ValueError):
         enumerate_tableaux(SHIFTED, (2, 1), 2)
+
+
+def test_candidate_fills_limit():
+    assert len(_candidate_fills(SET_VALUED, 16)) == MAX_CANDIDATE_FILLS
+    assert len(_candidate_fills(SHIFTED_SET_VALUED, 8)) == MAX_CANDIDATE_FILLS
+    assert len(_candidate_fills(PLAIN, 100)) == 100
+    for family, letters in ((SET_VALUED, 17), (SHIFTED_SET_VALUED, 9)):
+        with pytest.raises(ValueError):
+            _candidate_fills(family, letters)
+        with pytest.raises(ValueError):
+            enumerate_tableaux(family, (1,), letters)
 
 
 def test_set_valued_minima_restrict_to_plain():
