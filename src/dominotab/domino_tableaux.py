@@ -161,10 +161,11 @@ class FillState:
                 lo_max = m - gap
 
         # Southeast: for same-type F1, F2 on diagonals two apart with F2
-        # weakly southeast of F1, max(F1) <= min(F2), strictly when F2 lies
-        # on the higher diagonal and max(F1) is primed, or on the lower one
-        # and max(F1) is unprimed.  So up_even(max(F1)) <= min(F2) when F2
-        # is higher and up_odd(max(F1)) <= min(F2) when it is lower.
+        # weakly southeast of F1 (F2's last cell weakly southeast of F1's
+        # first), max(F1) <= min(F2), strictly when F2 lies on the higher
+        # diagonal and max(F1) is primed, or on the lower one and max(F1) is
+        # unprimed.  So up_even(max(F1)) <= min(F2) when F2 is higher and
+        # up_odd(max(F1)) <= min(F2) when it is lower.
         if self.set_valued:
             last_r, last_c = last
             dtype, d = dom.dtype(), dom.crossing()
@@ -272,8 +273,13 @@ def validate_domino_tableau(t: DominoTableau) -> bool:
     return True
 
 
+def _diag_key(dom: Domino) -> tuple[int, Cell]:
+    """Diagonal reading order: by crossing diagonal, then northwest first."""
+    return (dom.crossing(), dom.crossing_cell())
+
+
 def _diag_order(pieces: Iterable[Piece]) -> list[Piece]:
-    return sorted(pieces, key=lambda p: (p[0].crossing(), p[0].crossing_cell()))
+    return sorted(pieces, key=lambda p: _diag_key(p[0]))
 
 
 def diagonal_reading(t: DominoTableau) -> ReadingWord:
@@ -407,7 +413,7 @@ def _fill_paving(
     the column cap at most; ``FillState.check`` still judges every fill of
     the slice.
     """
-    order = sorted(paving.dominoes, key=lambda d: (d.crossing(), d.crossing_cell()))
+    order = sorted(paving.dominoes, key=_diag_key)
     cand_mins = [fill[0] for fill in candidates]
     max_rank = cand_mins[-1] if candidates else 0
     caps = [max_rank] * len(order) if family.shifted else _column_caps(order, max_rank)
