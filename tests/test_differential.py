@@ -2,8 +2,9 @@
 against the definitions they replaced.
 
 ``ReferenceFillState`` (in ``reference_fillstate.py``) is the rule-by-rule
-checker; ``materialised_genfun`` is the generating function as a sum over the
-enumerated list.  The criterion-3 pools are pinned by count and by a digest
+checker; ``reference_domino_fills`` (in ``reference_fill_search.py``) is the
+per-paving fill search; ``materialised_genfun`` is the generating function as
+a sum over the enumerated list.  The criterion-3 pools are pinned by count and by a digest
 of their canonical serialisation, in enumeration order.
 """
 
@@ -15,6 +16,7 @@ import pytest
 from dominotab import canonical, domino_tableaux
 from dominotab.domino_tableaux import (
     DominoTableau,
+    domino_fills,
     dt_cardinality,
     dt_weight,
     enumerate_domino_tableaux,
@@ -32,6 +34,7 @@ from dominotab.tableaux import (
     X_FILL,
     _candidate_fills,
 )
+from reference_fill_search import reference_domino_fills
 from reference_fillstate import ReferenceFillState, reference_validate
 
 FAMILIES = (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED)
@@ -100,6 +103,47 @@ def test_check_matches_reference_on_every_enumerator_try(family, monkeypatch):
             enumerate_domino_tableaux(family, lam, letters)
     assert PairedState.mismatches == []
     assert PairedState.checks > 1000
+
+
+def _fills_or_error(family, shape, letters):
+    """The sorted multiset of yielded pieces (each sorted), or ValueError."""
+    try:
+        return sorted(tuple(sorted(p)) for p in domino_fills(family, shape, letters))
+    except ValueError:
+        return ValueError
+
+
+def _reference_fills_or_error(family, shape, letters):
+    try:
+        return sorted(
+            tuple(sorted(p)) for p in reference_domino_fills(family, shape, letters)
+        )
+    except ValueError:
+        return ValueError
+
+
+# (family, letter counts, spot shapes) for the fill-search comparison.
+FILL_SEARCH_CASES = [
+    (PLAIN, (2, 3), ()),
+    (SET_VALUED, (2, 3), ()),
+    (SHIFTED, (2, 3), ()),
+    (SHIFTED_SET_VALUED, (2,), ((6, 5, 5, 4),)),
+]
+
+
+@pytest.mark.parametrize(
+    "family,letter_counts,spots", FILL_SEARCH_CASES, ids=[c[0].name for c in FILL_SEARCH_CASES]
+)
+def test_fill_search_matches_reference(family, letter_counts, spots):
+    """Same fills, shape by shape, on every shape up to size 10; shapes that
+    are not pavable (or not shifted pavable) raise ValueError in both."""
+    outputs = 0
+    for letters in letter_counts:
+        for lam in list(partitions_up_to(10)) + list(spots):
+            new = _fills_or_error(family, lam, letters)
+            assert new == _reference_fills_or_error(family, lam, letters), (lam, letters)
+            outputs += 0 if new is ValueError else len(new)
+    assert outputs > 1000
 
 
 def _mutations(family, pool, letters):

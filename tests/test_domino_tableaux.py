@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import dt
-from dominotab.partitions import is_pavable, partitions_up_to, size, two_quotient
+from dominotab.partitions import is_pavable, partitions_up_to, size, two_quotient, up_cell_count
 from dominotab.pavings import Domino, is_shifted_pavable, is_shifted_paving
 from dominotab.domino_tableaux import (
     DominoTableau,
@@ -133,7 +133,9 @@ def test_enumerate_valid_and_distinct():
 
 
 def test_enumerate_shifted_representatives_use_shifted_pavings():
-    for t in enumerate_domino_tableaux(SHIFTED, (6, 5, 5, 4), 1):
+    ts = enumerate_domino_tableaux(SHIFTED, (6, 5, 5, 4), 2)
+    assert ts
+    for t in ts:
         assert is_shifted_paving(t.paving())
 
 
@@ -175,10 +177,10 @@ def test_weight_counts_domino_fill_once(plain_example):
 
 
 def test_up_domino_count_constant_across_class():
-    for lam in ((2, 2), (6, 5, 5, 4)):
+    for lam, letters in (((2, 2), 1), ((6, 5, 5, 4), 2)):
         q1, q2 = two_quotient(lam)
-        from dominotab.partitions import up_cell_count
-
         expected = up_cell_count(q1) + up_cell_count(q2)
-        for t in enumerate_domino_tableaux(SHIFTED, lam, 1):
+        ts = enumerate_domino_tableaux(SHIFTED, lam, letters)
+        assert ts
+        for t in ts:
             assert up_domino_count(t) == expected
