@@ -23,8 +23,18 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .partitions import Shape, Cell, check_partition
-from .pavings import Domino, Paving, enumerate_pavings, is_shifted_paving, region_split
+from .partitions import (
+    Shape,
+    Cell,
+    cells,
+    check_partition,
+    is_pavable,
+    is_staircase_admissible,
+    two_quotient,
+)
+from .pavings import Domino, Paving, is_shifted_paving
+# Unused here; the benchmark tracer patches the paving enumerator under this name.
+from .pavings import enumerate_pavings  # noqa: F401
 from .tableaux import (
     Family,
     Fill,
@@ -263,8 +273,8 @@ def validate_domino_tableau(t: DominoTableau) -> bool:
     including a fill that is not strictly increasing."""
     for _, fill in t.pieces:
         check_fill(fill)
-    Paving(t.shape, tuple(d for d, _ in t.pieces))  # structural: must tile
-    if t.family.shifted and not is_shifted_paving(t.paving()):
+    paving = Paving(t.shape, tuple(d for d, _ in t.pieces))  # structural: must tile
+    if t.family.shifted and not is_shifted_paving(paving):
         return False
     state = FillState(t.family)
     for dom, fill in _diag_order(t.pieces):
@@ -353,93 +363,187 @@ def enumerate_domino_tableaux(
 def domino_fills(
     family: Family, shape: Shape, max_letter: int
 ) -> Iterator[tuple[Piece, ...]]:
-    """The pieces of every valid domino tableau, paving by paving.
+    """The pieces of every valid domino tableau, tiling and fills in one search.
 
-    Unshifted families run over every paving.  Shifted families run over
-    shifted pavings grouped by their up region (fills only constrain the up
-    region), keeping one representative per equivalence class: the down
-    region whose domino list is lexicographically least.
+    The search walks the paths of ``_tiling_automaton`` depth first, so
+    dominoes arrive in diagonal reading order, a prefix shared by many
+    pavings is filled once, and no path ends in a dead-end tiling.  The
+    candidate fills are sorted, so the fills whose minimum lies in a range
+    are one slice of them.  A domino's range runs from the lowest to the
+    highest minimum that ``FillState.bounds`` allows, and to the domino's
+    column cap at most; ``FillState.check`` still judges every fill of the
+    slice.
+
+    Shifted families fill the up region only (fills constrain nothing else)
+    and complete each up region with its least down region in X, so they
+    yield one representative per equivalence class.
     """
     shape = check_partition(shape)
     if not shape:
         yield ()
         return
-    pavings = enumerate_pavings(shape)
-    if not pavings:
-        raise ValueError(f"shape {shape} is not pavable")
     candidates = _candidate_fills(family, max_letter)
-
-    if family.shifted:
-        groups: dict[tuple[Domino, ...], Paving] = {}
-        for p in pavings:
-            if not is_shifted_paving(p):
-                continue
-            key = region_split(p).up
-            if key not in groups or p.dominoes < groups[key].dominoes:
-                groups[key] = p
-        if not groups:
-            raise ValueError(f"shape {shape} is not shifted pavable")
-        pavings = [groups[key] for key in sorted(groups)]
-    for p in pavings:
-        yield from _fill_paving(family, p, candidates)
-
-
-def _column_caps(order: list[Domino], max_rank: int) -> list[int]:
-    """The largest minimum each domino of ``order`` can hold in an unshifted
-    family.
-
-    Minima strictly increase down a column across distinct dominoes, and the
-    unshifted ranks are even, so a domino with a chain of k distinct
-    dominoes below it in its columns needs a minimum <= max_rank - 2k.
-    """
-    owner = {cell: i for i, d in enumerate(order) for cell in d.cells()}
-    depth = [0] * len(order)
-    for i in sorted(range(len(order)), key=lambda i: -order[i].row):  # lowest first
-        for r, c in order[i].cells():
-            j = owner.get((r + 1, c))
-            if j is not None and j != i:
-                depth[i] = max(depth[i], depth[j] + 1)
-    return [max_rank - 2 * k for k in depth]
-
-
-def _fill_paving(
-    family: Family, paving: Paving, candidates: list[Fill]
-) -> Iterator[tuple[Piece, ...]]:
-    """Depth-first fill of one paving in diagonal reading order.
-
-    ``candidates`` is sorted, so the fills whose minimum lies in a range are
-    one slice of it.  A domino's range runs from the lowest to the highest
-    minimum that ``FillState.bounds`` allows, and in unshifted families to
-    the column cap at most; ``FillState.check`` still judges every fill of
-    the slice.
-    """
-    order = sorted(paving.dominoes, key=_diag_key)
     cand_mins = [fill[0] for fill in candidates]
-    max_rank = cand_mins[-1] if candidates else 0
-    caps = [max_rank] * len(order) if family.shifted else _column_caps(order, max_rank)
+    root = _tiling_automaton(shape, family.shifted, cand_mins[-1] if candidates else 0)
+    if root is None:
+        if family.shifted and is_pavable(shape):
+            raise ValueError(f"shape {shape} is not shifted pavable")
+        raise ValueError(f"shape {shape} is not pavable")
     state = FillState(family)
+    bounds, try_add, pop = state.bounds, state.try_add, state.pop
 
-    def options(i: int) -> Iterator[Fill]:
-        dom = order[i]
-        if family.shifted and dom.crossing() < 0:
-            return iter((X_FILL,))
-        lo_min, lo_max, _, _ = state.bounds(dom)
-        top = bisect_right(cand_mins, min(lo_max, caps[i]))
-        return iter(candidates[bisect_left(cand_mins, lo_min) : top])
+    def options(edges: tuple[Edge, ...]) -> Iterator[Node]:
+        """The child of each edge, once per valid fill of its domino; the
+        piece stays in ``state`` until the next child is asked for."""
+        for dom, cap, child in edges:
+            lo_min, lo_max, _, _ = bounds(dom)
+            top = bisect_right(cand_mins, min(lo_max, cap))
+            for fill in candidates[bisect_left(cand_mins, lo_min) : top]:
+                if try_add(dom, fill):
+                    yield child
+                    pop()
 
-    stack = [options(0)]
+    stack = [options(root[0])]
     while stack:
-        dom = order[len(stack) - 1]
-        for fill in stack[-1]:
-            if state.try_add(dom, fill):
-                break
-        else:  # this domino's options are spent: back up one domino
+        child = next(stack[-1], None)
+        if child is None:  # this node's options are spent: back up one domino
             stack.pop()
-            if stack:
-                state.pop()
-            continue
-        if len(stack) == len(order):
-            yield tuple(state.pieces)
-            state.pop()
+        elif child[0] is None:  # a complete tiling, with its X pieces
+            yield tuple(state.pieces) + child[1]
         else:
-            stack.append(options(len(stack)))
+            stack.append(options(child[0]))
+
+
+# A node of the tiling automaton is (edges, X pieces).  Its edges, each
+# (domino, column cap, child node), are None once the tiling is complete;
+# only a complete node of a shifted family has X pieces.
+Node = tuple
+Edge = tuple[Domino, int, Node]
+
+
+def _tiling_automaton(shape: Shape, shifted: bool, max_rank: int) -> Node | None:
+    """The tilings of ``shape`` as the paths of a memoised automaton, or None
+    if there is none.
+
+    Every domino covers one even-content cell, its crossing cell, so a
+    tiling picks for each even cell, in ``_diag_key`` order, the odd
+    neighbour that shares its domino.  A node is (even-cell index, the
+    covered odd cells that a later even cell can still reach); only the
+    edges that lead to a complete tiling are kept.
+
+    Shifted families pick partners for the even cells of content >= 0 only,
+    which gives the up region of a shifted paving: the 2-quotient must pass
+    the shape test, and a vertical domino whose top cell is on D_0, past
+    column 1, needs its left cell covered by an up domino.  The cells of
+    content -1 that the up region covers stay in the node to the end, where
+    the rest of the shape gets its least tiling (``_least_tiling``).
+
+    An unshifted domino with k cells below it in a column needs at least
+    ceil(k/2) distinct dominoes there, each with a larger minimum, and the
+    unshifted ranks are even, so its cap is max_rank - 2 ceil(k/2).
+    """
+    if shifted and not all(is_staircase_admissible(q) for q in two_quotient(shape)):
+        return None
+    cell_set = set(cells(shape))
+    least = 0 if shifted else 1 - len(shape)  # the least even content searched
+    evens = sorted((c - r, r, c) for r, c in cell_set if c - r >= least and (c - r) % 2 == 0)
+    odds = sorted((r, c) for r, c in cell_set if c - r >= least - 1 and (c - r) % 2)
+    bits = {cell: 1 << k for k, cell in enumerate(odds)}
+    heights = [sum(1 for part in shape if part >= c) for c in range(1, shape[0] + 1)]
+    n = len(evens)
+    # The index of the last even cell that can cover each odd cell; shifted
+    # cells of content -1 may stay in the down region and are kept to the end.
+    last = dict.fromkeys(odds, n)
+    choices = []  # per even cell: (domino, odd cell bit, bit it needs, cap)
+    for i, (d, r, c) in enumerate(evens):
+        options = []
+        for dom in (
+            Domino(r, c - 1, True),
+            Domino(r - 1, c, False),
+            Domino(r, c, True),
+            Domino(r, c, False),
+        ):
+            first, second = dom.cells()
+            odd = first if second == (r, c) else second
+            if odd not in cell_set:
+                continue
+            if not shifted or odd[1] > odd[0]:
+                last[odd] = i
+            # A vertical domino with its top cell on D_0 needs an up domino
+            # on its left cell, unless it is in column 1.
+            top_on_d0 = shifted and d == 0 and odd == (r + 1, c) and c > 1
+            need = bits[(r, c - 1)] if top_on_d0 else 0
+            below = heights[dom.col - 1] - second[0]
+            cap = max_rank if shifted else max_rank - 2 * ((below + 1) // 2)
+            options.append((dom, bits[odd], need, cap))
+        choices.append(options)
+    due = [0] * n  # the odd cells that must be covered after each step
+    keep = [0] * (n + 1)  # the odd cells a node at each step remembers
+    for cell, i in last.items():
+        if i < n:
+            due[i] |= bits[cell]
+        for j in range(i + 1):
+            keep[j] |= bits[cell]
+
+    memo: dict[tuple[int, int], Node | None] = {}
+
+    def node(i: int, mask: int) -> Node | None:
+        key = (i, mask)
+        if key in memo:
+            return memo[key]
+        if i == n:
+            result: Node | None = (None, ())
+            if shifted:
+                down = _least_tiling(
+                    cell
+                    for cell in cell_set
+                    if cell[1] < cell[0] and not mask & bits.get(cell, 0)
+                )
+                result = None if down is None else (None, tuple((d, X_FILL) for d in down))
+        else:
+            edges = []
+            for dom, bit, need, cap in choices[i]:
+                if mask & bit or mask & need != need:
+                    continue
+                covered = mask | bit
+                if covered & due[i] != due[i]:
+                    continue
+                child = node(i + 1, covered & keep[i + 1])
+                if child is not None:
+                    edges.append((dom, cap, child))
+            result = (tuple(edges), ()) if edges else None
+        memo[key] = result
+        return result
+
+    return node(0, 0)
+
+
+def _least_tiling(region: Iterable[Cell]) -> tuple[Domino, ...] | None:
+    """The lexicographically least domino tiling of ``region``, or None.
+
+    The first free cell in row-major order is the top-left cell of the least
+    domino left, and a vertical domino sorts before a horizontal one on the
+    same cell, so the first tiling this search finds is the least.
+    """
+    order = sorted(region)
+    free = set(order)
+    placed: list[Domino] = []
+
+    def fill_from(k: int) -> bool:
+        while k < len(order) and order[k] not in free:
+            k += 1
+        if k == len(order):
+            return True
+        r, c = order[k]
+        for dom in (Domino(r, c, False), Domino(r, c, True)):
+            other = dom.cells()[1]
+            if other in free:
+                free.difference_update(dom.cells())
+                placed.append(dom)
+                if fill_from(k + 1):
+                    return True
+                placed.pop()
+                free.update(dom.cells())
+        return False
+
+    return tuple(placed) if fill_from(0) else None
