@@ -15,6 +15,11 @@ Validity follows the flat families, read on domino fills:
 * shifted set-valued: the minima form a shifted domino tableau and the
   southeast conditions hold, strict or weak according to the direction and
   whether max(F1) is primed.
+
+``domino_fills`` enumerates them without listing pavings: a memoised
+automaton of the shape's tilings (one step per even-content cell, in
+diagonal reading order) guides a single depth-first search that chooses
+each domino and its fill together.
 """
 
 from __future__ import annotations
@@ -457,23 +462,22 @@ def _tiling_automaton(shape: Shape, shifted: bool, max_rank: int) -> Node | None
     choices = []  # per even cell: (domino, odd cell bit, bit it needs, cap)
     for i, (d, r, c) in enumerate(evens):
         options = []
-        for dom in (
-            Domino(r, c - 1, True),
-            Domino(r - 1, c, False),
-            Domino(r, c, True),
-            Domino(r, c, False),
+        for odd, top_left, horiz in (
+            ((r, c - 1), (r, c - 1), True),
+            ((r - 1, c), (r - 1, c), False),
+            ((r, c + 1), (r, c), True),
+            ((r + 1, c), (r, c), False),
         ):
-            first, second = dom.cells()
-            odd = first if second == (r, c) else second
             if odd not in cell_set:
                 continue
+            dom = Domino(*top_left, horiz)
             if not shifted or odd[1] > odd[0]:
                 last[odd] = i
             # A vertical domino with its top cell on D_0 needs an up domino
             # on its left cell, unless it is in column 1.
             top_on_d0 = shifted and d == 0 and odd == (r + 1, c) and c > 1
             need = bits[(r, c - 1)] if top_on_d0 else 0
-            below = heights[dom.col - 1] - second[0]
+            below = heights[dom.col - 1] - max(r, odd[0])
             cap = max_rank if shifted else max_rank - 2 * ((below + 1) // 2)
             options.append((dom, bits[odd], need, cap))
         choices.append(options)
@@ -499,7 +503,7 @@ def _tiling_automaton(shape: Shape, shifted: bool, max_rank: int) -> Node | None
                     for cell in cell_set
                     if cell[1] < cell[0] and not mask & bits.get(cell, 0)
                 )
-                result = None if down is None else (None, tuple((d, X_FILL) for d in down))
+                result = None if down is None else (None, tuple((dom, X_FILL) for dom in down))
         else:
             edges = []
             for dom, bit, need, cap in choices[i]:

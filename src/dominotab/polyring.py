@@ -159,8 +159,11 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     sum signs by letters minus domino count, the shifted set-valued sum by
     up-region letters minus up-region domino count.  The sum streams: each
     fill ``domino_fills`` yields adds its term at once, and no
-    ``DominoTableau`` is built.  Neither the 2-quotient nor the bijection is
-    involved, so the identity check stays independent of them.
+    ``DominoTableau`` is built.  ``domino_fills`` tiles and fills in one
+    search over the shape's tiling automaton, so fills of different pavings
+    that share a prefix share its search.  The 2-quotient enters only the
+    shifted shape test, never the fills, and the bijection not at all, so
+    the identity check stays independent of them.
     """
     shape = check_partition(shape)
     terms: dict[Monomial, int] = {}
