@@ -1,8 +1,9 @@
-"""The per-paving fill search that the tiling automaton replaced.
+"""The per-paving fill search that the tiling automaton replaced, and the
+row-major paving backtracker it ran on.
 
-It enumerates every paving, groups the shifted ones by their up region, and
-runs a separate depth-first fill search on each paving; it is kept here only
-as the oracle of the differential tests in ``test_differential.py``.
+The fill search enumerates every paving, groups the shifted ones by their up
+region, and runs a separate depth-first fill search on each paving.  Both are
+kept here only as oracles of the differential tests in ``test_differential.py``.
 """
 
 from __future__ import annotations
@@ -11,9 +12,44 @@ from bisect import bisect_left, bisect_right
 from typing import Iterator
 
 from dominotab.domino_tableaux import FillState, Piece, _diag_key
-from dominotab.partitions import Shape, check_partition
-from dominotab.pavings import Domino, Paving, enumerate_pavings, is_shifted_paving, region_split
+from dominotab.partitions import Cell, Shape, cells, check_partition
+from dominotab.pavings import Domino, Paving, is_shifted_paving, region_split
 from dominotab.tableaux import Family, Fill, X_FILL, _candidate_fills
+
+
+def enumerate_pavings(shape: Shape) -> list[Paving]:
+    """All domino pavings, by backtracking on the first uncovered cell.
+
+    At each step the first free cell in row-major order is covered by a
+    horizontal domino, then by a vertical one.  Output order is deterministic;
+    the list is empty iff the shape is not pavable.
+    """
+    shape = check_partition(shape)
+    cell_list = list(cells(shape))
+    cell_set = set(cell_list)
+    out: list[Paving] = []
+    used: set[Cell] = set()
+    placed: list[Domino] = []
+
+    def rec(idx: int) -> None:
+        while idx < len(cell_list) and cell_list[idx] in used:
+            idx += 1
+        if idx == len(cell_list):
+            out.append(Paving(shape, tuple(placed)))
+            return
+        r, c = cell_list[idx]
+        for horiz, other in ((True, (r, c + 1)), (False, (r + 1, c))):
+            if other in cell_set and other not in used:
+                used.add((r, c))
+                used.add(other)
+                placed.append(Domino(r, c, horiz))
+                rec(idx + 1)
+                placed.pop()
+                used.discard((r, c))
+                used.discard(other)
+
+    rec(0)
+    return out
 
 
 def reference_domino_fills(

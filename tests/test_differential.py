@@ -3,7 +3,8 @@ against the definitions they replaced.
 
 ``ReferenceFillState`` (in ``reference_fillstate.py``) is the rule-by-rule
 checker; ``reference_domino_fills`` (in ``reference_fill_search.py``) is the
-per-paving fill search; ``materialised_genfun`` is the generating function as
+per-paving fill search, run on the row-major paving backtracker kept beside
+it; ``materialised_genfun`` is the generating function as
 a sum over the enumerated list.  The criterion-3 pools are pinned by count and by a digest
 of their canonical serialisation, in enumeration order.
 """
@@ -24,7 +25,7 @@ from dominotab.domino_tableaux import (
     validate_domino_tableau,
 )
 from dominotab.partitions import is_pavable, partitions_up_to
-from dominotab.pavings import is_shifted_pavable
+from dominotab.pavings import enumerate_pavings, is_shifted_pavable, is_shifted_paving
 from dominotab.polyring import Polynomial, domino_genfun
 from dominotab.tableaux import (
     PLAIN,
@@ -34,6 +35,7 @@ from dominotab.tableaux import (
     X_FILL,
     _candidate_fills,
 )
+from reference_fill_search import enumerate_pavings as reference_pavings
 from reference_fill_search import reference_domino_fills
 from reference_fillstate import ReferenceFillState, reference_validate
 
@@ -144,6 +146,27 @@ def test_fill_search_matches_reference(family, letter_counts, spots):
             assert new == _reference_fills_or_error(family, lam, letters), (lam, letters)
             outputs += 0 if new is ValueError else len(new)
     assert outputs > 1000
+
+
+def test_pavings_match_reference_in_order():
+    """The same pavings in the same order on every shape up to size 16."""
+    total = 0
+    for lam in partitions_up_to(16):
+        ps = enumerate_pavings(lam)
+        assert ps == reference_pavings(lam), lam
+        total += len(ps)
+    assert total == 2671
+
+
+def test_shifted_pavable_matches_reference():
+    """Shifted pavability is the existence of a shifted paving, on every
+    shape up to size 18."""
+    accepted = 0
+    for lam in partitions_up_to(18):
+        expected = any(is_shifted_paving(p) for p in reference_pavings(lam))
+        assert is_shifted_pavable(lam) == expected, lam
+        accepted += expected
+    assert accepted == 128
 
 
 def _mutations(family, pool, letters):
