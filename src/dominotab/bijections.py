@@ -10,7 +10,7 @@ exactly one domino, which takes the cell's fill.
 
 from __future__ import annotations
 
-from .domino_tableaux import DominoTableau, validate_domino_tableau
+from .domino_tableaux import DominoTableau, _diag_order, validate_domino_tableau
 from .pavings import Domino
 from .partitions import Shape, inverse_two_quotient
 from .tableaux import (
@@ -35,8 +35,7 @@ def gamma_split(t: DominoTableau) -> tuple[Tableau, Tableau]:
     if not validate_domino_tableau(t):
         raise ValueError("gamma_split requires a valid domino tableau")
     per_type: dict[int, dict[int, list[Fill]]] = {1: {}, 2: {}}
-    order = sorted(t.pieces, key=lambda p: (p[0].crossing(), p[0].crossing_cell()))
-    for dom, fill in order:
+    for dom, fill in _diag_order(t.pieces):
         per_type[dom.dtype()].setdefault(dom.crossing() // 2, []).append(fill)
     halves = []
     for dtype in (1, 2):

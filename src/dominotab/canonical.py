@@ -155,12 +155,15 @@ def from_jsonable(data: Any) -> Any:
         terms = {}
         for t in _field(data, "terms", list):
             m = tuple(_field(t, "exps", list))
-            if not all(isinstance(e, int) for e in m):
+            if not all(isinstance(e, int) and not isinstance(e, bool) for e in m):
                 raise ValueError(f"bad 'exps': {list(m)!r}")
             if m in terms:
                 raise ValueError("duplicate monomial")
             terms[m] = _field(t, "coeff", int)
-        return Polynomial(_field(data, "n", int), terms)
+        n = _field(data, "n", int)
+        if n < 0:
+            raise ValueError(f"bad 'n': {n!r}")
+        return Polynomial(n, terms)
     raise ValueError("unrecognised object")
 
 

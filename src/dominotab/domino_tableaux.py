@@ -16,10 +16,11 @@ Validity follows the flat families, read on domino fills:
   southeast conditions hold, strict or weak according to the direction and
   whether max(F1) is primed.
 
-``domino_fills`` enumerates them without listing pavings: a memoised
-automaton of the shape's tilings (one step per even-content cell, in
-diagonal reading order) guides a single depth-first search that chooses
-each domino and its fill together.
+``domino_fills`` enumerates them without listing pavings: it walks the
+paths of the shape's tiling automaton (``pavings._tiling_automaton``, one
+step per even-content cell, in diagonal reading order) in a single
+depth-first search that chooses each domino and its fill together.  This
+module keeps the fills: ``FillState`` and that search.
 """
 
 from __future__ import annotations
@@ -28,16 +29,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .partitions import (
-    Shape,
-    Cell,
-    cells,
-    check_partition,
-    is_pavable,
-    is_staircase_admissible,
-    two_quotient,
-)
-from .pavings import Domino, Paving, is_shifted_paving
+from .partitions import Shape, Cell, check_partition, is_pavable
+from .pavings import Domino, Edge, Node, Paving, _tiling_automaton
+from .pavings import is_shifted_pavable, is_shifted_paving
 # Unused here; the benchmark tracer patches the paving enumerator under this name.
 from .pavings import enumerate_pavings  # noqa: F401
 from .tableaux import (
@@ -100,8 +94,7 @@ class FillState:
     read a fill's minimum as ``fill[0]`` and its maximum as ``fill[-1]``.
     ``add`` and ``pop`` keep these indexes in step with ``pieces``:
 
-    * ``owner`` maps each covered cell to the index of its piece, and
-      ``mins`` maps it to that piece's minimum, ``None`` for X;
+    * ``mins`` maps each covered cell to its piece's minimum, ``None`` for X;
     * ``by_diagonal`` lists the placed non-X pieces of each (type, crossing)
       as (row, col, last row, last col, min, up_even(max), up_odd(max)),
       where up_even rounds a rank up to even (a primed letter up to its
@@ -123,7 +116,6 @@ class FillState:
         # Minima strictly increase down columns unless the family is shifted.
         self.column_gap = 0 if family.shifted else 1
         self.pieces: list[Piece] = []
-        self.owner: dict[Cell, int] = {}
         self.mins: dict[Cell, int | None] = {}
         self.by_diagonal: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self.row_primed: set[tuple[int, int]] = set()
@@ -238,7 +230,6 @@ class FillState:
     def add(self, dom: Domino, fill: Fill) -> None:
         self._last_bounds = None
         first, last = dom.cells()
-        self.owner[first] = self.owner[last] = len(self.pieces)
         self.pieces.append((dom, fill))
         if fill == X_FILL:
             self.mins[first] = self.mins[last] = None
@@ -263,7 +254,7 @@ class FillState:
         self._last_bounds = None
         dom, fill = self.pieces.pop()
         first, last = dom.cells()
-        del self.owner[first], self.owner[last], self.mins[first], self.mins[last]
+        del self.mins[first], self.mins[last]
         if fill == X_FILL:
             return
         if self.set_valued:
@@ -375,34 +366,36 @@ def domino_fills(
     pavings is filled once, and no path ends in a dead-end tiling.  The
     candidate fills are sorted, so the fills whose minimum lies in a range
     are one slice of them.  A domino's range runs from the lowest to the
-    highest minimum that ``FillState.bounds`` allows, and to the domino's
-    column cap at most; ``FillState.check`` still judges every fill of the
-    slice.
+    highest minimum that ``FillState.bounds`` allows, and to the top rank
+    less the edge's column depth at most; ``FillState.check`` still judges
+    every fill of the slice.
 
     Shifted families fill the up region only (fills constrain nothing else)
     and complete each up region with its least down region in X, so they
-    yield one representative per equivalence class.
+    yield one representative per equivalence class.  Shapes that are not
+    pavable, or not shifted pavable, raise ValueError before any search.
     """
     shape = check_partition(shape)
+    if not is_pavable(shape):
+        raise ValueError(f"shape {shape} is not pavable")
+    if family.shifted and not is_shifted_pavable(shape):
+        raise ValueError(f"shape {shape} is not shifted pavable")
     if not shape:
         yield ()
         return
     candidates = _candidate_fills(family, max_letter)
     cand_mins = [fill[0] for fill in candidates]
-    root = _tiling_automaton(shape, family.shifted, cand_mins[-1] if candidates else 0)
-    if root is None:
-        if family.shifted and is_pavable(shape):
-            raise ValueError(f"shape {shape} is not shifted pavable")
-        raise ValueError(f"shape {shape} is not pavable")
+    max_rank = cand_mins[-1] if candidates else 0
+    root = _tiling_automaton(shape, family.shifted)
     state = FillState(family)
     bounds, try_add, pop = state.bounds, state.try_add, state.pop
 
     def options(edges: tuple[Edge, ...]) -> Iterator[Node]:
         """The child of each edge, once per valid fill of its domino; the
         piece stays in ``state`` until the next child is asked for."""
-        for dom, cap, child in edges:
+        for dom, depth, child in edges:
             lo_min, lo_max, _, _ = bounds(dom)
-            top = bisect_right(cand_mins, min(lo_max, cap))
+            top = bisect_right(cand_mins, min(lo_max, max_rank - depth))
             for fill in candidates[bisect_left(cand_mins, lo_min) : top]:
                 if try_add(dom, fill):
                     yield child
@@ -413,141 +406,9 @@ def domino_fills(
         child = next(stack[-1], None)
         if child is None:  # this node's options are spent: back up one domino
             stack.pop()
-        elif child[0] is None:  # a complete tiling, with its X pieces
-            yield tuple(state.pieces) + child[1]
+        elif child[0] is None:  # a complete tiling; shifted ones add X below D_0
+            down = child[1]
+            pieces = tuple(state.pieces)
+            yield pieces + tuple((dom, X_FILL) for dom in down) if down else pieces
         else:
             stack.append(options(child[0]))
-
-
-# A node of the tiling automaton is (edges, X pieces).  Its edges, each
-# (domino, column cap, child node), are None once the tiling is complete;
-# only a complete node of a shifted family has X pieces.
-Node = tuple
-Edge = tuple[Domino, int, Node]
-
-
-def _tiling_automaton(shape: Shape, shifted: bool, max_rank: int) -> Node | None:
-    """The tilings of ``shape`` as the paths of a memoised automaton, or None
-    if there is none.
-
-    Every domino covers one even-content cell, its crossing cell, so a
-    tiling picks for each even cell, in ``_diag_key`` order, the odd
-    neighbour that shares its domino.  A node is (even-cell index, the
-    covered odd cells that a later even cell can still reach); only the
-    edges that lead to a complete tiling are kept.
-
-    Shifted families pick partners for the even cells of content >= 0 only,
-    which gives the up region of a shifted paving: the 2-quotient must pass
-    the shape test, and a vertical domino whose top cell is on D_0, past
-    column 1, needs its left cell covered by an up domino.  The cells of
-    content -1 that the up region covers stay in the node to the end, where
-    the rest of the shape gets its least tiling (``_least_tiling``).
-
-    An unshifted domino with k cells below it in a column needs at least
-    ceil(k/2) distinct dominoes there, each with a larger minimum, and the
-    unshifted ranks are even, so its cap is max_rank - 2 ceil(k/2).
-    """
-    if shifted and not all(is_staircase_admissible(q) for q in two_quotient(shape)):
-        return None
-    cell_set = set(cells(shape))
-    least = 0 if shifted else 1 - len(shape)  # the least even content searched
-    evens = sorted((c - r, r, c) for r, c in cell_set if c - r >= least and (c - r) % 2 == 0)
-    odds = sorted((r, c) for r, c in cell_set if c - r >= least - 1 and (c - r) % 2)
-    bits = {cell: 1 << k for k, cell in enumerate(odds)}
-    heights = [sum(1 for part in shape if part >= c) for c in range(1, shape[0] + 1)]
-    n = len(evens)
-    # The index of the last even cell that can cover each odd cell; shifted
-    # cells of content -1 may stay in the down region and are kept to the end.
-    last = dict.fromkeys(odds, n)
-    choices = []  # per even cell: (domino, odd cell bit, bit it needs, cap)
-    for i, (d, r, c) in enumerate(evens):
-        options = []
-        for odd, top_left, horiz in (
-            ((r, c - 1), (r, c - 1), True),
-            ((r - 1, c), (r - 1, c), False),
-            ((r, c + 1), (r, c), True),
-            ((r + 1, c), (r, c), False),
-        ):
-            if odd not in cell_set:
-                continue
-            dom = Domino(*top_left, horiz)
-            if not shifted or odd[1] > odd[0]:
-                last[odd] = i
-            # A vertical domino with its top cell on D_0 needs an up domino
-            # on its left cell, unless it is in column 1.
-            top_on_d0 = shifted and d == 0 and odd == (r + 1, c) and c > 1
-            need = bits[(r, c - 1)] if top_on_d0 else 0
-            below = heights[dom.col - 1] - max(r, odd[0])
-            cap = max_rank if shifted else max_rank - 2 * ((below + 1) // 2)
-            options.append((dom, bits[odd], need, cap))
-        choices.append(options)
-    due = [0] * n  # the odd cells that must be covered after each step
-    keep = [0] * (n + 1)  # the odd cells a node at each step remembers
-    for cell, i in last.items():
-        if i < n:
-            due[i] |= bits[cell]
-        for j in range(i + 1):
-            keep[j] |= bits[cell]
-
-    memo: dict[tuple[int, int], Node | None] = {}
-
-    def node(i: int, mask: int) -> Node | None:
-        key = (i, mask)
-        if key in memo:
-            return memo[key]
-        if i == n:
-            result: Node | None = (None, ())
-            if shifted:
-                down = _least_tiling(
-                    cell
-                    for cell in cell_set
-                    if cell[1] < cell[0] and not mask & bits.get(cell, 0)
-                )
-                result = None if down is None else (None, tuple((dom, X_FILL) for dom in down))
-        else:
-            edges = []
-            for dom, bit, need, cap in choices[i]:
-                if mask & bit or mask & need != need:
-                    continue
-                covered = mask | bit
-                if covered & due[i] != due[i]:
-                    continue
-                child = node(i + 1, covered & keep[i + 1])
-                if child is not None:
-                    edges.append((dom, cap, child))
-            result = (tuple(edges), ()) if edges else None
-        memo[key] = result
-        return result
-
-    return node(0, 0)
-
-
-def _least_tiling(region: Iterable[Cell]) -> tuple[Domino, ...] | None:
-    """The lexicographically least domino tiling of ``region``, or None.
-
-    The first free cell in row-major order is the top-left cell of the least
-    domino left, and a vertical domino sorts before a horizontal one on the
-    same cell, so the first tiling this search finds is the least.
-    """
-    order = sorted(region)
-    free = set(order)
-    placed: list[Domino] = []
-
-    def fill_from(k: int) -> bool:
-        while k < len(order) and order[k] not in free:
-            k += 1
-        if k == len(order):
-            return True
-        r, c = order[k]
-        for dom in (Domino(r, c, False), Domino(r, c, True)):
-            other = dom.cells()[1]
-            if other in free:
-                free.difference_update(dom.cells())
-                placed.append(dom)
-                if fill_from(k + 1):
-                    return True
-                placed.pop()
-                free.update(dom.cells())
-        return False
-
-    return tuple(placed) if fill_from(0) else None

@@ -4,13 +4,19 @@ A domino covers two cells of consecutive contents, exactly one of which is
 even; that even content is the domino's crossing diagonal.  A domino is type 1
 when the larger covered content is even (the crossing diagonal enters through
 the cell nearer the northeast) and type 2 when the smaller one is.
+
+Tilings are searched here only: ``_tiling_automaton`` holds a shape's tilings
+as the paths of a memoised automaton, which ``enumerate_pavings`` lists and
+the domino fill search walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .partitions import Shape, Cell, cells, check_partition, two_quotient
+from .partitions import Shape, Cell, cells, check_partition, is_pavable
+from .partitions import is_staircase_admissible, two_quotient
 
 
 @dataclass(frozen=True, order=True)
@@ -60,10 +66,9 @@ class Paving:
     dominoes: tuple[Domino, ...]
 
     def __post_init__(self) -> None:
-        covered: list[Cell] = []
-        for d in self.dominoes:
-            covered.extend(d.cells())
-        if len(covered) != len(set(covered)) or set(covered) != set(cells(self.shape)):
+        # Sizes first, so that a huge shape never builds its cell set.
+        covered = {cell for d in self.dominoes for cell in d.cells()}
+        if 2 * len(self.dominoes) != sum(self.shape) or covered != set(cells(self.shape)):
             raise ValueError("dominoes do not tile the shape")
         object.__setattr__(self, "dominoes", tuple(sorted(self.dominoes)))
 
@@ -75,37 +80,26 @@ class RegionSplit:
 
 
 def enumerate_pavings(shape: Shape) -> list[Paving]:
-    """All domino pavings, by backtracking on the first uncovered cell.
+    """All domino pavings: the paths of the shape's tiling automaton.
 
-    At each step the first free cell in row-major order is covered by a
-    horizontal domino, then by a vertical one.  Output order is deterministic;
-    the list is empty iff the shape is not pavable.
+    They are sorted as a row-major backtracker finds them, covering the
+    first free cell by a horizontal domino before a vertical one.  The list
+    is empty iff the shape is not pavable.
     """
     shape = check_partition(shape)
-    cell_list = list(cells(shape))
-    cell_set = set(cell_list)
     out: list[Paving] = []
-    used: set[Cell] = set()
-    placed: list[Domino] = []
 
-    def rec(idx: int) -> None:
-        while idx < len(cell_list) and cell_list[idx] in used:
-            idx += 1
-        if idx == len(cell_list):
-            out.append(Paving(shape, tuple(placed)))
+    def walk(node: Node, placed: tuple[Domino, ...]) -> None:
+        if node[0] is None:
+            out.append(Paving(shape, placed))
             return
-        r, c = cell_list[idx]
-        for horiz, other in ((True, (r, c + 1)), (False, (r + 1, c))):
-            if other in cell_set and other not in used:
-                used.add((r, c))
-                used.add(other)
-                placed.append(Domino(r, c, horiz))
-                rec(idx + 1)
-                placed.pop()
-                used.discard((r, c))
-                used.discard(other)
+        for dom, _, child in node[0]:
+            walk(child, placed + (dom,))
 
-    rec(0)
+    root = _tiling_automaton(shape, False)
+    if root is not None:
+        walk(root, ())
+    out.sort(key=lambda p: [(d.row, d.col, not d.horiz) for d in p.dominoes])
     return out
 
 
@@ -124,10 +118,8 @@ def is_shifted_paving(paving: Paving) -> bool:
     dominoes strictly below D_0.  A vertical on D_0 in column 1 has no left
     neighbours and is never forbidden.
     """
-    q1, q2 = two_quotient(paving.shape)
-    for q in (q1, q2):
-        if q and q[-1] < len(q):
-            return False
+    if not all(is_staircase_admissible(q) for q in two_quotient(paving.shape)):
+        return False
     owner: dict[Cell, Domino] = {}
     for d in paving.dominoes:
         for cell in d.cells():
@@ -144,4 +136,140 @@ def is_shifted_paving(paving: Paving) -> bool:
 
 
 def is_shifted_pavable(shape: Shape) -> bool:
-    return any(is_shifted_paving(p) for p in enumerate_pavings(shape))
+    """True iff the shape has a shifted paving: by the shifted bijection,
+    iff it is pavable and both 2-quotient components are staircase
+    admissible."""
+    return is_pavable(shape) and all(is_staircase_admissible(q) for q in two_quotient(shape))
+
+
+# A node of the tiling automaton is (edges, down dominoes).  Its edges, each
+# (domino, column depth, child node), are None once the tiling is complete;
+# only a complete node of a shifted tiling has down dominoes.
+Node = tuple
+Edge = tuple[Domino, int, Node]
+
+
+def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
+    """The tilings of ``shape`` as the paths of a memoised automaton, or None
+    if there is none.
+
+    Every domino covers one even-content cell, its crossing cell, so a
+    tiling picks for each even cell, in diagonal reading order (by content,
+    then northwest first), the odd neighbour that shares its domino.  A node
+    is (even-cell index, the covered odd cells that a later even cell can
+    still reach); only the edges that lead to a complete tiling are kept.
+
+    Shifted tilings pick partners for the even cells of content >= 0 only,
+    which gives the up region of a shifted paving: a vertical domino whose
+    top cell is on D_0, past column 1, needs its left cell covered by an up
+    domino.  The cells of content -1 that the up region covers stay in the
+    node to the end, where the rest of the shape gets its least tiling
+    (``_least_tiling``), the down dominoes of the complete node.  The shape
+    test of ``is_shifted_paving`` is left to the caller.
+
+    An edge's column depth is 2 ceil(k/2) for an unshifted domino with k
+    cells below it in a column (it needs ceil(k/2) distinct dominoes there,
+    each with a larger minimum two ranks up), and 0 for a shifted one.
+    """
+    cell_set = set(cells(shape))
+    least = 0 if shifted else 1 - len(shape)  # the least even content searched
+    evens = sorted((c - r, r, c) for r, c in cell_set if c - r >= least and (c - r) % 2 == 0)
+    odds = sorted((r, c) for r, c in cell_set if c - r >= least - 1 and (c - r) % 2)
+    bits = {cell: 1 << k for k, cell in enumerate(odds)}
+    heights = [sum(1 for part in shape if part >= c) for c in range(1, max(shape, default=0) + 1)]
+    n = len(evens)
+    # The index of the last even cell that can cover each odd cell; shifted
+    # cells of content -1 may stay in the down region and are kept to the end.
+    last = dict.fromkeys(odds, n)
+    choices = []  # per even cell: (domino, odd cell bit, bit it needs, depth)
+    for i, (d, r, c) in enumerate(evens):
+        options = []
+        for odd, top_left, horiz in (
+            ((r, c - 1), (r, c - 1), True),
+            ((r - 1, c), (r - 1, c), False),
+            ((r, c + 1), (r, c), True),
+            ((r + 1, c), (r, c), False),
+        ):
+            if odd not in cell_set:
+                continue
+            dom = Domino(*top_left, horiz)
+            if not shifted or odd[1] > odd[0]:
+                last[odd] = i
+            # A vertical domino with its top cell on D_0 needs an up domino
+            # on its left cell, unless it is in column 1.
+            top_on_d0 = shifted and d == 0 and odd == (r + 1, c) and c > 1
+            need = bits[(r, c - 1)] if top_on_d0 else 0
+            below = heights[dom.col - 1] - max(r, odd[0])
+            depth = 0 if shifted else 2 * ((below + 1) // 2)
+            options.append((dom, bits[odd], need, depth))
+        choices.append(options)
+    due = [0] * n  # the odd cells that must be covered after each step
+    keep = [0] * (n + 1)  # the odd cells a node at each step remembers
+    for cell, i in last.items():
+        if i < n:
+            due[i] |= bits[cell]
+        for j in range(i + 1):
+            keep[j] |= bits[cell]
+
+    memo: dict[tuple[int, int], Node | None] = {}
+
+    def node(i: int, mask: int) -> Node | None:
+        key = (i, mask)
+        if key in memo:
+            return memo[key]
+        if i == n:
+            result: Node | None = (None, ())
+            if shifted:
+                down = _least_tiling(
+                    cell
+                    for cell in cell_set
+                    if cell[1] < cell[0] and not mask & bits.get(cell, 0)
+                )
+                result = None if down is None else (None, down)
+        else:
+            edges = []
+            for dom, bit, need, depth in choices[i]:
+                if mask & bit or mask & need != need:
+                    continue
+                covered = mask | bit
+                if covered & due[i] != due[i]:
+                    continue
+                child = node(i + 1, covered & keep[i + 1])
+                if child is not None:
+                    edges.append((dom, depth, child))
+            result = (tuple(edges), ()) if edges else None
+        memo[key] = result
+        return result
+
+    return node(0, 0)
+
+
+def _least_tiling(region: Iterable[Cell]) -> tuple[Domino, ...] | None:
+    """The lexicographically least domino tiling of ``region``, or None.
+
+    The first free cell in row-major order is the top-left cell of the least
+    domino left, and a vertical domino sorts before a horizontal one on the
+    same cell, so the first tiling this search finds is the least.
+    """
+    order = sorted(region)
+    free = set(order)
+    placed: list[Domino] = []
+
+    def fill_from(k: int) -> bool:
+        while k < len(order) and order[k] not in free:
+            k += 1
+        if k == len(order):
+            return True
+        r, c = order[k]
+        for dom in (Domino(r, c, False), Domino(r, c, True)):
+            other = dom.cells()[1]
+            if other in free:
+                free.difference_update(dom.cells())
+                placed.append(dom)
+                if fill_from(k + 1):
+                    return True
+                placed.pop()
+                free.update(dom.cells())
+        return False
+
+    return tuple(placed) if fill_from(0) else None

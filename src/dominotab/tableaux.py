@@ -248,24 +248,18 @@ def reading_word(t: Tableau) -> ReadingWord:
 def _shape_from_diagonal_counts(counts: dict[int, int]) -> Shape:
     """Shape whose diagonal d holds counts[d] cells; ValueError if none exists."""
     cellset = set()
+    widths: dict[int, int] = {}  # cells per row
     for d, cnt in counts.items():
         r0 = max(1, 1 - d)
         for r in range(r0, r0 + cnt):
             cellset.add((r, r + d))
+            widths[r] = widths.get(r, 0) + 1
     if not cellset:
         return ()
-    nrows = max(r for r, _ in cellset)
-    shape = []
-    for r in range(1, nrows + 1):
-        row_cols = {c for rr, c in cellset if rr == r}
-        width = len(row_cols)
-        if row_cols != set(range(1, width + 1)):
-            raise ValueError("segment lengths do not form a partition profile")
-        shape.append(width)
-    result = tuple(shape)
-    if not is_partition(result):
+    shape = tuple(widths.get(r, 0) for r in range(1, max(widths) + 1))
+    if not is_partition(shape) or cellset != set(cells(shape)):
         raise ValueError("segment lengths do not form a partition profile")
-    return result
+    return shape
 
 
 def tableau_from_reading_word(family: Family, word: ReadingWord) -> Tableau:

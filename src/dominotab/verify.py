@@ -13,6 +13,8 @@ from .pavings import is_shifted_pavable
 from .polyring import Monomial, Polynomial, domino_genfun, genfun, grlex_key
 from .tableaux import Family
 
+MAX_JOBS = 64  # the process pool forks all its workers at the first submit
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -89,8 +91,11 @@ def verify_sweep(
 
     Non-pavable shapes are reported as SKIP so that ranges stay simple to
     specify.  With jobs > 1 the shapes are checked in parallel processes;
-    the report order is identical either way.
+    the report order is identical either way.  More than MAX_JOBS jobs
+    raise ValueError.
     """
+    if jobs > MAX_JOBS:
+        raise ValueError(f"--jobs must be at most {MAX_JOBS}, got {jobs}")
     shapes = list(partitions_up_to(max_size))
     if jobs > 1:
         tasks = [(family.name, lam, n) for lam in shapes]

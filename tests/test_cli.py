@@ -43,8 +43,13 @@ def test_verify_command_exit_codes(capsys):
 
 
 def test_usage_errors_exit_2(monkeypatch, capsys):
+    from dominotab import verify
     from dominotab.cli import main
 
+    def no_pool(*args, **kwargs):
+        pytest.fail("a process pool was started")
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
     assert main(["quotient", "--shape", "oops"]) == 2
     assert main(["verify", "--family", "plain", "--vars", "2"]) == 2
     assert main(["genfun", "--family", "nope", "--shape", "[1]", "--vars", "1"]) == 2
@@ -56,7 +61,7 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
     assert main(
         ["enumerate", "--family", "plain", "--shape", "[1]", "--max-letter", "0"]
     ) == 2
-    for jobs in ("0", "-3"):
+    for jobs in ("0", "-3", str(verify.MAX_JOBS + 1)):
         assert main(
             ["verify", "--family", "plain", "--max-size", "2", "--vars", "2", "--jobs", jobs]
         ) == 2
@@ -79,6 +84,10 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
         ("split", '{"family":"plain","shape":"[2]","dominoes":[]}'),
         ("merge", '[{"family":"plain","shape":[1]},{}]'),
         ("render", '{"n":2,"terms":[{"exps":[1,0]}]}'),
+        # Booleans are not integers, and a variable count is not negative.
+        ("render", '{"family":"plain","shape":[true],"rows":[[["1"]]]}'),
+        ("render", '{"n":1,"terms":[{"exps":[true],"coeff":1}]}'),
+        ("render", '{"terms":[],"n":-3}'),
         # Nesting too deep for the JSON parser.
         ("render", "[" * 100000 + "]" * 100000),
         ("merge", "[" * 100000 + "]" * 100000),
@@ -86,6 +95,35 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
     for cmd, text in malformed:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main([cmd]) == 2, text
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_parse_rejects_bools_and_negative_n():
+    for text in (
+        '{"family":"plain","shape":[true],"rows":[[["1"]]]}',
+        '{"shape":[true,true],"dominoes":[{"row":1,"col":1,"orient":"H"}]}',
+        '{"n":1,"terms":[{"exps":[true],"coeff":1}]}',
+        '{"terms":[],"n":-3}',
+    ):
+        with pytest.raises(ValueError):
+            canonical.parse(text)
+
+
+def test_huge_shape_parts_rejected_before_building_cells(monkeypatch, capsys):
+    """Input whose dominoes cannot cover its shape exits 2 without listing
+    the shape's cells."""
+    from dominotab.cli import main
+
+    def no_cells(shape):
+        pytest.fail(f"cells({shape!r}) was built")
+
+    monkeypatch.setattr("dominotab.pavings.cells", no_cells)
+    for text in (
+        '{"shape":[3000000],"dominoes":[]}',
+        '{"family":"plain","shape":[1000000000],"dominoes":[]}',
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["render"]) == 2, text
         assert capsys.readouterr().err.startswith("error: ")
 
 
