@@ -386,7 +386,7 @@ def domino_fills(
     candidates = _candidate_fills(family, max_letter)
     cand_mins = [fill[0] for fill in candidates]
     max_rank = cand_mins[-1] if candidates else 0
-    root = _tiling_automaton(shape, family.shifted)
+    root = _tiling_automaton(shape, family.shifted)  # not None: the checks above passed
     state = FillState(family)
     bounds, try_add, pop = state.bounds, state.try_add, state.pop
 

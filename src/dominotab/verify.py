@@ -95,7 +95,7 @@ def verify_sweep(
     raise ValueError.
     """
     if jobs > MAX_JOBS:
-        raise ValueError(f"--jobs must be at most {MAX_JOBS}, got {jobs}")
+        raise ValueError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
     shapes = list(partitions_up_to(max_size))
     if jobs > 1:
         tasks = [(family.name, lam, n) for lam in shapes]
