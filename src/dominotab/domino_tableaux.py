@@ -356,6 +356,19 @@ def enumerate_domino_tableaux(
     return out
 
 
+def tiling_root(family: Family, shape: Shape) -> Node:
+    """The root of the tiling automaton whose paths are the family's
+    tilings of ``shape``: all pavings, or the up regions of the shifted
+    pavings.  Shapes that are not pavable, or not shifted pavable, raise
+    ValueError."""
+    shape = check_partition(shape)
+    if not is_pavable(shape):
+        raise ValueError(f"shape {shape} is not pavable")
+    if family.shifted and not is_shifted_pavable(shape):
+        raise ValueError(f"shape {shape} is not shifted pavable")
+    return _tiling_automaton(shape, family.shifted)  # not None: the checks above passed
+
+
 def domino_fills(
     family: Family, shape: Shape, max_letter: int
 ) -> Iterator[tuple[Piece, ...]]:
@@ -375,18 +388,13 @@ def domino_fills(
     yield one representative per equivalence class.  Shapes that are not
     pavable, or not shifted pavable, raise ValueError before any search.
     """
-    shape = check_partition(shape)
-    if not is_pavable(shape):
-        raise ValueError(f"shape {shape} is not pavable")
-    if family.shifted and not is_shifted_pavable(shape):
-        raise ValueError(f"shape {shape} is not shifted pavable")
-    if not shape:
+    root = tiling_root(family, shape)
+    if root[0] is None:  # the empty shape
         yield ()
         return
     candidates = _candidate_fills(family, max_letter)
     cand_mins = [fill[0] for fill in candidates]
     max_rank = cand_mins[-1] if candidates else 0
-    root = _tiling_automaton(shape, family.shifted)  # not None: the checks above passed
     state = FillState(family)
     bounds, try_add, pop = state.bounds, state.try_add, state.pop
 

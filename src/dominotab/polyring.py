@@ -8,11 +8,14 @@ alphabet, so degrees are bounded.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .partitions import Shape, check_partition, up_cell_count
-from .tableaux import Family, Tableau, cardinality, enumerate_tableaux, weight
-from .domino_tableaux import Piece, domino_fills, dt_weight
+from .tableaux import Family, Fill, Tableau, _candidate_fills, cardinality, enumerate_tableaux
+from .tableaux import letter_index, weight
+from .domino_tableaux import FillState, Piece, tiling_root
+from .pavings import Node
 # Unused here; the benchmark tracer finds the domino enumerator under this name.
 from .domino_tableaux import enumerate_domino_tableaux  # noqa: F401
 
@@ -141,15 +144,23 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     return Polynomial(n, terms)
 
 
-def _domino_sign(family: Family, pieces: tuple[Piece, ...], shape: Shape) -> int:
-    if not family.set_valued:
-        return 1
-    if family.shifted:
-        up = [fill for dom, fill in pieces if dom.crossing() >= 0]
-        excess = sum(len(fill) for fill in up) - len(up)
-    else:
-        excess = sum(len(fill) for _, fill in pieces) - sum(shape) // 2
-    return -1 if excess % 2 else 1
+# The most states one layer of the domino transfer may hold.  GQ (6,5,5,4)
+# with n=3 peaks at 167,412.
+MAX_TRANSFER_STATES = 500_000
+
+
+def _fill_classes(family: Family, n: int, bits: int) -> list[tuple[Fill, list[tuple[int, int]]]]:
+    """The candidate fills over n letters grouped by (min, max), sorted by
+    min.  A class is its first fill and the sum of sign * x^weight over its
+    fills, as (packed exponents, coefficient) terms: a fill's sign is
+    (-1)^(|fill| - 1), and its letters of index j add 1 to field j - 1 of
+    ``bits`` bits."""
+    classes: dict[tuple[int, int], tuple[Fill, dict[int, int]]] = {}
+    for fill in _candidate_fills(family, n):
+        first, terms = classes.setdefault((fill[0], fill[-1]), (fill, {}))
+        exps = sum(1 << bits * (letter_index(r) - 1) for r in fill)
+        terms[exps] = terms.get(exps, 0) + (-1 if len(fill) % 2 == 0 else 1)
+    return sorted((first, list(terms.items())) for first, terms in classes.values())
 
 
 def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
@@ -157,17 +168,84 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
 
     Signs mirror the flat case with cells replaced by dominoes: the set-valued
     sum signs by letters minus domino count, the shifted set-valued sum by
-    up-region letters minus up-region domino count.  The sum streams: each
-    fill ``domino_fills`` yields adds its term at once, and no
-    ``DominoTableau`` is built.  ``domino_fills`` tiles and fills in one
-    search over the shape's tiling automaton, so fills of different pavings
-    that share a prefix share its search.  The 2-quotient enters only the
-    shifted shape test, never the fills, and the bijection not at all, so
-    the identity check stays independent of them.
+    up-region letters minus up-region domino count.  So each non-X domino
+    contributes its own factor (-1)^(|fill| - 1) x^weight(fill), and the X
+    dominoes below D_0 contribute nothing.
+
+    The sum is a transfer over the shape's tiling automaton, one even cell
+    per layer, and lists no tableau.  A state is an automaton node and the
+    frontier: the (domino, fill) of every placed piece whose crossing is at
+    least c - 2, where c is the crossing of the next even cell.  Each state
+    holds the signed weight polynomial of the prefixes that reach it, and
+    prefixes with equal states are summed once.  The frontier is enough to
+    judge every later piece, whose crossing d is at least c:
+
+    * the ordering rules read the neighbour cells of a piece, whose content
+      is at least d - 2, and only pieces of crossing at least d - 2 cover
+      such cells;
+    * the southeast rule reads only the pieces of crossing d - 2 and d + 2;
+    * in shifted families minima weakly increase along rows and down
+      columns, so equal minima in a row or a column are adjacent, and the
+      multiplicity rule reduces to the left and upper neighbours.
+
+    So a state's ``FillState`` is rebuilt from its frontier alone, and its
+    ``bounds`` and ``check`` judge the fills of each edge as in
+    ``domino_fills``.  Those rules read a candidate fill only through its
+    minimum and maximum, so the fills are judged and stored by (min, max)
+    class, and each class carries the summed terms of its fills.  The
+    2-quotient enters only the shifted shape test, never the sum, and the
+    bijection not at all, so the identity check stays independent of them.
+
+    A layer of more than MAX_TRANSFER_STATES states raises ValueError.
     """
-    shape = check_partition(shape)
-    terms: dict[Monomial, int] = {}
-    for pieces in domino_fills(family, shape, n):
-        m = dt_weight(pieces, n)
-        terms[m] = terms.get(m, 0) + _domino_sign(family, pieces, shape)
-    return Polynomial(n, terms)
+    root = tiling_root(family, shape)
+    if root[0] is None:  # the empty shape
+        return Polynomial.one(n)
+    bits = sum(shape).bit_length()  # no letter index occurs more than |shape| times
+    classes = _fill_classes(family, n, bits)
+    class_mins = [fill[0] for fill, _ in classes]
+    max_rank = class_mins[-1]
+    total: dict[int, int] = {}
+    # A state's key is its node's id and the ids of its frontier's dominoes
+    # and fills (one object each per shape and call), so no key hashes a
+    # Domino.
+    layer = {(id(root),): (root, (), {0: 1})}
+    while layer:
+        nxt: dict[tuple[int, ...], tuple[Node, tuple[Piece, ...], dict[int, int]]] = {}
+        for key, (node, frontier, terms) in layer.items():
+            state = FillState(family)
+            for dom, fill in frontier:
+                state.add(dom, fill)
+            edges = node[0]
+            ahead = edges[0][2][0]  # the edges of the next even cell, None at the end
+            if ahead is not None:
+                keep_from = ahead[0][0].crossing() - 2
+                drop = sum(1 for dom, _ in frontier if dom.crossing() < keep_from)
+                kept, kept_key = frontier[drop:], key[1 + 2 * drop :]
+            for dom, depth, child in edges:
+                lo_min, lo_max, _, _ = state.bounds(dom)
+                top = bisect_right(class_mins, min(lo_max, max_rank - depth))
+                for fill, fill_terms in classes[bisect_left(class_mins, lo_min) : top]:
+                    if not state.check(dom, fill):
+                        continue
+                    if ahead is None:  # a complete tiling
+                        acc = total
+                    else:
+                        child_key = (id(child), *kept_key, id(dom), id(fill))
+                        entry = nxt.get(child_key)
+                        if entry is None:
+                            if len(nxt) >= MAX_TRANSFER_STATES:
+                                raise ValueError(
+                                    f"the domino sum over {shape} needs more than "
+                                    f"{MAX_TRANSFER_STATES} states in one layer"
+                                )
+                            entry = nxt[child_key] = (child, kept + ((dom, fill),), {})
+                        acc = entry[2]
+                    for m, c in terms.items():
+                        for e, s in fill_terms:
+                            acc[m + e] = acc.get(m + e, 0) + c * s
+        layer = nxt
+    field = (1 << bits) - 1
+    return Polynomial(
+        n, {tuple(m >> bits * j & field for j in range(n)): c for m, c in total.items()}
+    )

@@ -1,6 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dominotab import polyring
+from dominotab.cli import main
 from dominotab.partitions import partitions_up_to, up_cell_count
 from dominotab.polyring import Polynomial, domino_genfun, genfun
 from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED
@@ -108,6 +112,42 @@ def test_domino_genfun_plain_instances():
 def test_domino_genfun_rejects_unpavable():
     with pytest.raises(ValueError):
         domino_genfun(PLAIN, (5, 3, 3, 2, 1), 2)
+
+
+def test_domino_genfun_rejects_too_many_states(monkeypatch, capsys):
+    # GQ (6,5,5,4) with n=3 peaks at 167,412 states and must stay in range;
+    # with n=2 it peaks at 8,990.
+    assert polyring.MAX_TRANSFER_STATES > 167_412
+    monkeypatch.setattr(polyring, "MAX_TRANSFER_STATES", 1000)
+    with pytest.raises(ValueError, match="more than 1000 states in one layer"):
+        domino_genfun(SHIFTED_SET_VALUED, (6, 5, 5, 4), 2)
+    argv = ["genfun", "--family", "shifted-set-valued", "--shape", "[6,5,5,4]", "--vars", "2"]
+    assert main(argv + ["--domino"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_domino_genfun_never_builds_a_layer_over_the_limit(monkeypatch):
+    """The limit holds as states are added, not once a layer is complete:
+    the transfer rebuilds a ``FillState`` for each state it expands, and
+    this test fails if at any of those moments the layer being expanded or
+    the one being built holds more states than the limit."""
+    limit = 1000
+    monkeypatch.setattr(polyring, "MAX_TRANSFER_STATES", limit)
+    largest = []
+
+    class WatchedState(polyring.FillState):
+        def __init__(self, family):
+            super().__init__(family)
+            local = sys._getframe(1).f_locals
+            size = max(len(local["layer"]), len(local["nxt"]))
+            if size > limit:
+                pytest.fail(f"a layer of {size} states was built")
+            largest.append(size)
+
+    monkeypatch.setattr(polyring, "FillState", WatchedState)
+    with pytest.raises(ValueError):
+        domino_genfun(SHIFTED_SET_VALUED, (6, 5, 5, 4), 2)
+    assert max(largest) > limit // 2
 
 
 def test_grlex_term_order():
