@@ -88,17 +88,14 @@ def enumerate_pavings(shape: Shape) -> list[Paving]:
     """
     shape = check_partition(shape)
     out: list[Paving] = []
-
-    def walk(node: Node, placed: tuple[Domino, ...]) -> None:
+    root = _tiling_automaton(shape, False)
+    stack = [] if root is None else [(root, ())]
+    while stack:
+        node, placed = stack.pop()
         if node[0] is None:
             out.append(Paving(shape, placed))
-            return
-        for dom, _, child in node[0]:
-            walk(child, placed + (dom,))
-
-    root = _tiling_automaton(shape, False)
-    if root is not None:
-        walk(root, ())
+        else:
+            stack.extend((child, placed + (dom,)) for dom, _, child in node[0])
     out.sort(key=lambda p: [(d.row, d.col, not d.horiz) for d in p.dominoes])
     return out
 
@@ -204,44 +201,48 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
             options.append((dom, bits[odd], need, depth))
         choices.append(options)
     due = [0] * n  # the odd cells that must be covered after each step
-    keep = [0] * (n + 1)  # the odd cells a node at each step remembers
+    by_last = [0] * (n + 1)  # the odd cells whose last chance is each step
     for cell, i in last.items():
         if i < n:
             due[i] |= bits[cell]
-        for j in range(i + 1):
-            keep[j] |= bits[cell]
+        by_last[i] |= bits[cell]
+    keep = by_last[:]  # the odd cells a node at each step remembers
+    for j in range(n - 1, -1, -1):
+        keep[j] |= keep[j + 1]
 
-    memo: dict[tuple[int, int], Node | None] = {}
-
-    def node(i: int, mask: int) -> Node | None:
-        key = (i, mask)
-        if key in memo:
-            return memo[key]
-        if i == n:
-            result: Node | None = (None, ())
-            if shifted:
-                down = _least_tiling(
-                    cell
-                    for cell in cell_set
-                    if cell[1] < cell[0] and not mask & bits.get(cell, 0)
-                )
-                result = None if down is None else (None, down)
-        else:
-            edges = []
+    # Forward, the masks reachable at each step and the moves out of them;
+    # then backward, the nodes, dropping every edge to a dead end.
+    moves: list[dict[int, list[tuple[Domino, int, int]]]] = []
+    masks = {0}
+    for i in range(n):
+        step: dict[int, list[tuple[Domino, int, int]]] = {}
+        for mask in masks:
+            out = step[mask] = []
             for dom, bit, need, depth in choices[i]:
                 if mask & bit or mask & need != need:
                     continue
                 covered = mask | bit
-                if covered & due[i] != due[i]:
-                    continue
-                child = node(i + 1, covered & keep[i + 1])
-                if child is not None:
-                    edges.append((dom, depth, child))
-            result = (tuple(edges), ()) if edges else None
-        memo[key] = result
-        return result
+                if covered & due[i] == due[i]:
+                    out.append((dom, depth, covered & keep[i + 1]))
+        moves.append(step)
+        masks = {child for out in step.values() for _, _, child in out}
 
-    return node(0, 0)
+    nodes: dict[int, Node | None] = {}
+    for mask in masks:
+        nodes[mask] = (None, ())
+        if shifted:
+            down = _least_tiling(
+                cell for cell in cell_set if cell[1] < cell[0] and not mask & bits.get(cell, 0)
+            )
+            nodes[mask] = None if down is None else (None, down)
+    for step in reversed(moves):
+        done, nodes = nodes, {}
+        for mask, out in step.items():
+            edges = tuple(
+                (dom, depth, done[child]) for dom, depth, child in out if done[child] is not None
+            )
+            nodes[mask] = (edges, ()) if edges else None
+    return nodes[0]
 
 
 def _least_tiling(region: Iterable[Cell]) -> tuple[Domino, ...] | None:
@@ -253,23 +254,24 @@ def _least_tiling(region: Iterable[Cell]) -> tuple[Domino, ...] | None:
     """
     order = sorted(region)
     free = set(order)
-    placed: list[Domino] = []
-
-    def fill_from(k: int) -> bool:
+    placed: list[tuple[Domino, int, int]] = []  # (domino, its first cell's index, option)
+    k, option = 0, 0  # at order[k], try option 0 (vertical) and then 1 (horizontal)
+    while True:
         while k < len(order) and order[k] not in free:
             k += 1
         if k == len(order):
-            return True
+            return tuple(dom for dom, _, _ in placed)
         r, c = order[k]
-        for dom in (Domino(r, c, False), Domino(r, c, True)):
-            other = dom.cells()[1]
-            if other in free:
+        for option in range(option, 2):
+            dom = Domino(r, c, option == 1)
+            if dom.cells()[1] in free:
                 free.difference_update(dom.cells())
-                placed.append(dom)
-                if fill_from(k + 1):
-                    return True
-                placed.pop()
-                free.update(dom.cells())
-        return False
-
-    return tuple(placed) if fill_from(0) else None
+                placed.append((dom, k, option))
+                k, option = k + 1, 0
+                break
+        else:  # no domino fits at order[k]: move the last one placed
+            if not placed:
+                return None
+            dom, k, option = placed.pop()
+            free.update(dom.cells())
+            option += 1

@@ -142,6 +142,21 @@ def test_enumerate_and_pavings(capsys):
     assert code == 0 and len(out.strip().splitlines()) == 8
 
 
+def test_long_shapes_answer(capsys):
+    """A shape with 1,500 even cells: no search recurses once per cell."""
+    code, out = invoke(capsys, "pavings", "--shape", "[3000]")
+    assert code == 0 and len(out.strip().splitlines()) == 1
+    code, out = invoke(
+        capsys, "genfun", "--family", "plain", "--shape", "[3000]", "--vars", "1", "--domino"
+    )
+    assert code == 0 and out.strip() == "1 * x1^1500"
+    code, out = invoke(
+        capsys, "enumerate", "--family", "plain", "--shape", "[3000]", "--max-letter", "1",
+        "--kind", "domino",
+    )
+    assert code == 0 and len(out.strip().splitlines()) == 1
+
+
 def test_split_merge_pipeline(tmp_path, capsys, plain_bijection_case):
     T, t1, t2 = plain_bijection_case
     src = tmp_path / "T.json"

@@ -4,11 +4,25 @@ from dominotab.partitions import is_pavable, partitions_up_to, size, two_quotien
 from dominotab.pavings import (
     Domino,
     Paving,
+    _least_tiling,
     enumerate_pavings,
     is_shifted_pavable,
     is_shifted_paving,
     region_split,
 )
+
+
+def test_least_tiling():
+    assert _least_tiling([]) == ()
+    assert _least_tiling([(1, 1)]) is None
+    # A vertical domino first, then a horizontal one after backtracking.
+    assert _least_tiling([(1, 1), (1, 2), (2, 1), (3, 1)]) == (
+        Domino(1, 1, True),
+        Domino(2, 1, False),
+    )
+    # Two rows of 2,000 cells: 2,000 vertical dominoes, without recursion.
+    block = [(r, c) for r in (1, 2) for c in range(1, 2001)]
+    assert _least_tiling(block) == tuple(Domino(1, c, False) for c in range(1, 2001))
 
 
 def test_domino_geometry():
