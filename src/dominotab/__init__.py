@@ -44,7 +44,6 @@ from .domino_tableaux import (
     make_domino_tableau,
     up_fingerprint,
     validate_domino_tableau,
-    weakly_southeast,
 )
 from .bijections import gamma_merge, gamma_split
 from .polyring import Polynomial, domino_genfun, genfun
@@ -88,7 +87,6 @@ __all__ = [
     "make_domino_tableau",
     "up_fingerprint",
     "validate_domino_tableau",
-    "weakly_southeast",
     "gamma_merge",
     "gamma_split",
     "Polynomial",

@@ -77,11 +77,6 @@ def make_domino_tableau(family: Family, shape: Shape, pieces: Iterable[Piece]) -
     return DominoTableau(family, shape, pieces)
 
 
-def weakly_southeast(f1: Domino, f2: Domino) -> bool:
-    """True iff some cell of f2 lies weakly southeast of f1's top-left cell."""
-    return any(r >= f1.row and c >= f1.col for r, c in f2.cells())
-
-
 class FillState:
     """Incremental validity checker shared by enumeration and validation.
 

@@ -1,16 +1,23 @@
 """The rule-by-rule ``FillState`` that the indexed checker replaced.
 
 Each rule is a separate scan over the placed pieces, with minima and maxima
-taken by ``min()`` and ``max()``; it is kept here only as the oracle of the
-differential tests in ``test_differential.py``.
+taken by ``min()`` and ``max()``, and the southeast rule tests the relation
+``weakly_southeast`` that ``FillState.bounds`` restates as index bounds.  It
+is kept here only as the oracle of the differential tests in
+``test_differential.py``.
 """
 
 from __future__ import annotations
 
-from dominotab.domino_tableaux import Piece, weakly_southeast
+from dominotab.domino_tableaux import Piece
 from dominotab.partitions import Cell
 from dominotab.pavings import Domino, Paving, is_shifted_paving
 from dominotab.tableaux import Family, Fill, X_FILL, is_primed
+
+
+def weakly_southeast(f1: Domino, f2: Domino) -> bool:
+    """True iff some cell of f2 lies weakly southeast of f1's top-left cell."""
+    return any(r >= f1.row and c >= f1.col for r, c in f2.cells())
 
 
 class ReferenceFillState:

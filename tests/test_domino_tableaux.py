@@ -12,9 +12,9 @@ from dominotab.domino_tableaux import (
     up_domino_count,
     up_fingerprint,
     validate_domino_tableau,
-    weakly_southeast,
 )
 from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED
+from reference_fillstate import weakly_southeast
 
 
 def test_validate_fixtures(plain_example, set_valued_example):
