@@ -210,39 +210,43 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
     for j in range(n - 1, -1, -1):
         keep[j] |= keep[j + 1]
 
-    # Forward, the masks reachable at each step and the moves out of them;
-    # then backward, the nodes, dropping every edge to a dead end.
-    moves: list[dict[int, list[tuple[Domino, int, int]]]] = []
-    masks = {0}
-    for i in range(n):
-        step: dict[int, list[tuple[Domino, int, int]]] = {}
-        for mask in masks:
-            out = step[mask] = []
+    # A depth-first build with an explicit stack: a state is popped once to
+    # list its moves, below the unbuilt children it pushes, and once more to
+    # build its node from theirs.  memo[i] maps the masks at step i to nodes.
+    memo: list[dict[int, Node | None]] = [{} for _ in range(n + 1)]
+    stack: list[tuple[int, int, list | None]] = [(0, 0, None)]
+    while stack:
+        i, mask, out = stack.pop()
+        built = memo[i]
+        if out is not None:
+            below = memo[i + 1]
+            edges = tuple(
+                [(dom, depth, node) for dom, depth, child in out if (node := below[child])]
+            )
+            built[mask] = (edges, ()) if edges else None
+        elif mask in built:
+            continue
+        elif i == n:
+            built[mask] = (None, ())
+            if shifted:
+                down = _least_tiling(
+                    cell for cell in cell_set if cell[1] < cell[0] and not mask & bits.get(cell, 0)
+                )
+                built[mask] = None if down is None else (None, down)
+        else:
+            out = []
+            stack.append((i, mask, out))
+            below, due_i, keep_next = memo[i + 1], due[i], keep[i + 1]
             for dom, bit, need, depth in choices[i]:
                 if mask & bit or mask & need != need:
                     continue
                 covered = mask | bit
-                if covered & due[i] == due[i]:
-                    out.append((dom, depth, covered & keep[i + 1]))
-        moves.append(step)
-        masks = {child for out in step.values() for _, _, child in out}
-
-    nodes: dict[int, Node | None] = {}
-    for mask in masks:
-        nodes[mask] = (None, ())
-        if shifted:
-            down = _least_tiling(
-                cell for cell in cell_set if cell[1] < cell[0] and not mask & bits.get(cell, 0)
-            )
-            nodes[mask] = None if down is None else (None, down)
-    for step in reversed(moves):
-        done, nodes = nodes, {}
-        for mask, out in step.items():
-            edges = tuple(
-                (dom, depth, done[child]) for dom, depth, child in out if done[child] is not None
-            )
-            nodes[mask] = (edges, ()) if edges else None
-    return nodes[0]
+                if covered & due_i == due_i:
+                    child = covered & keep_next
+                    out.append((dom, depth, child))
+                    if child not in below:
+                        stack.append((i + 1, child, None))
+    return memo[0][0]
 
 
 def _least_tiling(region: Iterable[Cell]) -> tuple[Domino, ...] | None:
