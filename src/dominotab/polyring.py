@@ -145,8 +145,9 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
 
 
 # The most states one layer of the domino transfer may hold.  GQ (6,5,5,4)
-# with n=3 peaks at 167,412.
-MAX_TRANSFER_STATES = 500_000
+# peaks at 167,412 states with n=3, in about 330 MB; with n=4 its
+# polynomials are larger, and 200,000 states take about 950 MB.
+MAX_TRANSFER_STATES = 250_000
 
 
 def _fill_classes(family: Family, n: int, bits: int) -> list[tuple[Fill, list[tuple[int, int]]]]:
