@@ -199,6 +199,7 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
 
     A layer of more than MAX_TRANSFER_STATES states raises ValueError.
     """
+    shape = check_partition(shape)
     root = tiling_root(family, shape)
     if root[0] is None:  # the empty shape
         return Polynomial.one(n)
