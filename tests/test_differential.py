@@ -6,8 +6,10 @@ checker; ``reference_domino_fills`` (in ``reference_fill_search.py``) is the
 per-paving fill search, run on the row-major paving backtracker kept beside
 it; ``materialised_genfun`` is the generating function as
 a sum over the enumerated list, and ``streamed_genfun`` (in
-``reference_genfun.py``) the sum over the fills ``domino_fills`` yields.  The criterion-3 pools are pinned by count and by a digest
-of their canonical serialisation, in enumeration order.
+``reference_genfun.py``) the sum over the fills ``domino_fills`` yields,
+and ``enumerated_genfun`` (beside it) the flat sum over the list
+``enumerate_tableaux`` returns.  The criterion-3 pools are pinned by count
+and by a digest of their canonical serialisation, in enumeration order.
 """
 
 import hashlib
@@ -27,7 +29,7 @@ from dominotab.domino_tableaux import (
 )
 from dominotab.partitions import is_pavable, partitions_up_to
 from dominotab.pavings import enumerate_pavings, is_shifted_pavable, is_shifted_paving
-from dominotab.polyring import Polynomial, domino_genfun
+from dominotab.polyring import Polynomial, domino_genfun, genfun
 from dominotab.tableaux import (
     PLAIN,
     SET_VALUED,
@@ -39,7 +41,7 @@ from dominotab.tableaux import (
 from reference_fill_search import enumerate_pavings as reference_pavings
 from reference_fill_search import reference_domino_fills
 from reference_fillstate import ReferenceFillState, reference_validate
-from reference_genfun import streamed_genfun
+from reference_genfun import enumerated_genfun, streamed_genfun
 
 FAMILIES = (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED)
 
@@ -276,3 +278,28 @@ def test_genfun_matches_streamed(family, n, max_size):
         assert new == _genfun_or_error(streamed_genfun, family, lam, n), lam
         nonzero += new is not ValueError and bool(new.terms)
     assert nonzero > 15
+
+
+# (family, variables, max size) for the comparison with the enumerated flat
+# sum.  The set-valued families over three letters stop at size 7, where
+# listing the tableaux already takes about a second.
+FLAT_CASES = [
+    (family, n, 7 if family.set_valued and n == 3 else 10)
+    for family in FAMILIES
+    for n in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize(
+    "family,n,max_size", FLAT_CASES, ids=[f"{c[0].name}-n{c[1]}" for c in FLAT_CASES]
+)
+def test_flat_genfun_matches_enumerated(family, n, max_size):
+    """The same polynomial as the sum over the listed flat tableaux, shape
+    by shape, on every shape up to ``max_size``; shifted shapes that are not
+    admissible raise ValueError in both."""
+    nonzero = 0
+    for lam in partitions_up_to(max_size):
+        new = _genfun_or_error(genfun, family, lam, n)
+        assert new == _genfun_or_error(enumerated_genfun, family, lam, n), lam
+        nonzero += new is not ValueError and bool(new.terms)
+    assert nonzero > 10
