@@ -145,6 +145,11 @@ def is_shifted_pavable(shape: Shape) -> bool:
 Node = tuple
 Edge = tuple[Domino, int, Node]
 
+# The most states a tiling automaton may have.  The states grow
+# exponentially with the length of a diagonal: the shifted 12 x 12 square
+# needs about 1.5 million, while the one-row shape (3000) needs 1,501.
+MAX_AUTOMATON_STATES = 500_000
+
 
 def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
     """The tilings of ``shape`` as the paths of a memoised automaton, or None
@@ -167,6 +172,8 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
     An edge's column depth is 2 ceil(k/2) for an unshifted domino with k
     cells below it in a column (it needs ceil(k/2) distinct dominoes there,
     each with a larger minimum two ranks up), and 0 for a shifted one.
+
+    An automaton of more than MAX_AUTOMATON_STATES states raises ValueError.
     """
     cell_set = set(cells(shape))
     least = 0 if shifted else 1 - len(shape)  # the least even content searched
@@ -215,6 +222,7 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
     # build its node from theirs.  memo[i] maps the masks at step i to nodes.
     memo: list[dict[int, Node | None]] = [{} for _ in range(n + 1)]
     stack: list[tuple[int, int, list | None]] = [(0, 0, None)]
+    states = 0
     while stack:
         i, mask, out = stack.pop()
         built = memo[i]
@@ -224,9 +232,15 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
                 [(dom, depth, node) for dom, depth, child in out if (node := below[child])]
             )
             built[mask] = (edges, ()) if edges else None
-        elif mask in built:
             continue
-        elif i == n:
+        if mask in built:
+            continue
+        states += 1  # a state is listed once: a second copy finds it built
+        if states > MAX_AUTOMATON_STATES:
+            raise ValueError(
+                f"the tilings of {shape} need more than {MAX_AUTOMATON_STATES} automaton states"
+            )
+        if i == n:
             built[mask] = (None, ())
             if shifted:
                 down = _least_tiling(

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import lshift
 
-from .partitions import Shape, check_partition, up_cell_count
-from .tableaux import Family, Fill, Tableau, _candidate_fills, cardinality, enumerate_tableaux
-from .tableaux import letter_index, weight
+from .partitions import Shape, check_partition, is_staircase_admissible
+from .tableaux import Family, Fill, _candidate_fills, letter_index
 from .domino_tableaux import FillState, Piece, tiling_root
 from .pavings import Node
+# Unused here; the benchmark tracer finds the flat enumerator under this name.
+from .tableaux import enumerate_tableaux  # noqa: F401
 # Unused here; the benchmark tracer finds the domino enumerator under this name.
 from .domino_tableaux import enumerate_domino_tableaux  # noqa: F401
 
@@ -64,13 +66,21 @@ class Polynomial:
         return Polynomial(self.n, terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """The product, over monomials packed into integers whose fields are
+        wide enough for every exponent of the product, so that multiplying
+        two monomials is one integer addition."""
         self._match(other)
-        terms: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return Polynomial(self.n, terms)
+        # No exponent of the product exceeds the sum of the factors' degrees.
+        top = max(map(sum, self.terms), default=0) + max(map(sum, other.terms), default=0)
+        bits = top.bit_length()
+        shifts = [bits * j for j in range(self.n)]
+        left = [(sum(map(lshift, m, shifts)), c) for m, c in self.terms.items()]
+        right = [(sum(map(lshift, m, shifts)), c) for m, c in other.terms.items()]
+        terms: dict[int, int] = {}
+        for m1, c1 in left:
+            for m2, c2 in right:
+                terms[m1 + m2] = terms.get(m1 + m2, 0) + c1 * c2
+        return _unpack(self.n, bits, terms)
 
     def _match(self, other: "Polynomial") -> None:
         if self.n != other.n:
@@ -122,32 +132,111 @@ class Polynomial:
         return "\n".join(lines)
 
 
-def _flat_sign(family: Family, t: Tableau, shape: Shape) -> int:
-    if not family.set_valued:
-        return 1
-    base = up_cell_count(shape) if family.shifted else sum(shape)
-    return -1 if (cardinality(t) - base) % 2 else 1
-
-
 def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     """Signed weight generating function over the flat tableaux of a shape.
 
     Schur and Q-Schur sum plain weights; the stable Grothendieck function
     signs each tableau by (-1) to the excess of letters over cells, and its
-    shifted analogue by the excess of letters over up-region cells.
+    shifted analogue by the excess of letters over up-region cells.  So each
+    letter cell contributes its own factor (-1)^(|fill| - 1) x^weight(fill).
+
+    The sum is a transfer over the letter cells in row-major order (in the
+    shifted families, the cells with c >= r), and lists no tableau.  A state
+    is the frontier of fill maxima that later cells still read: the left
+    cell's, the row above's at the columns this row has not filled yet, and
+    this row's at the columns the next row reads.  Every other entry is 0,
+    which is below every rank, so equal frontiers are one state, and each
+    state holds the signed weight polynomial of the prefixes that reach it.
+    A cell reads only its left and upper neighbours:
+
+    * rows weakly increase, min >= max(left), and columns strictly increase
+      in the unshifted families, min > max(above), and weakly in the shifted
+      ones, min >= max(above);
+    * in the shifted families a letter occurs at most once as unprimed in a
+      column and as primed in a row.  If a letter a occurs in two cells of
+      a line, the weak increase gives a <= max <= min <= ... <= a over the
+      cells from the first to the second, so every cell between them is
+      {a} alone, and a occurs in two neighbouring cells, as the max of the
+      first and the min of the second.  So the rule reduces to rejecting
+      min == max(above) when min is unprimed, and min == max(left) when it
+      is primed.
+
+    These rules read a fill only through its minimum and maximum, so the
+    fills are judged and stored by (min, max) class.  An unshifted cell with
+    k cells below it needs k larger letters there, so its maximum is at most
+    the top rank less 2k.  Shifted shapes that are not admissible raise
+    ValueError, and a layer of more than MAX_TRANSFER_TERMS terms raises it.
     """
     shape = check_partition(shape)
-    terms: dict[Monomial, int] = {}
-    for t in enumerate_tableaux(family, shape, n):
-        m = weight(t, n)
-        terms[m] = terms.get(m, 0) + _flat_sign(family, t, shape)
-    return Polynomial(n, terms)
+    if family.shifted and not is_staircase_admissible(shape):
+        raise ValueError(f"shape {shape} is not admissible for shifted tableaux")
+    bits = (2 * sum(shape)).bit_length()  # a shifted set-valued cell may hold i' and i
+    classes = _fill_classes(family, n, bits)
+    class_mins = [fill[0] for fill, _ in classes]
+    shifted = family.shifted
+    strict = 0 if shifted else 1
+    heights = [sum(1 for part in shape if part >= c) for c in range(1, (shape or (0,))[0] + 1)]
+    layer: dict[tuple[int, ...], dict[int, int]] = {(0,) * len(heights): {0: 1}}
+    for r, length in enumerate(shape, start=1):
+        below = shape[r] if r < len(shape) else 0
+        next_first = r + 1 if shifted else 1  # the next row's first letter column
+        for c in range(r if shifted else 1, length + 1):
+            j = c - 1  # the cell's index in a frontier
+            top = 2 * n if shifted else 2 * (n - heights[j] + r)
+            # After this cell, the left cell's entry is read again only by
+            # the next row, and this cell's by the next cell or the next row.
+            keep_left = next_first <= c - 1 <= below
+            keep_here = c < length or next_first <= c <= below
+            nxt: dict[tuple[int, ...], dict[int, int]] = {}
+            hi = bisect_right(class_mins, top)
+            stored = 0
+            for front, terms in layer.items():
+                left = front[j - 1] if j else 0
+                above = front[j]
+                head = front[: j - 1] + (front[j - 1] if keep_left else 0,) if j else ()
+                tail = front[j + 1 :]
+                lo = bisect_left(class_mins, max(left, above + strict))
+                for fill, fill_terms in classes[lo:hi]:
+                    low, high = fill[0], fill[-1]
+                    if high > top or shifted and (
+                        low == above and not low % 2 or low == left and low % 2
+                    ):
+                        continue
+                    key = head + (high if keep_here else 0,) + tail
+                    acc = nxt.get(key)
+                    if acc is None:
+                        acc = nxt[key] = {}
+                    before = len(acc)
+                    for m, coef in terms.items():
+                        for e, sign in fill_terms:
+                            acc[m + e] = acc.get(m + e, 0) + coef * sign
+                    stored += len(acc) - before
+                    if stored > MAX_TRANSFER_TERMS:
+                        raise ValueError(
+                            f"the flat sum over {shape} needs more than "
+                            f"{MAX_TRANSFER_TERMS} terms in one layer"
+                        )
+            layer = nxt
+    total = next(iter(layer.values()), {})  # the one state left has an empty frontier
+    return _unpack(n, bits, total)
 
 
 # The most states one layer of the domino transfer may hold.  GQ (6,5,5,4)
 # peaks at 167,412 states with n=3, in about 330 MB; with n=4 its
 # polynomials are larger, and 200,000 states take about 950 MB.
 MAX_TRANSFER_STATES = 250_000
+# The most terms the polynomials of one layer of either transfer may hold
+# together, which bounds its memory.  GQ (6,5,5,4) peaks at 2,123,158 terms
+# with n=3.
+MAX_TRANSFER_TERMS = 3_000_000
+
+
+def _unpack(n: int, bits: int, packed: dict[int, int]) -> Polynomial:
+    """The polynomial whose exponent j - 1 is field j - 1, of ``bits`` bits,
+    of each packed monomial."""
+    field = (1 << bits) - 1
+    shifts = [bits * j for j in range(n)]
+    return Polynomial(n, {tuple([m >> s & field for s in shifts]): c for m, c in packed.items()})
 
 
 def _fill_classes(family: Family, n: int, bits: int) -> list[tuple[Fill, list[tuple[int, int]]]]:
@@ -197,7 +286,8 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     2-quotient enters only the shifted shape test, never the sum, and the
     bijection not at all, so the identity check stays independent of them.
 
-    A layer of more than MAX_TRANSFER_STATES states raises ValueError.
+    A layer of more than MAX_TRANSFER_STATES states, or of more than
+    MAX_TRANSFER_TERMS terms in its polynomials, raises ValueError.
     """
     shape = check_partition(shape)
     root = tiling_root(family, shape)
@@ -214,6 +304,7 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     layer = {(id(root),): (root, (), {0: 1})}
     while layer:
         nxt: dict[tuple[int, ...], tuple[Node, tuple[Piece, ...], dict[int, int]]] = {}
+        stored = 0
         for key, (node, frontier, terms) in layer.items():
             state = FillState(family)
             for dom, fill in frontier:
@@ -243,11 +334,15 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
                                 )
                             entry = nxt[child_key] = (child, kept + ((dom, fill),), {})
                         acc = entry[2]
+                    before = len(acc)
                     for m, c in terms.items():
                         for e, s in fill_terms:
                             acc[m + e] = acc.get(m + e, 0) + c * s
+                    stored += len(acc) - before
+                    if stored > MAX_TRANSFER_TERMS:
+                        raise ValueError(
+                            f"the domino sum over {shape} needs more than "
+                            f"{MAX_TRANSFER_TERMS} terms in one layer"
+                        )
         layer = nxt
-    field = (1 << bits) - 1
-    return Polynomial(
-        n, {tuple(m >> bits * j & field for j in range(n)): c for m, c in total.items()}
-    )
+    return _unpack(n, bits, total)

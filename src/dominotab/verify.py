@@ -45,6 +45,8 @@ class VerificationReport:
 
 
 def _first_diff(lhs: Polynomial, rhs: Polynomial) -> Optional[tuple[Monomial, int, int]]:
+    if lhs.terms == rhs.terms:
+        return None
     monomials = set(lhs.terms) | set(rhs.terms)
     for m in sorted(monomials, key=grlex_key):
         if lhs.coeff(m) != rhs.coeff(m):

@@ -1,10 +1,13 @@
 import pytest
 
+from dominotab import pavings
+from dominotab.cli import main
 from dominotab.partitions import is_pavable, partitions_up_to, size, two_quotient
 from dominotab.pavings import (
     Domino,
     Paving,
     _least_tiling,
+    _tiling_automaton,
     enumerate_pavings,
     is_shifted_pavable,
     is_shifted_paving,
@@ -157,3 +160,16 @@ def test_column_one_vertical_on_d0_is_not_forbidden():
     # Present in the valid left paving above: the vertical at (1,1).
     assert Domino(1, 1, False) in LEFT_PAVING.dominoes
     assert is_shifted_paving(LEFT_PAVING)
+
+
+def test_automaton_size_is_limited(monkeypatch, capsys):
+    # The one-row shape (3000) needs 1,501 states, the most any test or
+    # benchmark workload reaches.
+    assert pavings.MAX_AUTOMATON_STATES > 1_501
+    assert _tiling_automaton((3000,), False) is not None
+    monkeypatch.setattr(pavings, "MAX_AUTOMATON_STATES", 1_000)
+    with pytest.raises(ValueError, match="more than 1000 automaton states"):
+        _tiling_automaton((3000,), False)
+    argv = ["genfun", "--family", "plain", "--shape", "[3000]", "--vars", "1", "--domino"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -150,6 +150,24 @@ def test_domino_genfun_never_builds_a_layer_over_the_limit(monkeypatch):
     assert max(largest) > limit // 2
 
 
+def test_transfers_reject_too_many_terms(monkeypatch, capsys):
+    # GQ (6,5,5,4) with n=3 peaks at 2,123,158 terms in one layer and must
+    # stay in range.
+    assert polyring.MAX_TRANSFER_TERMS > 2_123_158
+    monkeypatch.setattr(polyring, "MAX_TRANSFER_TERMS", 100)
+    with pytest.raises(ValueError, match="more than 100 terms in one layer"):
+        genfun(SHIFTED_SET_VALUED, (3, 3), 3)
+    with pytest.raises(ValueError, match="more than 100 terms in one layer"):
+        domino_genfun(SHIFTED_SET_VALUED, (6, 5, 5, 4), 2)
+    argv = ["genfun", "--family", "shifted-set-valued", "--vars", "3", "--shape"]
+    assert main(argv + ["[3,3]"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(argv + ["[6,5,5,4]", "--domino"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.setattr(polyring, "MAX_TRANSFER_TERMS", 10_000)
+    assert genfun(SHIFTED_SET_VALUED, (3, 3), 3).terms
+
+
 def test_grlex_term_order():
     p = P(2, ((0, 2), 1), ((1, 0), 3), ((2, 0), 2), ((1, 1), 5))
     ms = [m for m, _ in p.sorted_terms()]
