@@ -175,7 +175,7 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     class_mins = [fill[0] for fill, _ in classes]
     shifted = family.shifted
     strict = 0 if shifted else 1
-    heights = [sum(1 for part in shape if part >= c) for c in range(1, (shape or (0,))[0] + 1)]
+    heights = [sum(1 for part in shape if part >= c) for c in range(1, max(shape, default=0) + 1)]
     layer: dict[tuple[int, ...], dict[int, int]] = {(0,) * len(heights): {0: 1}}
     for r, length in enumerate(shape, start=1):
         below = shape[r] if r < len(shape) else 0
@@ -232,8 +232,8 @@ MAX_TRANSFER_TERMS = 3_000_000
 
 
 def _unpack(n: int, bits: int, packed: dict[int, int]) -> Polynomial:
-    """The polynomial whose exponent j - 1 is field j - 1, of ``bits`` bits,
-    of each packed monomial."""
+    """The polynomial of packed terms: a monomial's exponent j is its field
+    j of ``bits`` bits, counting from 0 at the low end."""
     field = (1 << bits) - 1
     shifts = [bits * j for j in range(n)]
     return Polynomial(n, {tuple([m >> s & field for s in shifts]): c for m, c in packed.items()})
