@@ -3,8 +3,9 @@
 ``streamed_genfun`` sums sign * x^weight over every fill ``domino_fills``
 yields, recomputing the weight and the sign of each tableau from its pieces;
 no ``DominoTableau`` is built.  ``enumerated_genfun`` sums the same over
-every flat tableau ``enumerate_tableaux`` lists.  They are kept here only as
-the oracles of the differential tests in ``test_differential.py``.
+every flat tableau the reference enumerator in ``reference_tableaux.py``
+lists, so it shares no fill rule with ``polyring.genfun``.  They are kept
+here only as the oracles of the differential tests in ``test_differential.py``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dominotab.domino_tableaux import Piece, domino_fills, dt_weight
 from dominotab.partitions import Shape, check_partition, up_cell_count
 from dominotab.polyring import Monomial, Polynomial
-from dominotab.tableaux import Family, Tableau, cardinality, enumerate_tableaux, weight
+from dominotab.tableaux import Family, Tableau, cardinality, weight
+from reference_tableaux import enumerate_tableaux
 
 
 def _domino_sign(family: Family, pieces: tuple[Piece, ...], shape: Shape) -> int:

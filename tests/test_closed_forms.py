@@ -1,4 +1,4 @@
-"""Closed forms for the unshifted flat generating functions.
+"""Closed forms for the flat generating functions.
 
 With n variables and a partition lambda of at most n parts (lambda_j = 0
 past its length),
@@ -11,15 +11,26 @@ Schur alternant.  A partition of more than n parts has no tableau over n
 letters, so its generating function is 0.  The determinant is expanded by
 Leibniz's formula from ``Polynomial`` products alone, so the check shares no
 fill, rank or letter code with either sum it judges.
+
+The shifted family sums Schur's Q function of the strict partition
+mu_i = lambda_i - i + 1 that the letter cells of lambda form (primes are
+allowed on the main diagonal, so it is Q, not P).  With
+Q_k = sum_j e_j h_(k-j), the coefficient of t^k in prod (1 + x_i t)/(1 - x_i t),
+
+    Q_(a,b) = Q_a Q_b + 2 sum_{k=1..b} (-1)^k Q_(a+k) Q_(b-k),
+
+and Q_mu is the Pfaffian of the matrix Q_(mu_i, mu_j), with mu padded by a
+0 to even length.  It too is built from ``Polynomial`` arithmetic alone.
 """
 
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from dominotab.partitions import partitions_up_to
+from dominotab.partitions import is_staircase_admissible, partitions_up_to
 from dominotab.polyring import Polynomial, genfun
-from dominotab.tableaux import PLAIN, SET_VALUED
+from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED
 
 
 def variable(n, i, power=1):
@@ -73,3 +84,73 @@ def test_genfun_matches_alternant(family, n):
         assert g * vandermonde(n) == alternant(lam, n, family.set_valued), lam
         checked += 1
     assert checked >= 20
+
+
+def monomial_sum(n, index_tuples):
+    """The sum of x_(i_1) ... x_(i_k) over the given index tuples."""
+    out = Polynomial.zero(n)
+    for idx in index_tuples:
+        out = out + product([variable(n, i) for i in idx], n)
+    return out
+
+
+@lru_cache(maxsize=None)
+def schur_q_row(k, n):
+    """Q_k = sum_j e_j h_(k-j)."""
+    out = Polynomial.zero(n)
+    for j in range(k + 1):
+        e = monomial_sum(n, combinations(range(n), j))
+        h = monomial_sum(n, combinations_with_replacement(range(n), k - j))
+        out = out + e * h
+    return out
+
+
+def schur_q_pair(a, b, n):
+    """Q_(a,b) = Q_a Q_b + 2 sum_{k=1..b} (-1)^k Q_(a+k) Q_(b-k)."""
+    out = schur_q_row(a, n) * schur_q_row(b, n)
+    for k in range(1, b + 1):
+        term = schur_q_row(a + k, n) * schur_q_row(b - k, n)
+        out = out + term + term if k % 2 == 0 else out - term - term
+    return out
+
+
+def pfaffian(matrix, n):
+    """The Pfaffian of an antisymmetric matrix of even size, given by its
+    entries above the diagonal, expanded along the first row."""
+    size = len(matrix)
+    if size == 0:
+        return Polynomial.one(n)
+    out = Polynomial.zero(n)
+    for j in range(1, size):
+        rest = [k for k in range(1, size) if k != j]
+        minor = pfaffian([[matrix[a][b] for b in rest] for a in rest], n)
+        term = matrix[0][j] * minor
+        out = out + term if j % 2 == 1 else out - term
+    return out
+
+
+def schur_q(mu, n):
+    parts = list(mu) + [0] * (len(mu) % 2)
+    matrix = [
+        [schur_q_pair(parts[i], parts[j], n) if i < j else None for j in range(len(parts))]
+        for i in range(len(parts))
+    ]
+    return pfaffian(matrix, n)
+
+
+# The admissible shapes of size <= 10 with at most n parts: 27 for n = 2
+# and 29 for n = 3 (the empty shape included).
+@pytest.mark.parametrize("n,expected", ((2, 27), (3, 29)))
+def test_shifted_genfun_matches_pfaffian(n, expected):
+    checked = 0
+    for lam in partitions_up_to(10):
+        if not is_staircase_admissible(lam):
+            continue
+        g = genfun(SHIFTED, lam, n)
+        mu = tuple(part - i for i, part in enumerate(lam))
+        if len(mu) > n:
+            assert g == Polynomial.zero(n), lam
+            continue
+        assert g == schur_q(mu, n), lam
+        checked += 1
+    assert checked == expected

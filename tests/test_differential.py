@@ -7,9 +7,11 @@ per-paving fill search, run on the row-major paving backtracker kept beside
 it; ``materialised_genfun`` is the generating function as
 a sum over the enumerated list, and ``streamed_genfun`` (in
 ``reference_genfun.py``) the sum over the fills ``domino_fills`` yields,
-and ``enumerated_genfun`` (beside it) the flat sum over the list
-``enumerate_tableaux`` returns.  The criterion-3 pools are pinned by count
-and by a digest of their canonical serialisation, in enumeration order.
+and ``enumerated_genfun`` (beside it) the flat sum over the list the
+reference enumerator returns.  ``reference_tableaux.py`` keeps the flat
+enumerator and validator that count every letter per line, against which
+the single neighbour bound is checked.  The criterion-3 pools are pinned by
+count and by a digest of their canonical serialisation, in enumeration order.
 """
 
 import hashlib
@@ -36,12 +38,17 @@ from dominotab.tableaux import (
     SHIFTED,
     SHIFTED_SET_VALUED,
     X_FILL,
+    Tableau,
     _candidate_fills,
+    enumerate_tableaux,
+    validate_tableau,
 )
 from reference_fill_search import enumerate_pavings as reference_pavings
 from reference_fill_search import reference_domino_fills
 from reference_fillstate import ReferenceFillState, reference_validate
 from reference_genfun import enumerated_genfun, streamed_genfun
+from reference_tableaux import enumerate_tableaux as reference_enumerate_tableaux
+from reference_tableaux import validate_tableau as reference_validate_tableau
 
 FAMILIES = (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED)
 
@@ -303,3 +310,80 @@ def test_flat_genfun_matches_enumerated(family, n, max_size):
         assert new == _genfun_or_error(enumerated_genfun, family, lam, n), lam
         nonzero += new is not ValueError and bool(new.terms)
     assert nonzero > 10
+
+
+# (family, letters, max size) for the flat enumerator and validator.  Three
+# letters stop at size 7, and at size 5 in the set-valued families.
+FLAT_LIST_CASES = [
+    (family, n, (5 if family.set_valued else 7) if n == 3 else 9)
+    for family in FAMILIES
+    for n in (1, 2, 3)
+]
+
+
+def _tableaux_or_error(fn, family, shape, letters):
+    try:
+        return fn(family, shape, letters)
+    except ValueError:
+        return ValueError
+
+
+@pytest.fixture(scope="module")
+def flat_lists():
+    """The reference enumerator's list (or ValueError) per case and shape."""
+    return {
+        (family.name, n): [
+            (lam, _tableaux_or_error(reference_enumerate_tableaux, family, lam, n))
+            for lam in partitions_up_to(max_size)
+        ]
+        for family, n, max_size in FLAT_LIST_CASES
+    }
+
+
+def test_flat_enumerator_matches_reference_in_order(flat_lists):
+    """The same tableaux in the same order, shape by shape, in every case;
+    shifted shapes that are not admissible raise ValueError in both."""
+    total = 0
+    for family, n, _ in FLAT_LIST_CASES:
+        for lam, expected in flat_lists[family.name, n]:
+            assert _tableaux_or_error(enumerate_tableaux, family, lam, n) == expected, (
+                family.name, n, lam,
+            )
+            total += 0 if expected is ValueError else len(expected)
+    assert total > 10000
+
+
+def _flat_mutations(family, pool, letters, rng):
+    """Two single-cell fill changes per tableau, drawn from every admissible
+    fill over the letters plus X."""
+    fills = _candidate_fills(family, letters) + [X_FILL]
+    for t in pool:
+        if not t.shape:
+            continue
+        for _ in range(2):
+            r = rng.randrange(len(t.rows))
+            c = rng.randrange(len(t.rows[r]))
+            fill = rng.choice([f for f in fills if f != t.rows[r][c]])
+            row = t.rows[r][:c] + (fill,) + t.rows[r][c + 1 :]
+            yield Tableau(t.family, t.shape, t.rows[:r] + (row,) + t.rows[r + 1 :])
+
+
+def test_flat_validate_matches_reference_on_lists_and_mutations(flat_lists):
+    rng = random.Random("flat")
+    accepted = {family.name: 0 for family in FAMILIES}
+    tried = dict(accepted)
+    for family, n, _ in FLAT_LIST_CASES:
+        pool = [
+            t for _, ts in flat_lists[family.name, n] if ts is not ValueError for t in ts
+        ]
+        for t in pool:
+            assert validate_tableau(t) and reference_validate_tableau(t)
+        for t in _flat_mutations(family, pool, n, rng):
+            ok = validate_tableau(t)
+            assert ok == reference_validate_tableau(t), t
+            accepted[family.name] += ok
+            tried[family.name] += 1
+    # Some mutations stay valid, not all: both outcomes are compared in every
+    # family.  (Over one letter a plain mutation can only write X.)
+    for name in accepted:
+        assert 0 < accepted[name] < tried[name], name
