@@ -12,11 +12,9 @@ from .partitions import (
 from .pavings import (
     Domino,
     Paving,
-    RegionSplit,
     enumerate_pavings,
     is_shifted_pavable,
     is_shifted_paving,
-    region_split,
 )
 from .tableaux import (
     FAMILIES,
@@ -38,7 +36,6 @@ from .tableaux import (
 from .domino_tableaux import (
     DominoTableau,
     diagonal_reading,
-    dt_cardinality,
     dt_weight,
     enumerate_domino_tableaux,
     make_domino_tableau,
@@ -59,11 +56,9 @@ __all__ = [
     "two_quotient",
     "Domino",
     "Paving",
-    "RegionSplit",
     "enumerate_pavings",
     "is_shifted_pavable",
     "is_shifted_paving",
-    "region_split",
     "FAMILIES",
     "PLAIN",
     "SET_VALUED",
@@ -81,7 +76,6 @@ __all__ = [
     "weight",
     "DominoTableau",
     "diagonal_reading",
-    "dt_cardinality",
     "dt_weight",
     "enumerate_domino_tableaux",
     "make_domino_tableau",

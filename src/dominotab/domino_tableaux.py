@@ -41,6 +41,7 @@ from .tableaux import (
     X_FILL,
     _candidate_fills,
     check_fill,
+    fill_floor,
     format_fill,
     is_primed,
     letter_index,
@@ -94,27 +95,21 @@ class FillState:
       as (row, col, last row, last col, min, up_even(max), up_odd(max)),
       where up_even rounds a rank up to even (a primed letter up to its
       unprimed one) and up_odd up to odd: the southeast rule reads only the
-      lists two diagonals below and above the new piece;
-    * ``row_primed`` and ``col_unprimed`` hold the (row, letter) and
-      (column, letter) pairs taken by the minima of shifted pieces.
+      lists two diagonals below and above the new piece.
 
-    Against the placed pieces, the ordering and southeast rules bound only
-    the minimum and the maximum of a new fill.  ``bounds`` computes those
-    bounds once per domino until the next ``add`` or ``pop``, and ``check``
-    compares each fill against them.
+    Against the placed pieces, the ordering, multiplicity and southeast
+    rules bound only the minimum and the maximum of a new fill.  ``bounds``
+    computes those bounds once per domino until the next ``add`` or ``pop``,
+    and ``check`` compares each fill against them.
     """
 
     def __init__(self, family: Family):
         self.family = family
         self.shifted = family.shifted
         self.set_valued = family.set_valued
-        # Minima strictly increase down columns unless the family is shifted.
-        self.column_gap = 0 if family.shifted else 1
         self.pieces: list[Piece] = []
         self.mins: dict[Cell, int | None] = {}
         self.by_diagonal: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        self.row_primed: set[tuple[int, int]] = set()
-        self.col_unprimed: set[tuple[int, int]] = set()
         self._last_bounds: tuple[Domino, Bounds | None] | None = None
 
     def bounds(self, dom: Domino) -> Bounds | None:
@@ -132,12 +127,14 @@ class FillState:
         if first in mins or last in mins:
             self._last_bounds = (dom, None)
             return None
-        lo_min, lo_max, odd_cap, even_cap = 1, INF, INF, INF
+        odd_cap = even_cap = INF
 
-        # Ordering: a left neighbour's minimum is at most ours and a right
-        # one's at least ours; the same above and below, strictly unless the
-        # family is shifted.  The cells of ``dom`` itself are not in ``mins``.
-        gap = self.column_gap
+        # Ordering and multiplicity: the minima obey ``fill_floor`` cell by
+        # cell, read on the neighbours' minima, so a placed left or upper
+        # neighbour bounds ours from below and a right or lower one, by the
+        # mirror rule, from above: to m - (m & 1) and (m - 1) | 1 for its
+        # minimum m.  The cells of ``dom`` itself are not in ``mins``, which
+        # holds None for X.
         r, c = first
         if dom.horiz:
             left, right = ((r, c - 1),), ((r, c + 2),)
@@ -145,22 +142,25 @@ class FillState:
         else:
             left, right = ((r, c - 1), (r + 1, c - 1)), ((r, c + 1), (r + 1, c + 1))
             above, below = ((r - 1, c),), ((r + 2, c),)
+        left_max = above_max = 0
         for cell in left:
             m = mins.get(cell)
-            if m is not None and m > lo_min:
-                lo_min = m
+            if m is not None and m > left_max:
+                left_max = m
         for cell in above:
             m = mins.get(cell)
-            if m is not None and m + gap > lo_min:
-                lo_min = m + gap
+            if m is not None and m > above_max:
+                above_max = m
+        lo_min = fill_floor(left_max, above_max)
+        lo_max = INF
         for cell in right:
             m = mins.get(cell)
-            if m is not None and m < lo_max:
-                lo_max = m
+            if m is not None and m - (m & 1) < lo_max:
+                lo_max = m - (m & 1)
         for cell in below:
             m = mins.get(cell)
-            if m is not None and m - gap < lo_max:
-                lo_max = m - gap
+            if m is not None and (m - 1) | 1 < lo_max:
+                lo_max = (m - 1) | 1
 
         # Southeast: for same-type F1, F2 on diagonals two apart with F2
         # weakly southeast of F1 (F2's last cell weakly southeast of F1's
@@ -206,21 +206,7 @@ class FillState:
             return False
         lo_min, lo_max, odd_cap, even_cap = bounds
         lo, hi = fill[0], fill[-1]
-        if lo < lo_min or lo > lo_max or hi | 1 > odd_cap or hi + (hi & 1) > even_cap:
-            return False
-        if self.shifted:
-            taken, keys = self._letter_keys(dom, lo)
-            return taken.isdisjoint(keys)
-        return True
-
-    def _letter_keys(self, dom: Domino, lo: int) -> tuple[set[tuple[int, int]], tuple]:
-        """Multiplicity: a primed minimum appears once per row, an unprimed
-        one once per column.  Returns the set of taken (line, letter) pairs
-        and the pairs a minimum ``lo`` on ``dom`` takes."""
-        first, last = dom.cells()
-        if is_primed(lo):
-            return self.row_primed, ((first[0], lo), (last[0], lo))
-        return self.col_unprimed, ((first[1], lo), (last[1], lo))
+        return lo_min <= lo <= lo_max and hi | 1 <= odd_cap and hi + (hi & 1) <= even_cap
 
     def add(self, dom: Domino, fill: Fill) -> None:
         self._last_bounds = None
@@ -235,9 +221,6 @@ class FillState:
             self.by_diagonal.setdefault((dom.dtype(), dom.crossing()), []).append(
                 (*first, *last, lo, hi + (hi & 1), hi | 1)
             )
-        if self.shifted:
-            taken, keys = self._letter_keys(dom, lo)
-            taken.update(keys)
 
     def try_add(self, dom: Domino, fill: Fill) -> bool:
         if not self.check(dom, fill):
@@ -250,13 +233,8 @@ class FillState:
         dom, fill = self.pieces.pop()
         first, last = dom.cells()
         del self.mins[first], self.mins[last]
-        if fill == X_FILL:
-            return
-        if self.set_valued:
+        if fill != X_FILL and self.set_valued:
             self.by_diagonal[(dom.dtype(), dom.crossing())].pop()
-        if self.shifted:
-            taken, keys = self._letter_keys(dom, fill[0])
-            taken.difference_update(keys)
 
 
 def validate_domino_tableau(t: DominoTableau) -> bool:
@@ -326,15 +304,6 @@ def dt_weight(t: DominoTableau | Iterable[Piece], n: int) -> tuple[int, ...]:
                 raise ValueError(f"letter index {idx} exceeds variable count {n}")
             exps[idx - 1] += 1
     return tuple(exps)
-
-
-def dt_cardinality(t: DominoTableau) -> int:
-    """Total letters over all dominoes (X contributes nothing)."""
-    return sum(len(fill) for _, fill in t.pieces)
-
-
-def up_domino_count(t: DominoTableau) -> int:
-    return len(t.up_pieces())
 
 
 def enumerate_domino_tableaux(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .partitions import Shape, Cell, cells, check_partition, is_pavable
+from .partitions import Shape, Cell, cells, check_partition
 from .partitions import is_staircase_admissible, two_quotient
 
 
@@ -73,12 +73,6 @@ class Paving:
         object.__setattr__(self, "dominoes", tuple(sorted(self.dominoes)))
 
 
-@dataclass(frozen=True)
-class RegionSplit:
-    up: tuple[Domino, ...]
-    down: tuple[Domino, ...]
-
-
 def enumerate_pavings(shape: Shape) -> list[Paving]:
     """All domino pavings: the paths of the shape's tiling automaton.
 
@@ -100,22 +94,14 @@ def enumerate_pavings(shape: Shape) -> list[Paving]:
     return out
 
 
-def region_split(paving: Paving) -> RegionSplit:
-    """Split dominoes by the sign of the crossing diagonal (>= 0 means up)."""
-    up = tuple(d for d in paving.dominoes if d.crossing() >= 0)
-    down = tuple(d for d in paving.dominoes if d.crossing() < 0)
-    return RegionSplit(up=up, down=down)
-
-
 def is_shifted_paving(paving: Paving) -> bool:
     """Check the two shifted-paving conditions.
 
-    The 2-quotient components of the shape must both have last part >= number
-    of parts, and no vertical domino on D_0 may have all of its left-adjacent
-    dominoes strictly below D_0.  A vertical on D_0 in column 1 has no left
-    neighbours and is never forbidden.
+    The shape must be shifted pavable, and no vertical domino on D_0 may
+    have all of its left-adjacent dominoes strictly below D_0.  A vertical
+    on D_0 in column 1 has no left neighbours and is never forbidden.
     """
-    if not all(is_staircase_admissible(q) for q in two_quotient(paving.shape)):
+    if not is_shifted_pavable(paving.shape):
         return False
     owner: dict[Cell, Domino] = {}
     for d in paving.dominoes:
@@ -135,8 +121,14 @@ def is_shifted_paving(paving: Paving) -> bool:
 def is_shifted_pavable(shape: Shape) -> bool:
     """True iff the shape has a shifted paving: by the shifted bijection,
     iff it is pavable and both 2-quotient components are staircase
-    admissible."""
-    return is_pavable(shape) and all(is_staircase_admissible(q) for q in two_quotient(shape))
+    admissible.  The quotient is computed once: the shape is pavable iff the
+    quotient holds all of its cells, as in ``is_pavable``."""
+    q1, q2 = two_quotient(shape)
+    return (
+        sum(shape) == 2 * (sum(q1) + sum(q2))
+        and is_staircase_admissible(q1)
+        and is_staircase_admissible(q2)
+    )
 
 
 # A node of the tiling automaton is (edges, down dominoes).  Its edges, each

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from operator import lshift
 
 from .partitions import Shape, check_partition, is_staircase_admissible
-from .tableaux import Family, Fill, _candidate_fills, letter_index
+from .tableaux import Family, Fill, _candidate_fills, fill_floor, letter_index
 from .domino_tableaux import FillState, Piece, tiling_root
 from .pavings import Node
 # Unused here; the benchmark tracer finds the flat enumerator under this name.
@@ -110,16 +110,6 @@ class Polynomial:
                     return False
         return True
 
-    def homogeneous_component(self, degree: int) -> "Polynomial":
-        return Polynomial(
-            self.n, {m: c for m, c in self.terms.items() if sum(m) == degree}
-        )
-
-    def min_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return min(sum(m) for m in self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -147,21 +137,11 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     this row's at the columns the next row reads.  Every other entry is 0,
     which is below every rank, so equal frontiers are one state, and each
     state holds the signed weight polynomial of the prefixes that reach it.
-    A cell reads only its left and upper neighbours:
+    A cell reads only its left and upper neighbours, through one lower
+    bound on its minimum, ``fill_floor(max(left), max(above))``, which
+    states the ordering and multiplicity rules of every family.
 
-    * rows weakly increase, min >= max(left), and columns strictly increase
-      in the unshifted families, min > max(above), and weakly in the shifted
-      ones, min >= max(above);
-    * in the shifted families a letter occurs at most once as unprimed in a
-      column and as primed in a row.  If a letter a occurs in two cells of
-      a line, the weak increase gives a <= max <= min <= ... <= a over the
-      cells from the first to the second, so every cell between them is
-      {a} alone, and a occurs in two neighbouring cells, as the max of the
-      first and the min of the second.  So the rule reduces to rejecting
-      min == max(above) when min is unprimed, and min == max(left) when it
-      is primed.
-
-    These rules read a fill only through its minimum and maximum, so the
+    The bound reads a fill only through its minimum and maximum, so the
     fills are judged and stored by (min, max) class.  An unshifted cell with
     k cells below it needs k larger letters there, so its maximum is at most
     the top rank less 2k.  Shifted shapes that are not admissible raise
@@ -174,7 +154,6 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     classes = _fill_classes(family, n, bits)
     class_mins = [fill[0] for fill, _ in classes]
     shifted = family.shifted
-    strict = 0 if shifted else 1
     heights = [sum(1 for part in shape if part >= c) for c in range(1, max(shape, default=0) + 1)]
     layer: dict[tuple[int, ...], dict[int, int]] = {(0,) * len(heights): {0: 1}}
     for r, length in enumerate(shape, start=1):
@@ -195,12 +174,10 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
                 above = front[j]
                 head = front[: j - 1] + (front[j - 1] if keep_left else 0,) if j else ()
                 tail = front[j + 1 :]
-                lo = bisect_left(class_mins, max(left, above + strict))
+                lo = bisect_left(class_mins, fill_floor(left, above))
                 for fill, fill_terms in classes[lo:hi]:
-                    low, high = fill[0], fill[-1]
-                    if high > top or shifted and (
-                        low == above and not low % 2 or low == left and low % 2
-                    ):
+                    high = fill[-1]
+                    if high > top:
                         continue
                     key = head + (high if keep_here else 0,) + tail
                     acc = nxt.get(key)
@@ -274,9 +251,9 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
       is at least d - 2, and only pieces of crossing at least d - 2 cover
       such cells;
     * the southeast rule reads only the pieces of crossing d - 2 and d + 2;
-    * in shifted families minima weakly increase along rows and down
-      columns, so equal minima in a row or a column are adjacent, and the
-      multiplicity rule reduces to the left and upper neighbours.
+    * the multiplicity rule of the shifted families is part of the ordering
+      rules: ``FillState.bounds`` reads it, as ``fill_floor`` and its
+      mirror, on the same neighbour cells.
 
     So a state's ``FillState`` is rebuilt from its frontier alone, and its
     ``bounds`` and ``check`` judge the fills of each edge as in

@@ -7,10 +7,16 @@ order.  The unshifted families use only unprimed letters.
 A cell fill is a strictly increasing tuple of ranks; the empty tuple stands
 for the X marker that pads the below-diagonal region of shifted shapes.
 Nonempty fills compare by A <= B iff max(A) <= min(B).
+
+The ordering and multiplicity rules of all four families are one lower
+bound on a fill's minimum, ``fill_floor``, read on the maxima of its left
+and upper neighbours; validation, enumeration and the generating functions
+all judge fills by it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -149,15 +155,30 @@ def _letter_ok(family: Family, fill: Fill) -> bool:
     return True
 
 
+def fill_floor(left: int, above: int) -> int:
+    """The least minimum a fill may have beside a left neighbour of maximum
+    ``left`` and below an upper one of maximum ``above`` (0 for none or X).
+
+    Rows weakly increase and columns increase, strictly unless the family
+    is shifted.  A shifted family also takes a primed letter at most once
+    per row and an unprimed one at most once per column; since rows and
+    columns weakly increase, a letter that occurs twice in a line occurs in
+    two neighbouring cells, as the maximum of the first and the minimum of
+    the second.  So the whole rule is min >= up_even(left) and
+    min >= up_odd(above), where up_even rounds a rank up to even (a primed
+    letter up to its unprimed one) and up_odd up to odd.  Unshifted ranks
+    are even, so there the bound reads min >= left and min > above.
+    """
+    return max(left + (left & 1), above | 1)
+
+
 def validate_tableau(t: Tableau) -> bool:
     """True iff the fill satisfies every rule of the tableau's family.
 
-    Unshifted families: no X cells, rows weakly increase (max of the left fill
-    at most min of the right), columns strictly increase.  Shifted families
-    additionally require the shape to satisfy lambda_k >= k, X exactly on the
-    negative-content cells, weak increase along both rows and columns, at most
-    one unprimed i in any column and at most one primed i' in any row,
-    counting occurrences across set fills.
+    Each letter cell holds a fill of the family's letters whose minimum
+    meets ``fill_floor`` of its left and upper neighbours' maxima.
+    Unshifted families have no X cells; shifted families require the shape
+    to satisfy lambda_k >= k and X exactly on the negative-content cells.
     """
     # Structure (shape/grid mismatch, unsorted fills) raises via make_tableau;
     # here the grid is assumed coherent and only family rules are judged.
@@ -165,50 +186,22 @@ def validate_tableau(t: Tableau) -> bool:
         len(row) != part for row, part in zip(t.rows, t.shape)
     ):
         raise ValueError("grid does not match shape")
-    if t.family.shifted:
-        if not is_staircase_admissible(t.shape):
-            return False
-        for r, c, fill in t.cells_with_fills():
-            if (fill == X_FILL) != (c - r < 0):
-                return False
-            if c - r >= 0 and not _letter_ok(t.family, fill):
-                return False
-    else:
-        for _, _, fill in t.cells_with_fills():
+    shifted = t.family.shifted
+    if shifted and not is_staircase_admissible(t.shape):
+        return False
+    for r, row in enumerate(t.rows):
+        for c, fill in enumerate(row):
+            if shifted and c < r:
+                if fill != X_FILL:
+                    return False
+                continue
             if not _letter_ok(t.family, fill):
                 return False
-
-    for r, c, fill in t.cells_with_fills():
-        if fill == X_FILL:
-            continue
-        if c > 1:
-            left = t.fill_at(r, c - 1)
-            if left != X_FILL and max(left) > min(fill):
+            # Both neighbours come earlier in row-major order: already judged.
+            left = row[c - 1] if c else X_FILL
+            above = t.rows[r - 1][c] if r else X_FILL
+            if fill[0] < fill_floor(left[-1] if left else 0, above[-1] if above else 0):
                 return False
-        if r > 1 and c <= t.shape[r - 2]:
-            above = t.fill_at(r - 1, c)
-            if above != X_FILL:
-                if t.family.shifted:
-                    if max(above) > min(fill):
-                        return False
-                elif max(above) >= min(fill):
-                    return False
-
-    if t.family.shifted:
-        col_unprimed: dict[tuple[int, int], int] = {}
-        row_primed: dict[tuple[int, int], int] = {}
-        for r, c, fill in t.cells_with_fills():
-            for letter in fill:
-                if is_primed(letter):
-                    key = (r, letter)
-                    row_primed[key] = row_primed.get(key, 0) + 1
-                    if row_primed[key] > 1:
-                        return False
-                else:
-                    key = (c, letter)
-                    col_unprimed[key] = col_unprimed.get(key, 0) + 1
-                    if col_unprimed[key] > 1:
-                        return False
     return True
 
 
@@ -335,69 +328,36 @@ def enumerate_tableaux(family: Family, shape: Shape, max_letter: int) -> list[Ta
 
     Cells are filled in row-major order with candidates tried in ascending
     fill order, so the output is duplicate-free and lexicographically sorted
-    by row-major fill sequence.
+    by row-major fill sequence.  The fills a cell may take are the sorted
+    candidates from the first whose minimum meets ``fill_floor`` on, and
+    the walk is iterative, so a long shape needs no deep recursion.
     """
     shape = check_partition(shape)
     if family.shifted and not is_staircase_admissible(shape):
         raise ValueError(f"shape {shape} is not admissible for shifted tableaux")
-    if not shape:
-        return [Tableau(family, (), ())]
-
-    letter_cells = [
-        (r, c) for r, c in cells(shape) if not (family.shifted and c - r < 0)
-    ]
     candidates = _candidate_fills(family, max_letter)
-    grid: dict[tuple[int, int], Fill] = {
-        (r, c): X_FILL for r, c in cells(shape) if family.shifted and c - r < 0
-    }
-    col_unprimed: set[tuple[int, int]] = set()
-    row_primed: set[tuple[int, int]] = set()
+    mins = [fill[0] for fill in candidates]
+    grid = [[X_FILL] * length for length in shape]
+    letter_cells = [
+        (r - 1, c - 1) for r, c in cells(shape) if not (family.shifted and c < r)
+    ]
     out: list[Tableau] = []
-
-    def ok(r: int, c: int, fill: Fill) -> bool:
-        if c > 1:
-            left = grid[(r, c - 1)]
-            if left != X_FILL and max(left) > min(fill):
-                return False
-        if r > 1 and c <= shape[r - 2]:
-            above = grid[(r - 1, c)]
-            if above != X_FILL:
-                if family.shifted:
-                    if max(above) > min(fill):
-                        return False
-                elif max(above) >= min(fill):
-                    return False
-        if family.shifted:
-            for letter in fill:
-                key = (r, letter) if is_primed(letter) else (c, letter)
-                if key in (row_primed if is_primed(letter) else col_unprimed):
-                    return False
-        return True
-
-    def rec(idx: int) -> None:
-        if idx == len(letter_cells):
-            rows = tuple(
-                tuple(grid[(r, c)] for c in range(1, length + 1))
-                for r, length in enumerate(shape, start=1)
-            )
-            out.append(Tableau(family, shape, rows))
-            return
-        r, c = letter_cells[idx]
-        for fill in candidates:
-            if not ok(r, c, fill):
-                continue
-            grid[(r, c)] = fill
-            added = []
-            if family.shifted:
-                for letter in fill:
-                    key = (r, letter) if is_primed(letter) else (c, letter)
-                    (row_primed if is_primed(letter) else col_unprimed).add(key)
-                    added.append((is_primed(letter), key))
-            rec(idx + 1)
-            del grid[(r, c)]
-            for primed, key in added:
-                (row_primed if primed else col_unprimed).discard(key)
-
-    rec(0)
-    return out
-
+    # tries[k] runs over the fills left to try at letter cell k.
+    tries: list[Iterator[Fill]] = []
+    while True:
+        k = len(tries)
+        if k == len(letter_cells):
+            out.append(Tableau(family, shape, tuple(map(tuple, grid))))
+        else:
+            r, c = letter_cells[k]
+            left = grid[r][c - 1] if c else X_FILL
+            above = grid[r - 1][c] if r else X_FILL
+            floor = fill_floor(left[-1] if left else 0, above[-1] if above else 0)
+            tries.append(iter(candidates[bisect_left(mins, floor) :]))
+        # Move the deepest cell with a fill left to its next fill.
+        while tries and (fill := next(tries[-1], None)) is None:
+            tries.pop()
+        if not tries:
+            return out
+        r, c = letter_cells[len(tries) - 1]
+        grid[r][c] = fill

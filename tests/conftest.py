@@ -3,6 +3,7 @@
 import pytest
 
 from dominotab.pavings import Domino
+from dominotab.polyring import Polynomial
 from dominotab.domino_tableaux import make_domino_tableau
 from dominotab.tableaux import (
     PLAIN,
@@ -25,6 +26,31 @@ def dt(family, shape, pieces):
 
 def tb(family, shape, rows):
     return make_tableau(family, shape, [[parse_fill(x) for x in row] for row in rows])
+
+
+def region_split(paving):
+    """The dominoes of a paving with crossing >= 0 (the up region) and the
+    rest (the down region)."""
+    up = tuple(d for d in paving.dominoes if d.crossing() >= 0)
+    down = tuple(d for d in paving.dominoes if d.crossing() < 0)
+    return up, down
+
+
+def homogeneous_component(poly, degree):
+    return Polynomial(poly.n, {m: c for m, c in poly.terms.items() if sum(m) == degree})
+
+
+def min_degree(poly):
+    return min((sum(m) for m in poly.terms), default=0)
+
+
+def dt_cardinality(t):
+    """Total letters over all dominoes (X contributes nothing)."""
+    return sum(len(fill) for _, fill in t.pieces)
+
+
+def up_domino_count(t):
+    return len(t.up_pieces())
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from typing import Iterator
 
 from dominotab.domino_tableaux import FillState, Piece, _diag_key
 from dominotab.partitions import Cell, Shape, cells, check_partition
-from dominotab.pavings import Domino, Paving, is_shifted_paving, region_split
+from dominotab.pavings import Domino, Paving, is_shifted_paving
 from dominotab.tableaux import Family, Fill, X_FILL, _candidate_fills
 
 
@@ -76,7 +76,7 @@ def reference_domino_fills(
         for p in pavings:
             if not is_shifted_paving(p):
                 continue
-            key = region_split(p).up
+            key = tuple(d for d in p.dominoes if d.crossing() >= 0)
             if key not in groups or p.dominoes < groups[key].dominoes:
                 groups[key] = p
         if not groups:

@@ -1,9 +1,8 @@
 import pytest
 
-from conftest import tb
+from conftest import dt_cardinality, tb
 from dominotab.bijections import gamma_merge, gamma_split
 from dominotab.domino_tableaux import (
-    dt_cardinality,
     dt_weight,
     enumerate_domino_tableaux,
     up_fingerprint,

@@ -143,7 +143,8 @@ def test_enumerate_and_pavings(capsys):
 
 
 def test_long_shapes_answer(capsys):
-    """A shape with 1,500 even cells: no search recurses once per cell."""
+    """A shape of 3,000 cells, 1,500 of them even: no search recurses once
+    per cell or per domino."""
     code, out = invoke(capsys, "pavings", "--shape", "[3000]")
     assert code == 0 and len(out.strip().splitlines()) == 1
     code, out = invoke(
@@ -153,6 +154,10 @@ def test_long_shapes_answer(capsys):
     code, out = invoke(
         capsys, "enumerate", "--family", "plain", "--shape", "[3000]", "--max-letter", "1",
         "--kind", "domino",
+    )
+    assert code == 0 and len(out.strip().splitlines()) == 1
+    code, out = invoke(
+        capsys, "enumerate", "--family", "plain", "--shape", "[3000]", "--max-letter", "1"
     )
     assert code == 0 and len(out.strip().splitlines()) == 1
 

@@ -19,14 +19,13 @@ import random
 
 import pytest
 
+from conftest import dt_cardinality, up_domino_count
 from dominotab import canonical, domino_tableaux
 from dominotab.domino_tableaux import (
     DominoTableau,
     domino_fills,
-    dt_cardinality,
     dt_weight,
     enumerate_domino_tableaux,
-    up_domino_count,
     validate_domino_tableau,
 )
 from dominotab.partitions import is_pavable, partitions_up_to
@@ -206,6 +205,25 @@ def test_validate_matches_reference_on_pools_and_mutations(pools):
             accepted += ok
         # Some mutations stay valid, most do not: both outcomes are compared.
         assert 0 < accepted < len(pool), family.name
+
+
+def test_check_matches_reference_in_shuffled_order(pools):
+    """Pieces added in a random order, so that right and lower neighbours
+    are often placed first: the caps they put on a new minimum, which the
+    diagonal order rarely reads, decide here.  Each tableau and one
+    mutation of it are judged by both checkers in the same order."""
+    rng = random.Random("order")
+    for family, _, letters, _, _ in POOLS:
+        pool = rng.sample(pools[family.name], 1500)
+        accepted = 0
+        for t in pool + list(_mutations(family, pool, letters))[::2]:
+            pieces = list(t.pieces)
+            rng.shuffle(pieces)
+            new, ref = domino_tableaux.FillState(family), ReferenceFillState(family)
+            ok = all(new.try_add(dom, fill) for dom, fill in pieces)
+            assert ok == all(ref.try_add(dom, fill) for dom, fill in pieces), t
+            accepted += ok
+        assert len(pool) < accepted < 2 * len(pool), family.name
 
 
 def test_pools_unchanged_in_order(pools):

@@ -1,15 +1,13 @@
 import pytest
 
-from conftest import dt
+from conftest import dt, dt_cardinality, up_domino_count
 from dominotab.partitions import is_pavable, partitions_up_to, size, two_quotient, up_cell_count
 from dominotab.pavings import Domino, is_shifted_pavable, is_shifted_paving
 from dominotab.domino_tableaux import (
     DominoTableau,
     diagonal_reading,
-    dt_cardinality,
     dt_weight,
     enumerate_domino_tableaux,
-    up_domino_count,
     up_fingerprint,
     validate_domino_tableau,
 )

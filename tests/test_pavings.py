@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import region_split
 from dominotab import pavings
 from dominotab.cli import main
 from dominotab.partitions import is_pavable, partitions_up_to, size, two_quotient
@@ -11,7 +12,6 @@ from dominotab.pavings import (
     enumerate_pavings,
     is_shifted_pavable,
     is_shifted_paving,
-    region_split,
 )
 
 
@@ -126,33 +126,33 @@ def test_is_shifted_pavable():
 
 def test_region_split_simple():
     p = Paving((2,), (Domino(1, 1, True),))
-    split = region_split(p)
-    assert split.up == (Domino(1, 1, True),) and split.down == ()
+    up, down = region_split(p)
+    assert up == (Domino(1, 1, True),) and down == ()
 
 
 def test_region_split_left_paving():
     # Derived by reading the crossing diagonal of each domino in the fixture:
     # only the two verticals in columns 1 and 2 of rows 3-4 cross D_{-2}.
-    split = region_split(LEFT_PAVING)
-    assert len(split.up) == 8
-    assert len(split.down) == 2
-    assert set(split.down) == {Domino(3, 1, False), Domino(3, 2, False)}
+    up, down = region_split(LEFT_PAVING)
+    assert len(up) == 8
+    assert len(down) == 2
+    assert set(down) == {Domino(3, 1, False), Domino(3, 2, False)}
 
 
 def test_region_split_partitions_dominoes():
     for lam in partitions_up_to(10):
         for p in enumerate_pavings(lam):
-            split = region_split(p)
-            assert set(split.up) | set(split.down) == set(p.dominoes)
-            assert all(d.crossing() >= 0 for d in split.up)
-            assert all(d.crossing() < 0 for d in split.down)
+            up, down = region_split(p)
+            assert set(up) | set(down) == set(p.dominoes)
+            assert all(d.crossing() >= 0 for d in up)
+            assert all(d.crossing() < 0 for d in down)
 
 
 def test_up_domino_contents_straddle_at_most_one():
     # A domino crossing D_0 may dip one cell below the diagonal but no deeper.
     for lam in partitions_up_to(10):
         for p in enumerate_pavings(lam):
-            for d in region_split(p).up:
+            for d in region_split(p)[0]:
                 assert min(d.contents()) >= -1 or d.crossing() > 0
 
 
