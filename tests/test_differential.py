@@ -339,19 +339,12 @@ FLAT_LIST_CASES = [
 ]
 
 
-def _tableaux_or_error(fn, family, shape, letters):
-    try:
-        return fn(family, shape, letters)
-    except ValueError:
-        return ValueError
-
-
 @pytest.fixture(scope="module")
 def flat_lists():
     """The reference enumerator's list (or ValueError) per case and shape."""
     return {
         (family.name, n): [
-            (lam, _tableaux_or_error(reference_enumerate_tableaux, family, lam, n))
+            (lam, _genfun_or_error(reference_enumerate_tableaux, family, lam, n))
             for lam in partitions_up_to(max_size)
         ]
         for family, n, max_size in FLAT_LIST_CASES
@@ -364,9 +357,8 @@ def test_flat_enumerator_matches_reference_in_order(flat_lists):
     total = 0
     for family, n, _ in FLAT_LIST_CASES:
         for lam, expected in flat_lists[family.name, n]:
-            assert _tableaux_or_error(enumerate_tableaux, family, lam, n) == expected, (
-                family.name, n, lam,
-            )
+            new = _genfun_or_error(enumerate_tableaux, family, lam, n)
+            assert new == expected, (family.name, n, lam)
             total += 0 if expected is ValueError else len(expected)
     assert total > 10000
 
