@@ -10,8 +10,11 @@ a sum over the enumerated list, and ``streamed_genfun`` (in
 and ``enumerated_genfun`` (beside it) the flat sum over the list the
 reference enumerator returns.  ``reference_tableaux.py`` keeps the flat
 enumerator and validator that count every letter per line, against which
-the single neighbour bound is checked.  The criterion-3 pools are pinned by
-count and by a digest of their canonical serialisation, in enumeration order.
+the single neighbour bound is checked.  ``reference_bijections.py`` keeps the
+merge that recomputed the inverse 2-quotient per cell, and
+``reference_render.py`` the ASCII renderer that asked four wall predicates
+per junction.  The criterion-3 pools are pinned by count and by a digest of
+their canonical serialisation, in enumeration order.
 """
 
 import hashlib
@@ -21,6 +24,7 @@ import pytest
 
 from conftest import dt_cardinality, up_domino_count
 from dominotab import canonical, domino_tableaux
+from dominotab.bijections import gamma_merge, gamma_split
 from dominotab.domino_tableaux import (
     DominoTableau,
     domino_fills,
@@ -31,6 +35,7 @@ from dominotab.domino_tableaux import (
 from dominotab.partitions import is_pavable, partitions_up_to
 from dominotab.pavings import enumerate_pavings, is_shifted_pavable, is_shifted_paving
 from dominotab.polyring import Polynomial, domino_genfun, genfun
+from dominotab.render import render_ascii
 from dominotab.tableaux import (
     PLAIN,
     SET_VALUED,
@@ -42,10 +47,12 @@ from dominotab.tableaux import (
     enumerate_tableaux,
     validate_tableau,
 )
+from reference_bijections import gamma_merge as reference_gamma_merge
 from reference_fill_search import enumerate_pavings as reference_pavings
 from reference_fill_search import reference_domino_fills
 from reference_fillstate import ReferenceFillState, reference_validate
 from reference_genfun import enumerated_genfun, streamed_genfun
+from reference_render import render_ascii as reference_render_ascii
 from reference_tableaux import enumerate_tableaux as reference_enumerate_tableaux
 from reference_tableaux import validate_tableau as reference_validate_tableau
 
@@ -233,6 +240,29 @@ def test_pools_unchanged_in_order(pools):
         for t in pool:
             h.update(canonical.serialize(t).encode() + b"\n")
         assert (len(pool), h.hexdigest()) == (count, digest), family.name
+
+
+@pytest.fixture(scope="module")
+def split_sample(pools):
+    """(tableau, type-1 half, type-2 half) for every plain, set-valued and
+    shifted pool tableau and a seeded sample of 3,000 shifted set-valued ones."""
+    rng = random.Random("split")
+    sample = [
+        t for family in (PLAIN, SET_VALUED, SHIFTED) for t in pools[family.name]
+    ] + rng.sample(pools[SHIFTED_SET_VALUED.name], 3000)
+    return [(t, *gamma_split(t)) for t in sample]
+
+
+def test_merge_matches_reference(split_sample):
+    for t, t1, t2 in split_sample:
+        merged = gamma_merge(t.family, t1, t2)
+        assert merged == reference_gamma_merge(t.family, t1, t2), t
+
+
+def test_render_ascii_matches_reference(split_sample):
+    for t, t1, t2 in split_sample:
+        for obj in (t, t1, t2):
+            assert render_ascii(obj) == reference_render_ascii(obj), obj
 
 
 def _materialised_sign(family, t, shape):
