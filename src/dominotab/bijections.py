@@ -4,15 +4,16 @@ One generic engine drives all four families: the plain maps are the
 restriction of the shifted set-valued ones to singleton, unprimed, X-free
 data.  Splitting restricts the diagonal reading word to type-1 and type-2
 dominoes, halving each diagonal index.  Merging adds the pair's cells to the
-2-quotient one at a time; each addition grows the inverse 2-quotient by
-exactly one domino, which takes the cell's fill.
+2-quotient one at a time on the 2-abacus (James-Kerber): row j of component
+t holds a bead on place 2(q_t[j] + m-1-j) + t-1, so a cell moves one bead two
+places up, and that move fixes the one domino the shape grows by, which takes
+the cell's fill.
 """
 
 from __future__ import annotations
 
 from .domino_tableaux import DominoTableau, _diag_order, validate_domino_tableau
 from .pavings import Domino
-from .partitions import Shape, inverse_two_quotient
 from .tableaux import (
     Family,
     Fill,
@@ -78,16 +79,6 @@ def _chain(family: Family, t1: Tableau, t2: Tableau) -> list[tuple[int, int, Fil
     return order
 
 
-def _added_domino(old: Shape, new: Shape) -> Domino:
-    """The domino new / old, for shapes differing by exactly two cells."""
-    (r, c), (r2, _) = [
-        (r, c)
-        for r, length in enumerate(new, start=1)
-        for c in range((old[r - 1] if r <= len(old) else 0) + 1, length + 1)
-    ]
-    return Domino(r, c, horiz=r == r2)
-
-
 def gamma_merge(family: Family, t1: Tableau, t2: Tableau) -> DominoTableau:
     """Merge a pair of flat tableaux into the domino tableau splitting to it.
 
@@ -97,21 +88,45 @@ def gamma_merge(family: Family, t1: Tableau, t2: Tableau) -> DominoTableau:
     takes the cell's fill.  For shifted families the X cells lay down the
     lexicographically least down region, the representative that
     ``enumerate_domino_tableaux`` keeps.
+
+    The shape is kept on a 2-abacus of 2m beads, m = max(len(t1.shape),
+    len(t2.shape)): row j of component t holds the bead on place
+    2(q_t[j] + m-1-j) + t-1, and the bead with i beads above it stands for
+    part i of the shape (0-based).  A cell in that row moves its bead from b
+    to b+2; b+2 is free exactly when the component stays a partition.  If
+    b+1 is free the bead passes no other and part i grows by a horizontal
+    domino; otherwise it passes the bead of part i-1, parts i-1 and i grow by
+    one each, and the domino is vertical.
     """
     for t in (t1, t2):
         if t.family != family:
             raise ValueError("tableau family does not match the requested merge")
         if not validate_tableau(t):
             raise ValueError("gamma_merge requires valid tableaux")
-    rows: dict[int, list[int]] = {1: [], 2: []}
-    shape: Shape = ()
+    chain = _chain(family, t1, t2)
+    m = max(len(t1.shape), len(t2.shape))
+    # beads[t - 1][j]: the place of the bead of row j of component t.
+    beads = ([2 * (m - 1 - j) for j in range(m)], [2 * (m - 1 - j) + 1 for j in range(m)])
+    # part[b]: the number of beads above place b if it holds one, else -1.
+    part = [2 * m - 1 - b for b in range(2 * m)] + [-1] * (2 * len(chain) + 1)
+    lam = [0] * (2 * m)
     pieces = []
-    for dtype, r, fill in _chain(family, t1, t2):
-        if r > len(rows[dtype]):
-            rows[dtype].append(1)
+    for dtype, r, fill in chain:
+        row = beads[dtype - 1]
+        b = row[r - 1]
+        if part[b + 2] >= 0:
+            raise ValueError(f"cell in row {r} of component {dtype} leaves no partition")
+        i = part[b]
+        if part[b + 1] < 0:
+            dom = Domino(i + 1, lam[i] + 1, True)
+            lam[i] += 2
+            part[b + 2] = i
         else:
-            rows[dtype][r - 1] += 1
-        grown = inverse_two_quotient(tuple(rows[1]), tuple(rows[2]))
-        pieces.append((_added_domino(shape, grown), fill))
-        shape = grown
-    return DominoTableau(family, shape, tuple(pieces))
+            dom = Domino(i, lam[i - 1] + 1, False)
+            lam[i - 1] += 1
+            lam[i] += 1
+            part[b + 2], part[b + 1] = i - 1, i
+        part[b] = -1
+        row[r - 1] = b + 2
+        pieces.append((dom, fill))
+    return DominoTableau(family, tuple(p for p in lam if p), tuple(pieces))

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import dt_cardinality, tb
+from conftest import cardinality, dt_cardinality, tb
+from dominotab import bijections
 from dominotab.bijections import gamma_merge, gamma_split
 from dominotab.domino_tableaux import (
     dt_weight,
@@ -15,7 +16,6 @@ from dominotab.tableaux import (
     SHIFTED,
     SHIFTED_SET_VALUED,
     Tableau,
-    cardinality,
     enumerate_tableaux,
     weight,
 )
@@ -70,6 +70,16 @@ def test_merge_rejects_invalid_inputs():
         gamma_merge(PLAIN, bad, good)
     with pytest.raises(ValueError):
         gamma_merge(SET_VALUED, good, good)  # family mismatch
+
+
+def test_merge_rejects_a_chain_that_leaves_no_partition(monkeypatch):
+    # A row-2 cell into an empty component: its bead would land on the bead
+    # of row 1, so the component would stop being a partition.
+    two_rows = tb(PLAIN, (1, 1), [["1"], ["2"]])
+    empty = Tableau(PLAIN, (), ())
+    monkeypatch.setattr(bijections, "_chain", lambda family, t1, t2: [(2, 2, (1,))])
+    with pytest.raises(ValueError):
+        gamma_merge(PLAIN, two_rows, empty)
 
 
 def test_merge_empty_pair():
