@@ -41,21 +41,17 @@ def render_ascii(obj: Renderable) -> str:
     ncols = shape[0]
     nrows = len(shape)
 
-    def wall_right(r: int, c: int) -> bool:
-        a, b = owner.get((r, c)), owner.get((r, c + 1))
-        if a is None and b is None:
-            return False
-        return a != b
-
-    def wall_below(r: int, c: int) -> bool:
-        a, b = owner.get((r, c)), owner.get((r + 1, c))
-        if a is None and b is None:
-            return False
-        return a != b
+    # ids[r][c]: the piece owning cell (r, c), None outside the shape; the
+    # frame of rows 0, nrows+1 and columns 0, ncols+1 lies outside it.
+    ids = [[owner.get((r, c)) for c in range(ncols + 2)] for r in range(nrows + 2)]
+    # right[r][c]: a wall between (r, c) and (r, c+1); below[r][c]: between
+    # (r, c) and (r+1, c).  Two cells outside the shape compare equal.
+    right = [[a != b for a, b in zip(row, row[1:])] for row in ids]
+    below = [[a != b for a, b in zip(row, nxt)] for row, nxt in zip(ids, ids[1:])]
 
     def junction(r: int, c: int) -> str:
-        horiz = wall_below(r, c) or wall_below(r, c + 1)
-        vert = wall_right(r, c) or wall_right(r + 1, c)
+        horiz = below[r][c] or below[r][c + 1]
+        vert = right[r][c] or right[r + 1][c]
         if horiz and vert:
             return "+"
         if vert:
@@ -68,7 +64,7 @@ def render_ascii(obj: Renderable) -> str:
     for r in range(0, nrows + 1):
         border = ""
         for c in range(1, ncols + 1):
-            border += junction(r, c - 1) + ("-" if wall_below(r, c) else " ") * width
+            border += junction(r, c - 1) + ("-" if below[r][c] else " ") * width
         lines.append((border + junction(r, ncols)).rstrip())
         if r == nrows:
             break
@@ -76,12 +72,12 @@ def render_ascii(obj: Renderable) -> str:
         body = ""
         c = 1
         while c <= ncols:
-            body += "|" if wall_right(r + 1, c - 1) else " "
+            body += "|" if right[r + 1][c - 1] else " "
             if c > row_cells:
                 body += " " * width
                 c += 1
                 continue
-            idx = owner[(r + 1, c)]
+            idx = ids[r + 1][c]
             cells, fill = pieces[idx]
             text = format_fill(fill)
             if len(cells) == 2 and cells[0][0] == cells[1][0] and cells[0] == (r + 1, c):
@@ -94,7 +90,7 @@ def render_ascii(obj: Renderable) -> str:
             else:
                 body += text.center(width)
             c += 1
-        body += "|" if wall_right(r + 1, ncols) else " "
+        body += "|" if right[r + 1][ncols] else " "
         lines.append(body.rstrip())
     return header + "\n" + "\n".join(lines)
 
