@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -252,3 +255,21 @@ def test_verify_jobs_flag(capsys):
     )
     assert code == 0
     assert out.splitlines()[0].endswith(")")
+
+
+def test_closed_output_pipe_exits_quietly():
+    # `enumerate ... | head -1`: 121 lines, 113 KB, more than a pipe buffer,
+    # so the command is still writing when the reader closes the pipe.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dominotab.cli", "enumerate", "--family", "plain",
+         "--shape", "[20,20]", "--max-letter", "2", "--kind", "domino"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in err, err.decode()
