@@ -25,7 +25,6 @@ from .tableaux import (
     Family,
     ReadingWord,
     Tableau,
-    cardinality,
     enumerate_tableaux,
     make_tableau,
     reading_word,
@@ -67,7 +66,6 @@ __all__ = [
     "Family",
     "ReadingWord",
     "Tableau",
-    "cardinality",
     "enumerate_tableaux",
     "make_tableau",
     "reading_word",

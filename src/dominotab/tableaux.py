@@ -217,11 +217,6 @@ def weight(t: Tableau, n: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def cardinality(t: Tableau) -> int:
-    """Total number of letters across non-X cells."""
-    return sum(len(fill) for _, _, fill in t.cells_with_fills())
-
-
 def reading_word(t: Tableau) -> ReadingWord:
     """Diagonal reading: lowest diagonal first, each read NW to SE.
 

@@ -44,6 +44,11 @@ def min_degree(poly):
     return min((sum(m) for m in poly.terms), default=0)
 
 
+def cardinality(t):
+    """Total letters over the non-X cells of a flat tableau."""
+    return sum(len(fill) for _, _, fill in t.cells_with_fills())
+
+
 def dt_cardinality(t):
     """Total letters over all dominoes (X contributes nothing)."""
     return sum(len(fill) for _, fill in t.pieces)

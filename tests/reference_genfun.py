@@ -10,10 +10,11 @@ here only as the oracles of the differential tests in ``test_differential.py``.
 
 from __future__ import annotations
 
+from conftest import cardinality
 from dominotab.domino_tableaux import Piece, domino_fills, dt_weight
 from dominotab.partitions import Shape, check_partition, up_cell_count
 from dominotab.polyring import Monomial, Polynomial
-from dominotab.tableaux import Family, Tableau, cardinality, weight
+from dominotab.tableaux import Family, Tableau, weight
 from reference_tableaux import enumerate_tableaux
 
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import tb
+from conftest import cardinality, tb
 from dominotab.partitions import partitions_up_to
 from dominotab.tableaux import (
     MAX_CANDIDATE_FILLS,
@@ -13,7 +13,6 @@ from dominotab.tableaux import (
     SHIFTED_SET_VALUED,
     Tableau,
     _candidate_fills,
-    cardinality,
     enumerate_tableaux,
     format_fill,
     make_tableau,
