@@ -263,13 +263,13 @@ def test_closed_output_pipe_exits_quietly():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "dominotab.cli", "enumerate", "--family", "plain",
          "--shape", "[20,20]", "--max-letter", "2", "--kind", "domino"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline().startswith(b"{")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 0
     assert b"Traceback" not in err, err.decode()
