@@ -7,8 +7,9 @@ per-paving fill search, run on the row-major paving backtracker kept beside
 it; ``materialised_genfun`` is the generating function as
 a sum over the enumerated list, and ``streamed_genfun`` (in
 ``reference_genfun.py``) the sum over the fills ``domino_fills`` yields,
-and ``enumerated_genfun`` (beside it) the flat sum over the list the
-reference enumerator returns.  ``reference_tableaux.py`` keeps the flat
+``fillstate_domino_genfun`` (beside it) the domino transfer that rebuilt a
+``FillState`` per state, and ``enumerated_genfun`` (beside it) the flat sum
+over the list the reference enumerator returns.  ``reference_tableaux.py`` keeps the flat
 enumerator and validator that count every letter per line, against which
 the single neighbour bound is checked.  ``reference_bijections.py`` keeps the
 merge that recomputed the inverse 2-quotient per cell, and
@@ -51,7 +52,7 @@ from reference_bijections import gamma_merge as reference_gamma_merge
 from reference_fill_search import enumerate_pavings as reference_pavings
 from reference_fill_search import reference_domino_fills
 from reference_fillstate import ReferenceFillState, reference_validate
-from reference_genfun import enumerated_genfun, streamed_genfun
+from reference_genfun import enumerated_genfun, fillstate_domino_genfun, streamed_genfun
 from reference_render import render_ascii as reference_render_ascii
 from reference_tableaux import enumerate_tableaux as reference_enumerate_tableaux
 from reference_tableaux import validate_tableau as reference_validate_tableau
@@ -331,6 +332,35 @@ def test_genfun_matches_streamed(family, n, max_size):
     for lam in partitions_up_to(max_size):
         new = _genfun_or_error(domino_genfun, family, lam, n)
         assert new == _genfun_or_error(streamed_genfun, family, lam, n), lam
+        nonzero += new is not ValueError and bool(new.terms)
+    assert nonzero > 15
+
+
+# (family, variables, max size) for the comparison with the transfer that
+# rebuilt a FillState per state.  The set-valued families with n=3 stop at
+# size 12.
+FILLSTATE_CASES = [
+    (family, n, 12 if family.set_valued and n == 3 else 14)
+    for family in FAMILIES
+    for n in (2, 3)
+]
+
+
+@pytest.mark.parametrize(
+    "family,n,max_size", FILLSTATE_CASES, ids=[f"{c[0].name}-n{c[1]}" for c in FILLSTATE_CASES]
+)
+def test_domino_genfun_matches_fillstate_transfer(family, n, max_size):
+    """The same polynomial as the transfer that judged each edge through a
+    ``FillState`` rebuilt from the state's frontier, shape by shape, on every
+    shape up to ``max_size`` (and GQ (6,5,5,4) with n=2); shapes that raise
+    ValueError raise it in both."""
+    cases = list(partitions_up_to(max_size))
+    if family is SHIFTED_SET_VALUED and n == 2:
+        cases.append((6, 5, 5, 4))
+    nonzero = 0
+    for lam in cases:
+        new = _genfun_or_error(domino_genfun, family, lam, n)
+        assert new == _genfun_or_error(fillstate_domino_genfun, family, lam, n), lam
         nonzero += new is not ValueError and bool(new.terms)
     assert nonzero > 15
 
