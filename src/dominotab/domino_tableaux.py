@@ -20,7 +20,9 @@ Validity follows the flat families, read on domino fills:
 paths of the shape's tiling automaton (``pavings._tiling_automaton``, one
 step per even-content cell, in diagonal reading order) in a single
 depth-first search that chooses each domino and its fill together.  This
-module keeps the fills: ``FillState`` and that search.
+module keeps the fills: ``FillState``, that search, and ``piece_relation``,
+the rules of ``FillState`` stated for one pair of pieces, by which
+``polyring.domino_genfun`` judges fills from a frontier without a state.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class FillState:
     Against the placed pieces, the ordering, multiplicity and southeast
     rules bound only the minimum and the maximum of a new fill.  ``bounds``
     computes those bounds once per domino until the next ``add`` or ``pop``,
-    and ``check`` compares each fill against them.
+    and ``check`` compares each fill against them.  ``piece_relation``
+    states the same rules pairwise, one placed piece at a time.
     """
 
     def __init__(self, family: Family):
@@ -235,6 +238,56 @@ class FillState:
         del self.mins[first], self.mins[last]
         if fill != X_FILL and self.set_valued:
             self.by_diagonal[(dom.dtype(), dom.crossing())].pop()
+
+
+# The bounds a placed piece puts on a fill of another domino, as flags of
+# ``piece_relation``; lo and hi are the placed fill's minimum and maximum.
+LEFT = 1  # it covers a left cell: left >= lo, for fill_floor(left, above)
+ABOVE = 2  # it covers an upper cell: above >= lo
+RIGHT = 4  # it covers a right cell: min <= lo - (lo & 1)
+BELOW = 8  # it covers a lower cell: min <= (lo - 1) | 1
+# Set-valued families only: a piece of the same type two diagonals down ...
+SE_DOWN_FLOOR = 16  # ... with the domino's last cell weakly SE of its first: min >= hi + (hi & 1)
+SE_DOWN_CAP = 32  # ... with its last cell weakly SE of the domino's first: max | 1 <= lo
+# ... or two diagonals up.
+SE_UP_FLOOR = 64  # the domino's last cell weakly SE of its first: min >= hi | 1
+SE_UP_CAP = 128  # its last cell weakly SE of the domino's first: max + (max & 1) <= lo
+
+
+def piece_relation(dom: Domino, other: Domino, set_valued: bool) -> int:
+    """Which bounds a placed piece on ``other`` puts on a fill of ``dom``,
+    as the sum of the flags above; 0 for none.  The dominoes must not
+    overlap.
+
+    These are the rules of ``FillState.bounds``, one piece at a time.
+    Folded over a set of placed pieces they give its bounds: left and above
+    are the largest lo of their pieces, floor is the largest of
+    ``fill_floor(left, above)`` and the southeast floors, cap the least of
+    the right and lower caps, and odd_cap and even_cap the least lo of their
+    pieces.  A fill is accepted iff floor <= min <= cap,
+    max | 1 <= odd_cap and max + (max & 1) <= even_cap.
+    """
+    (r, c), (last_r, last_c) = dom.cells()
+    o_first, o_last = other.cells()
+    if dom.horiz:
+        left, right = ((r, c - 1),), ((r, c + 2),)
+        above, below = ((r - 1, c), (r - 1, c + 1)), ((r + 1, c), (r + 1, c + 1))
+    else:
+        left, right = ((r, c - 1), (r + 1, c - 1)), ((r, c + 1), (r + 1, c + 1))
+        above, below = ((r - 1, c),), ((r + 2, c),)
+    rel = 0
+    for flag, cells in ((LEFT, left), (ABOVE, above), (RIGHT, right), (BELOW, below)):
+        if o_first in cells or o_last in cells:
+            rel |= flag
+    if set_valued and other.dtype() == dom.dtype():
+        (o_r, o_c), (o_last_r, o_last_c) = o_first, o_last
+        after = last_r >= o_r and last_c >= o_c  # dom's last cell weakly SE of other's first
+        before = o_last_r >= r and o_last_c >= c  # and other's last cell of dom's first
+        if other.crossing() == dom.crossing() - 2:
+            rel |= SE_DOWN_FLOOR * after | SE_DOWN_CAP * before
+        elif other.crossing() == dom.crossing() + 2:
+            rel |= SE_UP_FLOOR * after | SE_UP_CAP * before
+    return rel
 
 
 def validate_domino_tableau(t: DominoTableau) -> bool:

@@ -14,7 +14,20 @@ from operator import lshift
 
 from .partitions import Shape, check_partition, is_staircase_admissible
 from .tableaux import Family, Fill, _candidate_fills, fill_floor, letter_index
-from .domino_tableaux import FillState, Piece, tiling_root
+from .domino_tableaux import (
+    ABOVE,
+    BELOW,
+    INF,
+    LEFT,
+    RIGHT,
+    SE_DOWN_CAP,
+    SE_DOWN_FLOOR,
+    SE_UP_CAP,
+    SE_UP_FLOOR,
+    Piece,
+    piece_relation,
+    tiling_root,
+)
 from .pavings import Node
 # Unused here; the benchmark tracer finds the flat enumerator under this name.
 from .tableaux import enumerate_tableaux  # noqa: F401
@@ -255,13 +268,24 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
       rules: ``FillState.bounds`` reads it, as ``fill_floor`` and its
       mirror, on the same neighbour cells.
 
-    So a state's ``FillState`` is rebuilt from its frontier alone, and its
-    ``bounds`` and ``check`` judge the fills of each edge as in
-    ``domino_fills``.  Those rules read a candidate fill only through its
-    minimum and maximum, so the fills are judged and stored by (min, max)
-    class, and each class carries the summed terms of its fills.  The
-    2-quotient enters only the shifted shape test, never the sum, and the
-    bijection not at all, so the identity check stays independent of them.
+    So each edge's fills are judged from the frontier alone, as
+    ``FillState`` judges them in ``domino_fills``: every rule is pairwise,
+    and ``piece_relation`` states which bounds one placed piece puts on a
+    fill of the edge's domino.  It is computed once per pair of dominoes and
+    call, and the frontier's fills are folded through it into a floor and
+    three caps.  The family rules of ``FillState.check`` never fire here,
+    because the fill classes are admissible already: plain fills are single
+    letters, unshifted fills hold no primed letter, and shifted edges cross
+    at 0 or above.  The rules read a candidate fill only through its minimum
+    and maximum, so the fills are judged and stored by (min, max) class,
+    and each class carries the summed terms of its fills.
+
+    Layer i holds the states at even cell i, and every frontier in it holds
+    the pieces of the same earlier even cells, so the pieces that fall out
+    of the frontier are the same leading ones in each, counted once per
+    layer.  The 2-quotient enters only the shifted shape test, never the
+    sum, and the bijection not at all, so the identity check stays
+    independent of them.
 
     A layer of more than MAX_TRANSFER_STATES states, or of more than
     MAX_TRANSFER_TERMS terms in its polynomials, raises ValueError.
@@ -274,6 +298,8 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     classes = _fill_classes(family, n, bits)
     class_mins = [fill[0] for fill, _ in classes]
     max_rank = class_mins[-1]
+    set_valued = family.set_valued
+    relations: dict[int, dict[int, int]] = {}  # piece_relation by id(dom), id(other)
     total: dict[int, int] = {}
     # A state's key is its node's id and the ids of its frontier's dominoes
     # and fills (one object each per shape and call), so no key hashes a
@@ -282,21 +308,55 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     while layer:
         nxt: dict[tuple[int, ...], tuple[Node, tuple[Piece, ...], dict[int, int]]] = {}
         stored = 0
+        # Every state of a layer sits at the same even cell, and its frontier
+        # holds the pieces of the same earlier even cells, so the pieces to
+        # drop are the same leading ones in every state.
+        some_node, some_frontier, _ = next(iter(layer.values()))
+        ahead = some_node[0][0][2][0]  # the edges of the next even cell, None at the end
+        if ahead is not None:
+            keep_from = ahead[0][0].crossing() - 2
+            drop = sum(1 for dom, _ in some_frontier if dom.crossing() < keep_from)
         for key, (node, frontier, terms) in layer.items():
-            state = FillState(family)
-            for dom, fill in frontier:
-                state.add(dom, fill)
-            edges = node[0]
-            ahead = edges[0][2][0]  # the edges of the next even cell, None at the end
             if ahead is not None:
-                keep_from = ahead[0][0].crossing() - 2
-                drop = sum(1 for dom, _ in frontier if dom.crossing() < keep_from)
                 kept, kept_key = frontier[drop:], key[1 + 2 * drop :]
-            for dom, depth, child in edges:
-                lo_min, lo_max, _, _ = state.bounds(dom)
-                top = bisect_right(class_mins, min(lo_max, max_rank - depth))
-                for fill, fill_terms in classes[bisect_left(class_mins, lo_min) : top]:
-                    if not state.check(dom, fill):
+            for dom, depth, child in node[0]:
+                rels = relations.get(id(dom))
+                if rels is None:
+                    rels = relations[id(dom)] = {}
+                left = above = 0
+                floor, cap, odd_cap, even_cap = 0, INF, INF, INF
+                for other, fill in frontier:
+                    rel = rels.get(id(other))
+                    if rel is None:
+                        rel = rels[id(other)] = piece_relation(dom, other, set_valued)
+                    if not rel:
+                        continue
+                    lo = fill[0]
+                    if rel & LEFT and lo > left:
+                        left = lo
+                    if rel & ABOVE and lo > above:
+                        above = lo
+                    if rel & RIGHT and lo - (lo & 1) < cap:
+                        cap = lo - (lo & 1)
+                    if rel & BELOW and (lo - 1) | 1 < cap:
+                        cap = (lo - 1) | 1
+                    if rel >= SE_DOWN_FLOOR:
+                        hi = fill[-1]
+                        if rel & SE_DOWN_FLOOR and hi + (hi & 1) > floor:
+                            floor = hi + (hi & 1)
+                        if rel & SE_DOWN_CAP and lo < odd_cap:
+                            odd_cap = lo
+                        if rel & SE_UP_FLOOR and hi | 1 > floor:
+                            floor = hi | 1
+                        if rel & SE_UP_CAP and lo < even_cap:
+                            even_cap = lo
+                low = fill_floor(left, above)
+                if low > floor:
+                    floor = low
+                top = bisect_right(class_mins, min(cap, max_rank - depth))
+                for fill, fill_terms in classes[bisect_left(class_mins, floor) : top]:
+                    hi = fill[-1]
+                    if hi | 1 > odd_cap or hi + (hi & 1) > even_cap:
                         continue
                     if ahead is None:  # a complete tiling
                         acc = total

@@ -27,10 +27,20 @@ from conftest import dt_cardinality, up_domino_count
 from dominotab import canonical, domino_tableaux
 from dominotab.bijections import gamma_merge, gamma_split
 from dominotab.domino_tableaux import (
+    ABOVE,
+    BELOW,
+    LEFT,
+    RIGHT,
+    SE_DOWN_CAP,
+    SE_DOWN_FLOOR,
+    SE_UP_CAP,
+    SE_UP_FLOOR,
     DominoTableau,
     domino_fills,
     dt_weight,
     enumerate_domino_tableaux,
+    piece_relation,
+    tiling_root,
     validate_domino_tableau,
 )
 from dominotab.partitions import is_pavable, partitions_up_to
@@ -46,6 +56,7 @@ from dominotab.tableaux import (
     Tableau,
     _candidate_fills,
     enumerate_tableaux,
+    fill_floor,
     validate_tableau,
 )
 from reference_bijections import gamma_merge as reference_gamma_merge
@@ -363,6 +374,69 @@ def test_domino_genfun_matches_fillstate_transfer(family, n, max_size):
         assert new == _genfun_or_error(fillstate_domino_genfun, family, lam, n), lam
         nonzero += new is not ValueError and bool(new.terms)
     assert nonzero > 15
+
+
+def _automaton_dominoes(family, shape):
+    """The distinct dominoes on the edges of the shape's tiling automaton."""
+    root = tiling_root(family, shape)
+    seen, stack, dominoes = {id(root)}, [root], set()
+    while stack:
+        for dom, _, child in stack.pop()[0] or ():
+            dominoes.add(dom)
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+    return dominoes
+
+
+def _fold(rel, fill):
+    """The bounds (floor, cap, odd_cap, even_cap) that one placed piece of
+    ``fill`` in relation ``rel`` puts on a fill, as ``piece_relation`` names
+    them."""
+    lo, hi = fill[0], fill[-1]
+    floor = fill_floor(lo if rel & LEFT else 0, lo if rel & ABOVE else 0)
+    cap = odd_cap = even_cap = float("inf")
+    if rel & RIGHT:
+        cap = lo - (lo & 1)
+    if rel & BELOW:
+        cap = min(cap, (lo - 1) | 1)
+    if rel & SE_DOWN_FLOOR:
+        floor = max(floor, hi + (hi & 1))
+    if rel & SE_DOWN_CAP:
+        odd_cap = lo
+    if rel & SE_UP_FLOOR:
+        floor = max(floor, hi | 1)
+    if rel & SE_UP_CAP:
+        even_cap = lo
+    return (floor, cap, odd_cap, even_cap)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_piece_relation_matches_fillstate_bounds(family):
+    """For every pair of distinct, non-overlapping dominoes on the edges of
+    the tiling automaton of every shape up to size 10, and every (min, max)
+    class of fills over three letters on the placed one, the bounds that
+    ``piece_relation`` names are those of ``FillState.bounds``."""
+    fills = {}
+    for fill in _candidate_fills(family, 3):
+        fills.setdefault((fill[0], fill[-1]), fill)
+    state = domino_tableaux.FillState(family)
+    pairs, flags = 0, 0
+    for lam in shapes(family, 10):
+        dominoes = _automaton_dominoes(family, lam)
+        for dom in dominoes:
+            for other in dominoes:
+                if set(dom.cells()) & set(other.cells()):
+                    continue
+                rel = piece_relation(dom, other, family.set_valued)
+                pairs += 1
+                flags |= rel
+                for fill in fills.values():
+                    state.add(other, fill)
+                    assert state.bounds(dom) == _fold(rel, fill), (lam, dom, other, fill)
+                    state.pop()
+    assert pairs > 600
+    assert flags == (255 if family.set_valued else LEFT | ABOVE | RIGHT | BELOW)
 
 
 # (family, variables, max size) for the comparison with the enumerated flat

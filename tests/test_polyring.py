@@ -129,23 +129,23 @@ def test_domino_genfun_rejects_too_many_states(monkeypatch, capsys):
 
 def test_domino_genfun_never_builds_a_layer_over_the_limit(monkeypatch):
     """The limit holds as states are added, not once a layer is complete:
-    the transfer rebuilds a ``FillState`` for each state it expands, and
-    this test fails if at any of those moments the layer being expanded or
-    the one being built holds more states than the limit."""
+    the transfer calls ``fill_floor`` once for each edge of each state it
+    expands, and this test fails if at any of those moments the layer being
+    expanded or the one being built holds more states than the limit."""
     limit = 1000
     monkeypatch.setattr(polyring, "MAX_TRANSFER_STATES", limit)
     largest = []
+    fill_floor = polyring.fill_floor
 
-    class WatchedState(polyring.FillState):
-        def __init__(self, family):
-            super().__init__(family)
-            local = sys._getframe(1).f_locals
-            size = max(len(local["layer"]), len(local["nxt"]))
-            if size > limit:
-                pytest.fail(f"a layer of {size} states was built")
-            largest.append(size)
+    def watched_floor(left, above):
+        local = sys._getframe(1).f_locals
+        size = max(len(local["layer"]), len(local["nxt"]))
+        if size > limit:
+            pytest.fail(f"a layer of {size} states was built")
+        largest.append(size)
+        return fill_floor(left, above)
 
-    monkeypatch.setattr(polyring, "FillState", WatchedState)
+    monkeypatch.setattr(polyring, "fill_floor", watched_floor)
     with pytest.raises(ValueError):
         domino_genfun(SHIFTED_SET_VALUED, (6, 5, 5, 4), 2)
     assert max(largest) > limit // 2
