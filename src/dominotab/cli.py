@@ -52,8 +52,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         print(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -219,6 +219,25 @@ def test_out_flag(tmp_path, capsys):
     assert code == 0 and dest.read_text().strip() == "([1],[1])"
 
 
+def test_out_flag_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    from dominotab.cli import main
+
+    for dest in (tmp_path / "missing" / "q.txt", tmp_path):
+        assert main(["quotient", "--shape", "[2,2]", "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {dest}: "), err
+
+
+def test_verify_sweep_above_the_size_limit_exits_2(capsys):
+    from dominotab.cli import main
+
+    argv = ["verify", "--family", "plain", "--max-size", "100000", "--vars", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: max size must be at most ")
+
+
 def test_serialization_roundtrips_byte_identical(
     plain_example, set_valued_example, shifted_equivalent_triple, ssyt_t1
 ):
