@@ -14,6 +14,9 @@ from .polyring import Monomial, Polynomial, domino_genfun, genfun, grlex_key
 from .tableaux import Family
 
 MAX_JOBS = 64  # the process pool forks all its workers at the first submit
+# The largest size a sweep may reach: it lists every partition up to that
+# size, 7,338 of them up to size 24.
+MAX_SWEEP_SIZE = 24
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,13 @@ def verify_sweep(
 
     Non-pavable shapes are reported as SKIP so that ranges stay simple to
     specify.  With jobs > 1 the shapes are checked in parallel processes;
-    the report order is identical either way.  More than MAX_JOBS jobs
-    raise ValueError.
+    the report order is identical either way.  More than MAX_JOBS jobs, or
+    a max_size above MAX_SWEEP_SIZE, raise ValueError.
     """
     if jobs > MAX_JOBS:
         raise ValueError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
+    if max_size > MAX_SWEEP_SIZE:
+        raise ValueError(f"max size must be at most {MAX_SWEEP_SIZE}, got {max_size}")
     shapes = list(partitions_up_to(max_size))
     if jobs > 1:
         tasks = [(family.name, lam, n) for lam in shapes]

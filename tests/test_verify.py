@@ -1,3 +1,5 @@
+import pytest
+
 from dominotab import verify
 from dominotab.polyring import Polynomial
 from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED
@@ -49,6 +51,16 @@ def test_sweep_orders_and_skips():
 def test_sweep_zero_size():
     reports = verify_sweep(SHIFTED, 0, 2)
     assert len(reports) == 1 and reports[0].lam == () and reports[0].passed
+
+
+def test_sweep_rejects_a_size_above_the_limit(monkeypatch):
+    def no_listing(max_size):
+        pytest.fail("the shapes were listed")
+
+    monkeypatch.setattr(verify, "partitions_up_to", no_listing)
+    for max_size in (verify.MAX_SWEEP_SIZE + 1, 100_000):
+        with pytest.raises(ValueError, match=f"at most {verify.MAX_SWEEP_SIZE}"):
+            verify_sweep(PLAIN, max_size, 2)
 
 
 def test_sweep_parallel_matches_serial():
