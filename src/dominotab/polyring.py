@@ -308,9 +308,7 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     while layer:
         nxt: dict[tuple[int, ...], tuple[Node, tuple[Piece, ...], dict[int, int]]] = {}
         stored = 0
-        # Every state of a layer sits at the same even cell, and its frontier
-        # holds the pieces of the same earlier even cells, so the pieces to
-        # drop are the same leading ones in every state.
+        # Every frontier of a layer drops the same leading pieces.
         some_node, some_frontier, _ = next(iter(layer.values()))
         ahead = some_node[0][0][2][0]  # the edges of the next even cell, None at the end
         if ahead is not None:
