@@ -151,6 +151,20 @@ def test_domino_genfun_never_builds_a_layer_over_the_limit(monkeypatch):
     assert max(largest) > limit // 2
 
 
+def test_domino_genfun_builds_no_fill_state(monkeypatch):
+    """Edges are judged from the frontier by ``piece_relation``, so the
+    transfer neither imports nor builds a ``FillState``."""
+    from dominotab import domino_tableaux
+
+    def no_state(self, family):
+        pytest.fail("a FillState was built")
+
+    assert not hasattr(polyring, "FillState")
+    monkeypatch.setattr(domino_tableaux.FillState, "__init__", no_state)
+    for family in (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED):
+        assert domino_genfun(family, (4, 3, 1), 2).terms
+
+
 def test_transfers_reject_too_many_terms(monkeypatch, capsys):
     # GQ (6,5,5,4) with n=3 peaks at 2,123,158 terms in one layer and must
     # stay in range.
