@@ -338,7 +338,7 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
                         cap = lo - (lo & 1)
                     if rel & BELOW and (lo - 1) | 1 < cap:
                         cap = (lo - 1) | 1
-                    if rel >= SE_DOWN_FLOOR:
+                    if rel >= SE_DOWN_FLOOR:  # a southeast flag, the high ones
                         hi = fill[-1]
                         if rel & SE_DOWN_FLOOR and hi + (hi & 1) > floor:
                             floor = hi + (hi & 1)
