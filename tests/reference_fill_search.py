@@ -11,10 +11,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Iterator
 
-from dominotab.domino_tableaux import FillState, Piece, _diag_key
+from dominotab.domino_tableaux import Piece, _diag_key
 from dominotab.partitions import Cell, Shape, cells, check_partition
 from dominotab.pavings import Domino, Paving, is_shifted_paving
 from dominotab.tableaux import Family, Fill, X_FILL, _candidate_fills
+from reference_fillstate import IndexedFillState
 
 
 def enumerate_pavings(shape: Shape) -> list[Paving]:
@@ -111,15 +112,15 @@ def _fill_paving(
 
     ``candidates`` is sorted, so the fills whose minimum lies in a range are
     one slice of it.  A domino's range runs from the lowest to the highest
-    minimum that ``FillState.bounds`` allows, and in unshifted families to
-    the column cap at most; ``FillState.check`` still judges every fill of
-    the slice.
+    minimum that ``IndexedFillState.bounds`` allows, and in unshifted
+    families to the column cap at most; ``IndexedFillState.check`` still
+    judges every fill of the slice.
     """
     order = sorted(paving.dominoes, key=_diag_key)
     cand_mins = [fill[0] for fill in candidates]
     max_rank = cand_mins[-1] if candidates else 0
     caps = [max_rank] * len(order) if family.shifted else _column_caps(order, max_rank)
-    state = FillState(family)
+    state = IndexedFillState(family)
 
     def options(i: int) -> Iterator[Fill]:
         dom = order[i]

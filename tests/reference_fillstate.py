@@ -1,10 +1,13 @@
-"""The rule-by-rule ``FillState`` that the indexed checker replaced.
+"""Two checkers that ``FillState`` replaced, kept as oracles.
 
-Each rule is a separate scan over the placed pieces, with minima and maxima
-taken by ``min()`` and ``max()``, and the southeast rule tests the relation
-``weakly_southeast`` that ``FillState.bounds`` restates as index bounds.  It
-is kept here only as the oracle of the differential tests in
-``test_differential.py``.
+``ReferenceFillState`` is the rule-by-rule checker: each rule is a separate
+scan over the placed pieces, with minima and maxima taken by ``min()`` and
+``max()``, and the southeast rule tests the relation ``weakly_southeast``.
+``IndexedFillState`` is the checker that restated those rules as bounds
+over a cell index and a per-diagonal index, with its own neighbour cells
+and southeast comparisons, before ``FillState`` came to fold
+``piece_relation`` over the placed pieces.  Both are kept here only as the
+oracles of the differential tests in ``test_differential.py``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,10 @@ from __future__ import annotations
 from dominotab.domino_tableaux import Piece
 from dominotab.partitions import Cell
 from dominotab.pavings import Domino, Paving, is_shifted_paving
-from dominotab.tableaux import Family, Fill, X_FILL, is_primed
+from dominotab.tableaux import Family, Fill, X_FILL, fill_floor, is_primed
+
+Bounds = tuple[int, float, float, float]
+INF = float("inf")
 
 
 def weakly_southeast(f1: Domino, f2: Domino) -> bool:
@@ -156,6 +162,165 @@ class ReferenceFillState:
             else:
                 for _, c in dom.cells():
                     self.col_unprimed.discard((c, m))
+
+
+class IndexedFillState:
+    """Incremental validity checker over a cell index and a diagonal index.
+
+    Pieces are added one at a time; ``try_add`` accepts a piece only if every
+    family rule involving it and the pieces already present holds.  Adding
+    pieces in any order and succeeding every time is equivalent to full
+    validity of the final tableau (all rules are pairwise or per-piece).
+
+    Fills must be strictly increasing, as ``check_fill`` ensures: the rules
+    read a fill's minimum as ``fill[0]`` and its maximum as ``fill[-1]``.
+    ``add`` and ``pop`` keep these indexes in step with ``pieces``:
+
+    * ``mins`` maps each covered cell to its piece's minimum, ``None`` for X;
+    * ``by_diagonal`` lists the placed non-X pieces of each (type, crossing)
+      as (row, col, last row, last col, min, up_even(max), up_odd(max)),
+      where up_even rounds a rank up to even (a primed letter up to its
+      unprimed one) and up_odd up to odd: the southeast rule reads only the
+      lists two diagonals below and above the new piece.
+
+    Against the placed pieces, the ordering, multiplicity and southeast
+    rules bound only the minimum and the maximum of a new fill.  ``bounds``
+    computes those bounds once per domino until the next ``add`` or ``pop``,
+    and ``check`` compares each fill against them.
+    """
+
+    def __init__(self, family: Family):
+        self.family = family
+        self.shifted = family.shifted
+        self.set_valued = family.set_valued
+        self.pieces: list[Piece] = []
+        self.mins: dict[Cell, int | None] = {}
+        self.by_diagonal: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        self._last_bounds: tuple[Domino, Bounds | None] | None = None
+
+    def bounds(self, dom: Domino) -> Bounds | None:
+        """What the placed pieces require of a fill on ``dom``, or None if
+        ``dom`` overlaps one of them.
+
+        The bounds are (lowest min, highest min, highest up_odd(max),
+        highest up_even(max)); ``inf`` stands for no bound.
+        """
+        last_bounds = self._last_bounds
+        if last_bounds is not None and last_bounds[0] is dom:
+            return last_bounds[1]
+        first, last = dom.cells()
+        mins = self.mins
+        if first in mins or last in mins:
+            self._last_bounds = (dom, None)
+            return None
+        odd_cap = even_cap = INF
+
+        # Ordering and multiplicity: the minima obey ``fill_floor`` cell by
+        # cell, read on the neighbours' minima, so a placed left or upper
+        # neighbour bounds ours from below and a right or lower one, by the
+        # mirror rule, from above: to m - (m & 1) and (m - 1) | 1 for its
+        # minimum m.  The cells of ``dom`` itself are not in ``mins``, which
+        # holds None for X.
+        r, c = first
+        if dom.horiz:
+            left, right = ((r, c - 1),), ((r, c + 2),)
+            above, below = ((r - 1, c), (r - 1, c + 1)), ((r + 1, c), (r + 1, c + 1))
+        else:
+            left, right = ((r, c - 1), (r + 1, c - 1)), ((r, c + 1), (r + 1, c + 1))
+            above, below = ((r - 1, c),), ((r + 2, c),)
+        left_max = above_max = 0
+        for cell in left:
+            m = mins.get(cell)
+            if m is not None and m > left_max:
+                left_max = m
+        for cell in above:
+            m = mins.get(cell)
+            if m is not None and m > above_max:
+                above_max = m
+        lo_min = fill_floor(left_max, above_max)
+        lo_max = INF
+        for cell in right:
+            m = mins.get(cell)
+            if m is not None and m - (m & 1) < lo_max:
+                lo_max = m - (m & 1)
+        for cell in below:
+            m = mins.get(cell)
+            if m is not None and (m - 1) | 1 < lo_max:
+                lo_max = (m - 1) | 1
+
+        # Southeast: for same-type F1, F2 on diagonals two apart with F2
+        # weakly southeast of F1 (F2's last cell weakly southeast of F1's
+        # first), max(F1) <= min(F2), strictly when F2 lies on the higher
+        # diagonal and max(F1) is primed, or on the lower one and max(F1) is
+        # unprimed.  So up_even(max(F1)) <= min(F2) when F2 is higher and
+        # up_odd(max(F1)) <= min(F2) when it is lower.
+        if self.set_valued:
+            last_r, last_c = last
+            dtype, d = dom.dtype(), dom.crossing()
+            for o_r, o_c, o_last_r, o_last_c, o_lo, o_hi_even, _ in self.by_diagonal.get(
+                (dtype, d - 2), ()
+            ):
+                if last_r >= o_r and last_c >= o_c and o_hi_even > lo_min:
+                    lo_min = o_hi_even
+                if o_last_r >= r and o_last_c >= c and o_lo < odd_cap:
+                    odd_cap = o_lo
+            for o_r, o_c, o_last_r, o_last_c, o_lo, _, o_hi_odd in self.by_diagonal.get(
+                (dtype, d + 2), ()
+            ):
+                if last_r >= o_r and last_c >= o_c and o_hi_odd > lo_min:
+                    lo_min = o_hi_odd
+                if o_last_r >= r and o_last_c >= c and o_lo < even_cap:
+                    even_cap = o_lo
+        result = (lo_min, lo_max, odd_cap, even_cap)
+        self._last_bounds = (dom, result)
+        return result
+
+    def check(self, dom: Domino, fill: Fill) -> bool:
+        if fill == X_FILL:  # X exactly on the dominoes below D_0 of shifted shapes
+            return self.shifted and dom.crossing() < 0 and self.bounds(dom) is not None
+        if not self.set_valued and len(fill) != 1:
+            return False
+        if self.shifted:
+            if dom.crossing() < 0:
+                return False
+        else:
+            for r in fill:
+                if is_primed(r):
+                    return False
+        bounds = self.bounds(dom)
+        if bounds is None:
+            return False
+        lo_min, lo_max, odd_cap, even_cap = bounds
+        lo, hi = fill[0], fill[-1]
+        return lo_min <= lo <= lo_max and hi | 1 <= odd_cap and hi + (hi & 1) <= even_cap
+
+    def add(self, dom: Domino, fill: Fill) -> None:
+        self._last_bounds = None
+        first, last = dom.cells()
+        self.pieces.append((dom, fill))
+        if fill == X_FILL:
+            self.mins[first] = self.mins[last] = None
+            return
+        lo, hi = fill[0], fill[-1]
+        self.mins[first] = self.mins[last] = lo
+        if self.set_valued:
+            self.by_diagonal.setdefault((dom.dtype(), dom.crossing()), []).append(
+                (*first, *last, lo, hi + (hi & 1), hi | 1)
+            )
+
+    def try_add(self, dom: Domino, fill: Fill) -> bool:
+        if not self.check(dom, fill):
+            return False
+        self.add(dom, fill)
+        return True
+
+    def pop(self) -> None:
+        self._last_bounds = None
+        dom, fill = self.pieces.pop()
+        first, last = dom.cells()
+        del self.mins[first], self.mins[last]
+        if fill != X_FILL and self.set_valued:
+            self.by_diagonal[(dom.dtype(), dom.crossing())].pop()
 
 
 def reference_validate(t) -> bool:

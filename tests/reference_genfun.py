@@ -3,8 +3,10 @@
 ``streamed_genfun`` sums sign * x^weight over every fill ``domino_fills``
 yields, recomputing the weight and the sign of each tableau from its pieces;
 no ``DominoTableau`` is built.  ``fillstate_domino_genfun`` is the domino
-transfer as it was when it rebuilt a ``FillState`` from each state's
-frontier and judged every edge's fills through it.  ``enumerated_genfun``
+transfer as it was when it rebuilt a checker from each state's frontier
+and judged every edge's fills through it; the checker is
+``IndexedFillState``, which states the rules apart from
+``piece_relation``.  ``enumerated_genfun``
 sums the same over every flat tableau the reference enumerator in
 ``reference_tableaux.py`` lists, so it shares no fill rule with
 ``polyring.genfun``.  They are kept here only as the oracles of the
@@ -16,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from conftest import cardinality
-from dominotab.domino_tableaux import FillState, Piece, domino_fills, dt_weight, tiling_root
+from dominotab.domino_tableaux import Piece, domino_fills, dt_weight, tiling_root
 from dominotab.partitions import Shape, check_partition, up_cell_count
 from dominotab.pavings import Node
 from dominotab.polyring import (
@@ -28,6 +30,7 @@ from dominotab.polyring import (
     _unpack,
 )
 from dominotab.tableaux import Family, Tableau, weight
+from reference_fillstate import IndexedFillState
 from reference_tableaux import enumerate_tableaux
 
 
@@ -96,11 +99,11 @@ def fillstate_domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
       such cells;
     * the southeast rule reads only the pieces of crossing d - 2 and d + 2;
     * the multiplicity rule of the shifted families is part of the ordering
-      rules: ``FillState.bounds`` reads it, as ``fill_floor`` and its
-      mirror, on the same neighbour cells.
+      rules: ``IndexedFillState.bounds`` reads it, as ``fill_floor`` and
+      its mirror, on the same neighbour cells.
 
-    So a state's ``FillState`` is rebuilt from its frontier alone, and its
-    ``bounds`` and ``check`` judge the fills of each edge as in
+    So a state's ``IndexedFillState`` is rebuilt from its frontier alone,
+    and its ``bounds`` and ``check`` judge the fills of each edge as in
     ``domino_fills``.  Those rules read a candidate fill only through its
     minimum and maximum, so the fills are judged and stored by (min, max)
     class, and each class carries the summed terms of its fills.  The
@@ -127,7 +130,7 @@ def fillstate_domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
         nxt: dict[tuple[int, ...], tuple[Node, tuple[Piece, ...], dict[int, int]]] = {}
         stored = 0
         for key, (node, frontier, terms) in layer.items():
-            state = FillState(family)
+            state = IndexedFillState(family)
             for dom, fill in frontier:
                 state.add(dom, fill)
             edges = node[0]

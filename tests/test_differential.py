@@ -2,16 +2,18 @@
 against the definitions they replaced.
 
 ``ReferenceFillState`` (in ``reference_fillstate.py``) is the rule-by-rule
-checker; ``reference_domino_fills`` (in ``reference_fill_search.py``) is the
+checker, and ``IndexedFillState`` (beside it) the checker that stated the
+rules over its own cell and diagonal indexes, apart from ``piece_relation``;
+``reference_domino_fills`` (in ``reference_fill_search.py``) is the
 per-paving fill search, run on the row-major paving backtracker kept beside
-it; ``materialised_genfun`` is the generating function as
-a sum over the enumerated list, and ``streamed_genfun`` (in
-``reference_genfun.py``) the sum over the fills ``domino_fills`` yields,
-``fillstate_domino_genfun`` (beside it) the domino transfer that rebuilt a
-``FillState`` per state, and ``enumerated_genfun`` (beside it) the flat sum
-over the list the reference enumerator returns.  ``reference_tableaux.py`` keeps the flat
-enumerator and validator that count every letter per line, against which
-the single neighbour bound is checked.  ``reference_bijections.py`` keeps the
+it; ``materialised_genfun`` is the generating function as a sum over the
+enumerated list, and ``streamed_genfun`` (in ``reference_genfun.py``) the
+sum over the fills ``domino_fills`` yields, ``fillstate_domino_genfun``
+(beside it) the domino transfer that rebuilt an ``IndexedFillState`` per
+state, and ``enumerated_genfun`` (beside it) the flat sum over the list the
+reference enumerator returns.  ``reference_tableaux.py`` keeps the flat
+enumerator and validator that count every letter per line, against which the
+single neighbour bound is checked.  ``reference_bijections.py`` keeps the
 merge that recomputed the inverse 2-quotient per cell, and
 ``reference_render.py`` the ASCII renderer that asked four wall predicates
 per junction.  The criterion-3 pools are pinned by count and by a digest of
@@ -62,7 +64,7 @@ from dominotab.tableaux import (
 from reference_bijections import gamma_merge as reference_gamma_merge
 from reference_fill_search import enumerate_pavings as reference_pavings
 from reference_fill_search import reference_domino_fills
-from reference_fillstate import ReferenceFillState, reference_validate
+from reference_fillstate import IndexedFillState, ReferenceFillState, reference_validate
 from reference_genfun import enumerated_genfun, fillstate_domino_genfun, streamed_genfun
 from reference_render import render_ascii as reference_render_ascii
 from reference_tableaux import enumerate_tableaux as reference_enumerate_tableaux
@@ -348,8 +350,8 @@ def test_genfun_matches_streamed(family, n, max_size):
 
 
 # (family, variables, max size) for the comparison with the transfer that
-# rebuilt a FillState per state.  The set-valued families with n=3 stop at
-# size 12.
+# rebuilt an IndexedFillState per state.  The set-valued families with n=3
+# stop at size 12.
 FILLSTATE_CASES = [
     (family, n, 12 if family.set_valued and n == 3 else 14)
     for family in FAMILIES
@@ -361,10 +363,10 @@ FILLSTATE_CASES = [
     "family,n,max_size", FILLSTATE_CASES, ids=[f"{c[0].name}-n{c[1]}" for c in FILLSTATE_CASES]
 )
 def test_domino_genfun_matches_fillstate_transfer(family, n, max_size):
-    """The same polynomial as the transfer that judged each edge through a
-    ``FillState`` rebuilt from the state's frontier, shape by shape, on every
-    shape up to ``max_size`` (and GQ (6,5,5,4) with n=2); shapes that raise
-    ValueError raise it in both."""
+    """The same polynomial as the transfer that judged each edge through an
+    ``IndexedFillState`` rebuilt from the state's frontier, shape by shape,
+    on every shape up to ``max_size`` (and GQ (6,5,5,4) with n=2); shapes
+    that raise ValueError raise it in both."""
     cases = list(partitions_up_to(max_size))
     if family is SHIFTED_SET_VALUED and n == 2:
         cases.append((6, 5, 5, 4))
@@ -416,11 +418,13 @@ def test_piece_relation_matches_fillstate_bounds(family):
     """For every pair of distinct, non-overlapping dominoes on the edges of
     the tiling automaton of every shape up to size 10, and every (min, max)
     class of fills over three letters on the placed one, the bounds that
-    ``piece_relation`` names are those of ``FillState.bounds``."""
+    ``piece_relation`` names are those of ``IndexedFillState.bounds``, which
+    states the rules with its own neighbour cells and southeast
+    comparisons."""
     fills = {}
     for fill in _candidate_fills(family, 3):
         fills.setdefault((fill[0], fill[-1]), fill)
-    state = domino_tableaux.FillState(family)
+    state = IndexedFillState(family)
     pairs, flags = 0, 0
     for lam in shapes(family, 10):
         dominoes = _automaton_dominoes(family, lam)
