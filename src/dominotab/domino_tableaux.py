@@ -19,19 +19,24 @@ Validity follows the flat families, read on domino fills:
 ``domino_fills`` enumerates them without listing pavings: it walks the
 paths of the shape's tiling automaton (``pavings._tiling_automaton``, one
 step per even-content cell, in diagonal reading order) in a single
-depth-first search that chooses each domino and its fill together.  This
-module keeps the fills: ``FillState``, that search, and ``piece_relation``,
-the rules of ``FillState`` stated for one pair of pieces, by which
-``polyring.domino_genfun`` judges fills from a frontier without a state.
+depth-first search that chooses each domino and its fill together.
+
+Every rule between two pieces is stated once, in ``piece_relation``: which
+bounds a placed piece puts on a fill of another domino.  ``fold_bounds``
+folds them over a set of placed pieces into a floor on a fill's minimum and
+three caps, and every judge of fills reads them through it: ``FillState``,
+the incremental checker of that search and of ``validate_domino_tableau``,
+and ``polyring.domino_genfun``, which folds a transfer state's frontier.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
-from .partitions import Shape, Cell, check_partition, is_pavable
+from .partitions import MAX_LISTED, Shape, Cell, check_partition, is_pavable
 from .pavings import Domino, Edge, Node, Paving, _tiling_automaton
 from .pavings import is_shifted_pavable, is_shifted_paving
 # Unused here; the benchmark tracer patches the paving enumerator under this name.
@@ -50,7 +55,6 @@ from .tableaux import (
 )
 
 Piece = tuple[Domino, Fill]
-Bounds = tuple[int, float, float, float]
 INF = float("inf")
 
 
@@ -80,166 +84,6 @@ def make_domino_tableau(family: Family, shape: Shape, pieces: Iterable[Piece]) -
     return DominoTableau(family, shape, pieces)
 
 
-class FillState:
-    """Incremental validity checker shared by enumeration and validation.
-
-    Pieces are added one at a time; ``try_add`` accepts a piece only if every
-    family rule involving it and the pieces already present holds.  Adding
-    pieces in any order and succeeding every time is equivalent to full
-    validity of the final tableau (all rules are pairwise or per-piece).
-
-    Fills must be strictly increasing, as ``check_fill`` ensures: the rules
-    read a fill's minimum as ``fill[0]`` and its maximum as ``fill[-1]``.
-    ``add`` and ``pop`` keep these indexes in step with ``pieces``:
-
-    * ``mins`` maps each covered cell to its piece's minimum, ``None`` for X;
-    * ``by_diagonal`` lists the placed non-X pieces of each (type, crossing)
-      as (row, col, last row, last col, min, up_even(max), up_odd(max)),
-      where up_even rounds a rank up to even (a primed letter up to its
-      unprimed one) and up_odd up to odd: the southeast rule reads only the
-      lists two diagonals below and above the new piece.
-
-    Against the placed pieces, the ordering, multiplicity and southeast
-    rules bound only the minimum and the maximum of a new fill.  ``bounds``
-    computes those bounds once per domino until the next ``add`` or ``pop``,
-    and ``check`` compares each fill against them.  ``piece_relation``
-    states the same rules pairwise, one placed piece at a time.
-    """
-
-    def __init__(self, family: Family):
-        self.family = family
-        self.shifted = family.shifted
-        self.set_valued = family.set_valued
-        self.pieces: list[Piece] = []
-        self.mins: dict[Cell, int | None] = {}
-        self.by_diagonal: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        self._last_bounds: tuple[Domino, Bounds | None] | None = None
-
-    def bounds(self, dom: Domino) -> Bounds | None:
-        """What the placed pieces require of a fill on ``dom``, or None if
-        ``dom`` overlaps one of them.
-
-        The bounds are (lowest min, highest min, highest up_odd(max),
-        highest up_even(max)); ``inf`` stands for no bound.
-        """
-        last_bounds = self._last_bounds
-        if last_bounds is not None and last_bounds[0] is dom:
-            return last_bounds[1]
-        first, last = dom.cells()
-        mins = self.mins
-        if first in mins or last in mins:
-            self._last_bounds = (dom, None)
-            return None
-        odd_cap = even_cap = INF
-
-        # Ordering and multiplicity: the minima obey ``fill_floor`` cell by
-        # cell, read on the neighbours' minima, so a placed left or upper
-        # neighbour bounds ours from below and a right or lower one, by the
-        # mirror rule, from above: to m - (m & 1) and (m - 1) | 1 for its
-        # minimum m.  The cells of ``dom`` itself are not in ``mins``, which
-        # holds None for X.
-        r, c = first
-        if dom.horiz:
-            left, right = ((r, c - 1),), ((r, c + 2),)
-            above, below = ((r - 1, c), (r - 1, c + 1)), ((r + 1, c), (r + 1, c + 1))
-        else:
-            left, right = ((r, c - 1), (r + 1, c - 1)), ((r, c + 1), (r + 1, c + 1))
-            above, below = ((r - 1, c),), ((r + 2, c),)
-        left_max = above_max = 0
-        for cell in left:
-            m = mins.get(cell)
-            if m is not None and m > left_max:
-                left_max = m
-        for cell in above:
-            m = mins.get(cell)
-            if m is not None and m > above_max:
-                above_max = m
-        lo_min = fill_floor(left_max, above_max)
-        lo_max = INF
-        for cell in right:
-            m = mins.get(cell)
-            if m is not None and m - (m & 1) < lo_max:
-                lo_max = m - (m & 1)
-        for cell in below:
-            m = mins.get(cell)
-            if m is not None and (m - 1) | 1 < lo_max:
-                lo_max = (m - 1) | 1
-
-        # Southeast: for same-type F1, F2 on diagonals two apart with F2
-        # weakly southeast of F1 (F2's last cell weakly southeast of F1's
-        # first), max(F1) <= min(F2), strictly when F2 lies on the higher
-        # diagonal and max(F1) is primed, or on the lower one and max(F1) is
-        # unprimed.  So up_even(max(F1)) <= min(F2) when F2 is higher and
-        # up_odd(max(F1)) <= min(F2) when it is lower.
-        if self.set_valued:
-            last_r, last_c = last
-            dtype, d = dom.dtype(), dom.crossing()
-            for o_r, o_c, o_last_r, o_last_c, o_lo, o_hi_even, _ in self.by_diagonal.get(
-                (dtype, d - 2), ()
-            ):
-                if last_r >= o_r and last_c >= o_c and o_hi_even > lo_min:
-                    lo_min = o_hi_even
-                if o_last_r >= r and o_last_c >= c and o_lo < odd_cap:
-                    odd_cap = o_lo
-            for o_r, o_c, o_last_r, o_last_c, o_lo, _, o_hi_odd in self.by_diagonal.get(
-                (dtype, d + 2), ()
-            ):
-                if last_r >= o_r and last_c >= o_c and o_hi_odd > lo_min:
-                    lo_min = o_hi_odd
-                if o_last_r >= r and o_last_c >= c and o_lo < even_cap:
-                    even_cap = o_lo
-        result = (lo_min, lo_max, odd_cap, even_cap)
-        self._last_bounds = (dom, result)
-        return result
-
-    def check(self, dom: Domino, fill: Fill) -> bool:
-        if fill == X_FILL:  # X exactly on the dominoes below D_0 of shifted shapes
-            return self.shifted and dom.crossing() < 0 and self.bounds(dom) is not None
-        if not self.set_valued and len(fill) != 1:
-            return False
-        if self.shifted:
-            if dom.crossing() < 0:
-                return False
-        else:
-            for r in fill:
-                if is_primed(r):
-                    return False
-        bounds = self.bounds(dom)
-        if bounds is None:
-            return False
-        lo_min, lo_max, odd_cap, even_cap = bounds
-        lo, hi = fill[0], fill[-1]
-        return lo_min <= lo <= lo_max and hi | 1 <= odd_cap and hi + (hi & 1) <= even_cap
-
-    def add(self, dom: Domino, fill: Fill) -> None:
-        self._last_bounds = None
-        first, last = dom.cells()
-        self.pieces.append((dom, fill))
-        if fill == X_FILL:
-            self.mins[first] = self.mins[last] = None
-            return
-        lo, hi = fill[0], fill[-1]
-        self.mins[first] = self.mins[last] = lo
-        if self.set_valued:
-            self.by_diagonal.setdefault((dom.dtype(), dom.crossing()), []).append(
-                (*first, *last, lo, hi + (hi & 1), hi | 1)
-            )
-
-    def try_add(self, dom: Domino, fill: Fill) -> bool:
-        if not self.check(dom, fill):
-            return False
-        self.add(dom, fill)
-        return True
-
-    def pop(self) -> None:
-        self._last_bounds = None
-        dom, fill = self.pieces.pop()
-        first, last = dom.cells()
-        del self.mins[first], self.mins[last]
-        if fill != X_FILL and self.set_valued:
-            self.by_diagonal[(dom.dtype(), dom.crossing())].pop()
-
-
 # The bounds a placed piece puts on a fill of another domino, as flags of
 # ``piece_relation``; lo and hi are the placed fill's minimum and maximum.
 LEFT = 1  # it covers a left cell: left >= lo, for fill_floor(left, above)
@@ -259,35 +103,175 @@ def piece_relation(dom: Domino, other: Domino, set_valued: bool) -> int:
     as the sum of the flags above; 0 for none.  The dominoes must not
     overlap.
 
-    These are the rules of ``FillState.bounds``, one piece at a time.
-    Folded over a set of placed pieces they give its bounds: left and above
-    are the largest lo of their pieces, floor is the largest of
-    ``fill_floor(left, above)`` and the southeast floors, cap the least of
-    the right and lower caps, and odd_cap and even_cap the least lo of their
-    pieces.  A fill is accepted iff floor <= min <= cap,
-    max | 1 <= odd_cap and max + (max & 1) <= even_cap.
+    Ordering and multiplicity: the minima obey ``fill_floor`` cell by cell,
+    so a left or upper neighbour bounds the minimum from below and a right
+    or lower one, by the mirror rule, from above.  Southeast: for same-type
+    F1, F2 on diagonals two apart with F2's last cell weakly southeast of
+    F1's first, max(F1) <= min(F2), strictly when F2 lies on the higher
+    diagonal and max(F1) is primed, or on the lower one and max(F1) is
+    unprimed; up_even(max(F1)) <= min(F2) and up_odd(max(F1)) <= min(F2)
+    state the two cases, where up_even rounds a rank up to even (a primed
+    letter up to its unprimed one) and up_odd up to odd.
     """
     (r, c), (last_r, last_c) = dom.cells()
-    o_first, o_last = other.cells()
-    if dom.horiz:
-        left, right = ((r, c - 1),), ((r, c + 2),)
-        above, below = ((r - 1, c), (r - 1, c + 1)), ((r + 1, c), (r + 1, c + 1))
+    (o_r, o_c), (o_last_r, o_last_c) = other.cells()
+    # A domino covers its first row in every column it spans and its first
+    # column in every row, so a piece whose rows meet the domino's can only
+    # be a left or right neighbour, and one whose columns meet an upper or
+    # lower one; no piece meets both without overlapping the domino.
+    if o_r <= last_r and o_last_r >= r:
+        rel = LEFT if o_last_c == c - 1 else RIGHT if o_c == last_c + 1 else 0
+    elif o_c <= last_c and o_last_c >= c:
+        rel = ABOVE if o_last_r == r - 1 else BELOW if o_r == last_r + 1 else 0
     else:
-        left, right = ((r, c - 1), (r + 1, c - 1)), ((r, c + 1), (r + 1, c + 1))
-        above, below = ((r - 1, c),), ((r + 2, c),)
-    rel = 0
-    for flag, cells in ((LEFT, left), (ABOVE, above), (RIGHT, right), (BELOW, below)):
-        if o_first in cells or o_last in cells:
-            rel |= flag
+        rel = 0
     if set_valued and other.dtype() == dom.dtype():
-        (o_r, o_c), (o_last_r, o_last_c) = o_first, o_last
         after = last_r >= o_r and last_c >= o_c  # dom's last cell weakly SE of other's first
         before = o_last_r >= r and o_last_c >= c  # and other's last cell of dom's first
-        if other.crossing() == dom.crossing() - 2:
+        gap = other.crossing() - dom.crossing()
+        if gap == -2:
             rel |= SE_DOWN_FLOOR * after | SE_DOWN_CAP * before
-        elif other.crossing() == dom.crossing() + 2:
+        elif gap == 2:
             rel |= SE_UP_FLOOR * after | SE_UP_CAP * before
     return rel
+
+
+def fold_bounds(
+    dom: Domino, pieces: Iterable[Piece], rels: dict[int, int], set_valued: bool
+) -> tuple[int, float, float, float]:
+    """What the placed non-X ``pieces`` require of a fill on ``dom``:
+    (floor, cap, odd_cap, even_cap), with ``inf`` for no bound.  A fill is
+    accepted iff floor <= min <= cap, max | 1 <= odd_cap and
+    max + (max & 1) <= even_cap.
+
+    Each piece is read through ``piece_relation``: left and above are the
+    largest minimum of their pieces, floor the largest of
+    ``fill_floor(left, above)`` and the southeast floors, cap the least of
+    the right and lower caps, and odd_cap and even_cap the least minimum of
+    their pieces.  ``rels`` memoises the relations of ``dom`` by the id of
+    the other domino; the caller keeps every domino it keys alive.
+    """
+    left = above = 0
+    floor, cap, odd_cap, even_cap = 0, INF, INF, INF
+    for other, fill in pieces:
+        rel = rels.get(id(other))
+        if rel is None:
+            rel = rels[id(other)] = piece_relation(dom, other, set_valued)
+        if not rel:
+            continue
+        lo = fill[0]
+        if rel & LEFT and lo > left:
+            left = lo
+        if rel & ABOVE and lo > above:
+            above = lo
+        if rel & RIGHT and lo - (lo & 1) < cap:
+            cap = lo - (lo & 1)
+        if rel & BELOW and (lo - 1) | 1 < cap:
+            cap = (lo - 1) | 1
+        if rel >= SE_DOWN_FLOOR:  # a southeast flag, the high ones
+            hi = fill[-1]
+            if rel & SE_DOWN_FLOOR and hi + (hi & 1) > floor:
+                floor = hi + (hi & 1)
+            if rel & SE_DOWN_CAP and lo < odd_cap:
+                odd_cap = lo
+            if rel & SE_UP_FLOOR and hi | 1 > floor:
+                floor = hi | 1
+            if rel & SE_UP_CAP and lo < even_cap:
+                even_cap = lo
+    low = fill_floor(left, above)
+    return (low if low > floor else floor, cap, odd_cap, even_cap)
+
+
+class FillState:
+    """Incremental validity checker shared by enumeration and validation.
+
+    Pieces are added one at a time; ``try_add`` accepts a piece only if every
+    family rule involving it and the pieces already present holds.  Adding
+    pieces in any order and succeeding every time is equivalent to full
+    validity of the final tableau (all rules are pairwise or per-piece).
+
+    Fills must be strictly increasing, as ``check_fill`` ensures: the rules
+    read a fill's minimum as ``fill[0]`` and its maximum as ``fill[-1]``.
+    ``add`` and ``pop`` keep the covered cells and the non-X pieces of each
+    crossing in step with ``pieces``.  A piece of crossing d is bounded only
+    by the pieces of crossing d - 2, d and d + 2: they alone cover its
+    neighbour cells or lie two diagonals away.  ``bounds`` folds those
+    through ``fold_bounds`` once per domino until the next ``add`` or
+    ``pop``, and ``check`` compares each fill against the result after the
+    per-piece family rules.  The relation memo keeps every domino it keys,
+    so a state that outlives the dominoes of one shape never reads a
+    relation under a recycled id.
+    """
+
+    def __init__(self, family: Family):
+        self.family = family
+        self.shifted = family.shifted
+        self.set_valued = family.set_valued
+        self.pieces: list[Piece] = []
+        self.covered: set[Cell] = set()
+        self.by_crossing: dict[int, list[Piece]] = {}
+        self.relations: dict[int, tuple[Domino, dict[int, int]]] = {}
+        self._last_bounds: tuple[Domino, tuple | None] | None = None
+
+    def bounds(self, dom: Domino) -> tuple[int, float, float, float] | None:
+        """``fold_bounds`` over the placed pieces, or None if ``dom``
+        overlaps one of them."""
+        last_bounds = self._last_bounds
+        if last_bounds is not None and last_bounds[0] is dom:
+            return last_bounds[1]
+        first, last = dom.cells()
+        if first in self.covered or last in self.covered:
+            result = None
+        else:
+            entry = self.relations.get(id(dom))
+            if entry is None:  # the entry holds dom, so no other domino takes its id
+                entry = self.relations[id(dom)] = (dom, {})
+            d, placed = dom.crossing(), self.by_crossing
+            near = (*placed.get(d - 2, ()), *placed.get(d, ()), *placed.get(d + 2, ()))
+            result = fold_bounds(dom, near, entry[1], self.set_valued)
+        self._last_bounds = (dom, result)
+        return result
+
+    def check(self, dom: Domino, fill: Fill) -> bool:
+        if fill == X_FILL:  # X exactly on the dominoes below D_0 of shifted shapes
+            return self.shifted and dom.crossing() < 0 and self.bounds(dom) is not None
+        if not self.set_valued and len(fill) != 1:
+            return False
+        if self.shifted:
+            if dom.crossing() < 0:
+                return False
+        else:
+            for r in fill:
+                if is_primed(r):
+                    return False
+        bounds = self.bounds(dom)
+        if bounds is None:
+            return False
+        floor, cap, odd_cap, even_cap = bounds
+        lo, hi = fill[0], fill[-1]
+        return floor <= lo <= cap and hi | 1 <= odd_cap and hi + (hi & 1) <= even_cap
+
+    def add(self, dom: Domino, fill: Fill) -> None:
+        self._last_bounds = None
+        if id(dom) not in self.relations:  # hold dom: later relations key its id
+            self.relations[id(dom)] = (dom, {})
+        self.pieces.append((dom, fill))
+        self.covered.update(dom.cells())
+        if fill != X_FILL:
+            self.by_crossing.setdefault(dom.crossing(), []).append((dom, fill))
+
+    def try_add(self, dom: Domino, fill: Fill) -> bool:
+        if not self.check(dom, fill):
+            return False
+        self.add(dom, fill)
+        return True
+
+    def pop(self) -> None:
+        self._last_bounds = None
+        dom, fill = self.pieces.pop()
+        self.covered.difference_update(dom.cells())
+        if fill != X_FILL:
+            self.by_crossing[dom.crossing()].pop()
 
 
 def validate_domino_tableau(t: DominoTableau) -> bool:
@@ -365,10 +349,14 @@ def enumerate_domino_tableaux(
     """All valid domino tableaux with letters <= max_letter, sorted by pieces.
 
     The tableaux are those ``domino_fills`` yields: for shifted families one
-    representative per equivalence class.
+    representative per equivalence class.  More than MAX_LISTED of them
+    raise ValueError, once one more than that is found.
     """
     shape = check_partition(shape)
-    out = [DominoTableau(family, shape, p) for p in domino_fills(family, shape, max_letter)]
+    fills = islice(domino_fills(family, shape, max_letter), MAX_LISTED + 1)
+    out = [DominoTableau(family, shape, p) for p in fills]
+    if len(out) > MAX_LISTED:
+        raise ValueError(f"shape {shape} has more than {MAX_LISTED} domino tableaux")
     out.sort(key=lambda t: t.pieces)
     return out
 
@@ -395,8 +383,8 @@ def domino_fills(
     dominoes arrive in diagonal reading order, a prefix shared by many
     pavings is filled once, and no path ends in a dead-end tiling.  The
     candidate fills are sorted, so the fills whose minimum lies in a range
-    are one slice of them.  A domino's range runs from the lowest to the
-    highest minimum that ``FillState.bounds`` allows, and to the top rank
+    are one slice of them.  A domino's range runs from the floor to the cap
+    that ``fold_bounds`` gives over the placed pieces, and to the top rank
     less the edge's column depth at most; ``FillState.check`` still judges
     every fill of the slice.
 

@@ -16,6 +16,12 @@ from typing import Iterable, Iterator, Sequence
 Shape = tuple[int, ...]
 Cell = tuple[int, int]
 
+# The most pavings or tableaux that ``enumerate_pavings``,
+# ``enumerate_tableaux`` or ``enumerate_domino_tableaux`` returns; a longer
+# list raises ValueError.  The longest lists the tests and the README ask
+# for hold about 50,000 tableaux.
+MAX_LISTED = 200_000
+
 
 def is_partition(parts: Sequence[int]) -> bool:
     """True iff the sequence is nonincreasing with all entries integers >= 1
@@ -72,11 +78,6 @@ def diagonal_cells(shape: Shape, d: int) -> list[Cell]:
         out.append((r, r + d))
         r += 1
     return out
-
-
-def up_cell_count(shape: Shape) -> int:
-    """Number of cells of nonnegative content (weakly northeast of D_0)."""
-    return sum(max(0, length - (r - 1)) for r, length in enumerate(shape, start=1))
 
 
 def is_staircase_admissible(shape: Shape) -> bool:

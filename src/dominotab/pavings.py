@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .partitions import Shape, Cell, cells, check_partition
+from .partitions import MAX_LISTED, Shape, Cell, cells, check_partition
 from .partitions import is_staircase_admissible, two_quotient
 
 
@@ -78,11 +78,14 @@ def enumerate_pavings(shape: Shape) -> list[Paving]:
 
     They are sorted as a row-major backtracker finds them, covering the
     first free cell by a horizontal domino before a vertical one.  The list
-    is empty iff the shape is not pavable.
+    is empty iff the shape is not pavable.  A shape with more than
+    MAX_LISTED pavings raises ValueError before any is listed.
     """
     shape = check_partition(shape)
     out: list[Paving] = []
     root = _tiling_automaton(shape, False)
+    if root is not None and _count_paths(root) > MAX_LISTED:
+        raise ValueError(f"shape {shape} has more than {MAX_LISTED} pavings")
     stack = [] if root is None else [(root, ())]
     while stack:
         node, placed = stack.pop()
@@ -92,6 +95,26 @@ def enumerate_pavings(shape: Shape) -> list[Paving]:
             stack.extend((child, placed + (dom,)) for dom, _, child in node[0])
     out.sort(key=lambda p: [(d.row, d.col, not d.horiz) for d in p.dominoes])
     return out
+
+
+def _count_paths(root: Node) -> int:
+    """The number of paths from ``root`` to a complete node: each node's
+    count is the sum of its children's, found child first without
+    recursion."""
+    counts: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node[0] is None:
+            counts[id(node)] = 1
+        else:
+            todo = [child for _, _, child in node[0] if id(child) not in counts]
+            if todo:
+                stack.extend(todo)
+                continue
+            counts[id(node)] = sum(counts[id(child)] for _, _, child in node[0])
+        stack.pop()
+    return counts[id(root)]
 
 
 def is_shifted_paving(paving: Paving) -> bool:

@@ -14,20 +14,7 @@ from operator import lshift
 
 from .partitions import Shape, check_partition, is_staircase_admissible
 from .tableaux import Family, Fill, _candidate_fills, fill_floor, letter_index
-from .domino_tableaux import (
-    ABOVE,
-    BELOW,
-    INF,
-    LEFT,
-    RIGHT,
-    SE_DOWN_CAP,
-    SE_DOWN_FLOOR,
-    SE_UP_CAP,
-    SE_UP_FLOOR,
-    Piece,
-    piece_relation,
-    tiling_root,
-)
+from .domino_tableaux import Piece, fold_bounds, tiling_root
 from .pavings import Node
 # Unused here; the benchmark tracer finds the flat enumerator under this name.
 from .tableaux import enumerate_tableaux  # noqa: F401
@@ -265,20 +252,21 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
       such cells;
     * the southeast rule reads only the pieces of crossing d - 2 and d + 2;
     * the multiplicity rule of the shifted families is part of the ordering
-      rules: ``FillState.bounds`` reads it, as ``fill_floor`` and its
-      mirror, on the same neighbour cells.
+      rules: ``piece_relation`` reads it, as ``fill_floor`` and its mirror,
+      on the same neighbour cells.
 
-    So each edge's fills are judged from the frontier alone, as
-    ``FillState`` judges them in ``domino_fills``: every rule is pairwise,
-    and ``piece_relation`` states which bounds one placed piece puts on a
-    fill of the edge's domino.  It is computed once per pair of dominoes and
-    call, and the frontier's fills are folded through it into a floor and
-    three caps.  The family rules of ``FillState.check`` never fire here,
-    because the fill classes are admissible already: plain fills are single
-    letters, unshifted fills hold no primed letter, and shifted edges cross
-    at 0 or above.  The rules read a candidate fill only through its minimum
-    and maximum, so the fills are judged and stored by (min, max) class,
-    and each class carries the summed terms of its fills.
+    So each edge's fills are judged from the frontier alone: every rule is
+    pairwise, and ``fold_bounds`` folds the frontier into a floor and three
+    caps, as it folds the placed pieces for the fill search and the
+    validator.  Its relation memo is per call and keyed by id, which is
+    safe because the automaton keeps every domino alive until the call
+    ends.  The per-piece family rules, which ``FillState.check`` adds for
+    those two, never fire here, because the fill classes are admissible
+    already: plain fills are single letters, unshifted fills hold no primed
+    letter, and shifted edges cross at 0 or above.  The rules read a
+    candidate fill only through its minimum and maximum, so the fills are
+    judged and stored by (min, max) class, and each class carries the
+    summed terms of its fills.
 
     Layer i holds the states at even cell i, and every frontier in it holds
     the pieces of the same earlier even cells, so the pieces that fall out
@@ -321,36 +309,7 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
                 rels = relations.get(id(dom))
                 if rels is None:
                     rels = relations[id(dom)] = {}
-                left = above = 0
-                floor, cap, odd_cap, even_cap = 0, INF, INF, INF
-                for other, fill in frontier:
-                    rel = rels.get(id(other))
-                    if rel is None:
-                        rel = rels[id(other)] = piece_relation(dom, other, set_valued)
-                    if not rel:
-                        continue
-                    lo = fill[0]
-                    if rel & LEFT and lo > left:
-                        left = lo
-                    if rel & ABOVE and lo > above:
-                        above = lo
-                    if rel & RIGHT and lo - (lo & 1) < cap:
-                        cap = lo - (lo & 1)
-                    if rel & BELOW and (lo - 1) | 1 < cap:
-                        cap = (lo - 1) | 1
-                    if rel >= SE_DOWN_FLOOR:  # a southeast flag, the high ones
-                        hi = fill[-1]
-                        if rel & SE_DOWN_FLOOR and hi + (hi & 1) > floor:
-                            floor = hi + (hi & 1)
-                        if rel & SE_DOWN_CAP and lo < odd_cap:
-                            odd_cap = lo
-                        if rel & SE_UP_FLOOR and hi | 1 > floor:
-                            floor = hi | 1
-                        if rel & SE_UP_CAP and lo < even_cap:
-                            even_cap = lo
-                low = fill_floor(left, above)
-                if low > floor:
-                    floor = low
+                floor, cap, odd_cap, even_cap = fold_bounds(dom, frontier, rels, set_valued)
                 top = bisect_right(class_mins, min(cap, max_rank - depth))
                 for fill, fill_terms in classes[bisect_left(class_mins, floor) : top]:
                     hi = fill[-1]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .partitions import (
+    MAX_LISTED,
     Shape,
     cells,
     check_partition,
@@ -68,15 +69,6 @@ def format_fill(fill: Fill) -> str:
     if len(fill) == 1:
         return format_letter(fill[0])
     return "{" + ",".join(format_letter(r) for r in fill) + "}"
-
-
-def parse_fill(text: str) -> Fill:
-    text = text.strip()
-    if text == "X":
-        return X_FILL
-    if text.startswith("{") and text.endswith("}"):
-        text = text[1:-1]
-    return check_fill(tuple(parse_letter(part) for part in text.split(",")))
 
 
 def check_fill(fill: Fill) -> Fill:
@@ -325,7 +317,8 @@ def enumerate_tableaux(family: Family, shape: Shape, max_letter: int) -> list[Ta
     fill order, so the output is duplicate-free and lexicographically sorted
     by row-major fill sequence.  The fills a cell may take are the sorted
     candidates from the first whose minimum meets ``fill_floor`` on, and
-    the walk is iterative, so a long shape needs no deep recursion.
+    the walk is iterative, so a long shape needs no deep recursion.  More
+    than MAX_LISTED tableaux raise ValueError, once one more is found.
     """
     shape = check_partition(shape)
     if family.shifted and not is_staircase_admissible(shape):
@@ -342,6 +335,8 @@ def enumerate_tableaux(family: Family, shape: Shape, max_letter: int) -> list[Ta
     while True:
         k = len(tries)
         if k == len(letter_cells):
+            if len(out) == MAX_LISTED:
+                raise ValueError(f"shape {shape} has more than {MAX_LISTED} tableaux")
             out.append(Tableau(family, shape, tuple(map(tuple, grid))))
         else:
             r, c = letter_cells[k]

@@ -10,9 +10,26 @@ from dominotab.tableaux import (
     SET_VALUED,
     SHIFTED,
     SHIFTED_SET_VALUED,
+    X_FILL,
+    check_fill,
     make_tableau,
-    parse_fill,
+    parse_letter,
 )
+
+
+def parse_fill(text):
+    """A fill from its text: ``X``, one letter, or ``{a,b,...}``."""
+    text = text.strip()
+    if text == "X":
+        return X_FILL
+    if text.startswith("{") and text.endswith("}"):
+        text = text[1:-1]
+    return check_fill(tuple(parse_letter(part) for part in text.split(",")))
+
+
+def up_cell_count(shape):
+    """Number of cells of nonnegative content (weakly northeast of D_0)."""
+    return sum(max(0, length - (r - 1)) for r, length in enumerate(shape, start=1))
 
 
 def dt(family, shape, pieces):

@@ -5,11 +5,10 @@ yields, recomputing the weight and the sign of each tableau from its pieces;
 no ``DominoTableau`` is built.  ``fillstate_domino_genfun`` is the domino
 transfer as it was when it rebuilt a checker from each state's frontier
 and judged every edge's fills through it; the checker is
-``IndexedFillState``, which states the rules apart from
-``piece_relation``.  ``enumerated_genfun``
-sums the same over every flat tableau the reference enumerator in
-``reference_tableaux.py`` lists, so it shares no fill rule with
-``polyring.genfun``.  They are kept here only as the oracles of the
+``IndexedFillState``, which states the rules apart from ``piece_relation``.
+``enumerated_genfun`` sums the same over every flat tableau the reference
+enumerator in ``reference_tableaux.py`` lists, so it shares no fill rule
+with ``polyring.genfun``.  They are kept here only as the oracles of the
 differential tests in ``test_differential.py``.
 """
 
@@ -17,9 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from conftest import cardinality
+from conftest import cardinality, up_cell_count
 from dominotab.domino_tableaux import Piece, domino_fills, dt_weight, tiling_root
-from dominotab.partitions import Shape, check_partition, up_cell_count
+from dominotab.partitions import Shape, check_partition
 from dominotab.pavings import Node
 from dominotab.polyring import (
     MAX_TRANSFER_STATES,

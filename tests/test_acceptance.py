@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import homogeneous_component, tb
+from conftest import homogeneous_component, tb, up_cell_count
 from dominotab.bijections import gamma_merge, gamma_split
 from dominotab.domino_tableaux import (
     enumerate_domino_tableaux,
@@ -16,7 +16,6 @@ from dominotab.partitions import (
     is_pavable,
     partitions_up_to,
     two_quotient,
-    up_cell_count,
 )
 from dominotab.pavings import is_shifted_pavable
 from dominotab.polyring import genfun

@@ -6,12 +6,12 @@ import sys
 
 import pytest
 
-from conftest import dt, tb
+from conftest import dt, parse_fill, tb
 from dominotab import canonical
 from dominotab.cli import run
 from dominotab.domino_tableaux import diagonal_reading
 from dominotab.render import parse_canonical_header, render_ascii, render_latex
-from dominotab.tableaux import PLAIN, SHIFTED, make_tableau, parse_fill
+from dominotab.tableaux import PLAIN, SHIFTED, make_tableau
 
 
 def invoke(capsys, *argv):
@@ -292,3 +292,27 @@ def test_closed_output_pipe_exits_quietly():
         err = proc.stderr.read()
     assert proc.returncode == 0
     assert b"Traceback" not in err, err.decode()
+
+
+def test_listings_past_the_limit_exit_2(monkeypatch, capsys):
+    """``enumerate`` of either kind exits 2 with an error past MAX_LISTED,
+    one constant for every listing, above the longest list the tests, the
+    README and the benchmark ask for (50,625 domino tableaux)."""
+    from dominotab import domino_tableaux, partitions, pavings, tableaux
+    from dominotab.cli import main
+
+    assert (
+        pavings.MAX_LISTED
+        == tableaux.MAX_LISTED
+        == domino_tableaux.MAX_LISTED
+        == partitions.MAX_LISTED
+        > 50_625
+    )
+    monkeypatch.setattr(tableaux, "MAX_LISTED", 1)
+    monkeypatch.setattr(domino_tableaux, "MAX_LISTED", 1)
+    argv = ["enumerate", "--family", "plain", "--shape", "[2,2]", "--max-letter", "3"]
+    for kind in ("tableau", "domino"):
+        assert main(argv + ["--kind", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: shape (2, 2) has more than 1 ")

@@ -443,6 +443,26 @@ def test_piece_relation_matches_fillstate_bounds(family):
     assert flags == (255 if family.set_valued else LEFT | ABOVE | RIGHT | BELOW)
 
 
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_fill_state_memo_never_reads_a_recycled_id(family, monkeypatch):
+    """One ``FillState`` serves the fill search of shape after shape.  The
+    search keeps no tableau, so each shape's automaton dominoes are freed
+    before the next shape builds its own, and their ids come round again.
+    The state's relation memo, keyed by id, must still give the answers of
+    ``ReferenceFillState`` on every try."""
+    shared = PairedState(family)
+    monkeypatch.setattr(domino_tableaux, "FillState", lambda family: shared)
+    monkeypatch.setattr(PairedState, "checks", 0)
+    monkeypatch.setattr(PairedState, "mismatches", [])
+    for letters in (2, 3):
+        for lam in shapes(family, 8):
+            for _ in domino_fills(family, lam, letters):
+                pass
+    assert shared.pieces == []
+    assert PairedState.mismatches == []
+    assert PairedState.checks > 1000
+
+
 # (family, variables, max size) for the comparison with the enumerated flat
 # sum.  The set-valued families over three letters stop at size 7, where
 # listing the tableaux already takes about a second.

@@ -1,7 +1,8 @@
 import pytest
 
-from conftest import dt, dt_cardinality, up_domino_count
-from dominotab.partitions import is_pavable, partitions_up_to, size, two_quotient, up_cell_count
+from conftest import dt, dt_cardinality, up_cell_count, up_domino_count
+from dominotab import domino_tableaux
+from dominotab.partitions import is_pavable, partitions_up_to, size, two_quotient
 from dominotab.pavings import Domino, is_shifted_pavable, is_shifted_paving
 from dominotab.domino_tableaux import (
     DominoTableau,
@@ -182,3 +183,12 @@ def test_up_domino_count_constant_across_class():
         assert ts
         for t in ts:
             assert up_domino_count(t) == expected
+
+
+def test_enumerate_domino_tableaux_past_the_listing_limit_raises(monkeypatch):
+    count = len(enumerate_domino_tableaux(SET_VALUED, (4, 2), 3))
+    monkeypatch.setattr(domino_tableaux, "MAX_LISTED", count)
+    assert len(enumerate_domino_tableaux(SET_VALUED, (4, 2), 3)) == count
+    monkeypatch.setattr(domino_tableaux, "MAX_LISTED", count - 1)
+    with pytest.raises(ValueError, match=f"more than {count - 1} domino tableaux"):
+        enumerate_domino_tableaux(SET_VALUED, (4, 2), 3)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import up_cell_count
 from dominotab.partitions import (
     beta_vector,
     check_partition,
@@ -12,7 +13,6 @@ from dominotab.partitions import (
     partitions_up_to,
     size,
     two_quotient,
-    up_cell_count,
 )
 
 

@@ -173,3 +173,20 @@ def test_automaton_size_is_limited(monkeypatch, capsys):
     argv = ["genfun", "--family", "plain", "--shape", "[3000]", "--vars", "1", "--domino"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_pavings_past_the_listing_limit_raise(monkeypatch, capsys):
+    """The rows (2,) * k have Fibonacci-many pavings.  The automaton's paths
+    are counted before any paving is listed, so 1,500 such rows raise at
+    once, and the count is exact at the limit."""
+    tall = [2] * 1500
+    with pytest.raises(ValueError, match=f"more than {pavings.MAX_LISTED} pavings"):
+        enumerate_pavings(tall)
+    assert main(["pavings", "--shape", str(tall)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    monkeypatch.setattr(pavings, "MAX_LISTED", 5)
+    assert len(enumerate_pavings((2, 2, 2, 2))) == 5
+    with pytest.raises(ValueError, match="more than 5 pavings"):
+        enumerate_pavings((2, 2, 2, 2, 2))

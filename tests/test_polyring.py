@@ -3,10 +3,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import homogeneous_component, min_degree
+from conftest import homogeneous_component, min_degree, up_cell_count
 from dominotab import polyring
 from dominotab.cli import main
-from dominotab.partitions import partitions_up_to, up_cell_count
+from dominotab.partitions import partitions_up_to
 from dominotab.polyring import Polynomial, domino_genfun, genfun
 from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED
 
@@ -129,23 +129,23 @@ def test_domino_genfun_rejects_too_many_states(monkeypatch, capsys):
 
 def test_domino_genfun_never_builds_a_layer_over_the_limit(monkeypatch):
     """The limit holds as states are added, not once a layer is complete:
-    the transfer calls ``fill_floor`` once for each edge of each state it
+    the transfer calls ``fold_bounds`` once for each edge of each state it
     expands, and this test fails if at any of those moments the layer being
     expanded or the one being built holds more states than the limit."""
     limit = 1000
     monkeypatch.setattr(polyring, "MAX_TRANSFER_STATES", limit)
     largest = []
-    fill_floor = polyring.fill_floor
+    fold_bounds = polyring.fold_bounds
 
-    def watched_floor(left, above):
+    def watched_fold(dom, pieces, rels, set_valued):
         local = sys._getframe(1).f_locals
         size = max(len(local["layer"]), len(local["nxt"]))
         if size > limit:
             pytest.fail(f"a layer of {size} states was built")
         largest.append(size)
-        return fill_floor(left, above)
+        return fold_bounds(dom, pieces, rels, set_valued)
 
-    monkeypatch.setattr(polyring, "fill_floor", watched_floor)
+    monkeypatch.setattr(polyring, "fold_bounds", watched_fold)
     with pytest.raises(ValueError):
         domino_genfun(SHIFTED_SET_VALUED, (6, 5, 5, 4), 2)
     assert max(largest) > limit // 2

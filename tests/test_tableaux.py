@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cardinality, tb
+from conftest import cardinality, parse_fill, tb
+from dominotab import tableaux
 from dominotab.partitions import partitions_up_to
 from dominotab.tableaux import (
     MAX_CANDIDATE_FILLS,
@@ -16,7 +17,6 @@ from dominotab.tableaux import (
     enumerate_tableaux,
     format_fill,
     make_tableau,
-    parse_fill,
     parse_letter,
     rank,
     reading_word,
@@ -200,3 +200,12 @@ def test_shifted_x_cells_have_negative_content():
 def test_letter_parse_format_roundtrip(idx, primed):
     r = rank(idx, primed)
     assert parse_letter(format_fill((r,))) == r
+
+
+def test_enumerate_tableaux_past_the_listing_limit_raises(monkeypatch):
+    count = len(enumerate_tableaux(SHIFTED_SET_VALUED, (3, 2), 2))
+    monkeypatch.setattr(tableaux, "MAX_LISTED", count)
+    assert len(enumerate_tableaux(SHIFTED_SET_VALUED, (3, 2), 2)) == count
+    monkeypatch.setattr(tableaux, "MAX_LISTED", count - 1)
+    with pytest.raises(ValueError, match=f"more than {count - 1} tableaux"):
+        enumerate_tableaux(SHIFTED_SET_VALUED, (3, 2), 2)
