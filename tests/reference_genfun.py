@@ -10,6 +10,11 @@ and judged every edge's fills through it; the checker is
 enumerator in ``reference_tableaux.py`` lists, so it shares no fill rule
 with ``polyring.genfun``.  They are kept here only as the oracles of the
 differential tests in ``test_differential.py``.
+
+``fillstate_domino_genfun`` builds its fill classes and its result with the
+copies of ``_fill_classes`` and ``_unpack`` below, as they were before the
+library cached the classes and built its transfer results unchecked: a
+fresh list per call, and a ``Polynomial`` that checks every monomial.
 """
 
 from __future__ import annotations
@@ -20,15 +25,8 @@ from conftest import cardinality, up_cell_count
 from dominotab.domino_tableaux import Piece, domino_fills, dt_weight, tiling_root
 from dominotab.partitions import Shape, check_partition
 from dominotab.pavings import Node
-from dominotab.polyring import (
-    MAX_TRANSFER_STATES,
-    MAX_TRANSFER_TERMS,
-    Monomial,
-    Polynomial,
-    _fill_classes,
-    _unpack,
-)
-from dominotab.tableaux import Family, Tableau, weight
+from dominotab.polyring import MAX_TRANSFER_STATES, MAX_TRANSFER_TERMS, Monomial, Polynomial
+from dominotab.tableaux import Family, Fill, Tableau, _candidate_fills, letter_index, weight
 from reference_fillstate import IndexedFillState
 from reference_tableaux import enumerate_tableaux
 
@@ -74,6 +72,28 @@ def enumerated_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
         m = weight(t, n)
         terms[m] = terms.get(m, 0) + _flat_sign(family, t, shape)
     return Polynomial(n, terms)
+
+
+def _unpack(n: int, bits: int, packed: dict[int, int]) -> Polynomial:
+    """The polynomial of packed terms: a monomial's exponent j is its field
+    j of ``bits`` bits, counting from 0 at the low end."""
+    field = (1 << bits) - 1
+    shifts = [bits * j for j in range(n)]
+    return Polynomial(n, {tuple([m >> s & field for s in shifts]): c for m, c in packed.items()})
+
+
+def _fill_classes(family: Family, n: int, bits: int) -> list[tuple[Fill, list[tuple[int, int]]]]:
+    """The candidate fills over n letters grouped by (min, max), sorted by
+    min.  A class is its first fill and the sum of sign * x^weight over its
+    fills, as (packed exponents, coefficient) terms: a fill's sign is
+    (-1)^(|fill| - 1), and its letters of index j add 1 to field j - 1 of
+    ``bits`` bits."""
+    classes: dict[tuple[int, int], tuple[Fill, dict[int, int]]] = {}
+    for fill in _candidate_fills(family, n):
+        first, terms = classes.setdefault((fill[0], fill[-1]), (fill, {}))
+        exps = sum(1 << bits * (letter_index(r) - 1) for r in fill)
+        terms[exps] = terms.get(exps, 0) + (-1 if len(fill) % 2 == 0 else 1)
+    return sorted((first, list(terms.items())) for first, terms in classes.values())
 
 
 def fillstate_domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from dominotab.partitions import (
     size,
     two_quotient,
 )
+from reference_partitions import is_partition as reference_is_partition
 
 
 def exhaustive_pavable(shape):
@@ -45,6 +48,49 @@ def test_is_partition():
     assert not is_partition((1, 2))
     assert not is_partition((2, 0))
     assert not is_partition((2, -1))
+
+
+class Part(int):
+    """An int subclass: a partition may hold one."""
+
+
+def _partition_pool():
+    """Sequences for the partition test: valid partitions, and each kind
+    of entry or order it must reject, alone and mixed with valid runs."""
+    rng = random.Random("is_partition")
+    odd = [0, -1, -7, True, False, 1.0, 2.5, float("inf"), "1", "a", None, (1,), Part(3), Part(0)]
+    yield ()
+    for lam in partitions_up_to(8):
+        yield lam
+    yield tuple(range(400, 0, -1))  # a long strict run
+    yield (5,) * 300 + (1,) * 300  # long runs of equal parts
+    yield tuple(range(1, 40))  # an increasing run
+    yield (1, 2)
+    yield (3, 3, 4)
+    yield (2**70, 2**70, 1)
+    for _ in range(3000):
+        length = rng.randrange(0, 8)
+        parts = sorted((rng.randrange(1, 6) for _ in range(length)), reverse=True)
+        for _ in range(rng.randrange(0, 3)):
+            spot = rng.randrange(0, len(parts) + 1)
+            parts.insert(spot, rng.choice(odd + [rng.randrange(1, 6)]))
+        if parts and rng.random() < 0.2:
+            rng.shuffle(parts)
+        yield tuple(parts)
+
+
+def test_is_partition_matches_reference_on_pool():
+    """The one-pass test accepts and rejects exactly what the two-pass
+    copy did, on tuples, lists and one-shot iterators alike."""
+    accepted = rejected = 0
+    for parts in _partition_pool():
+        expected = reference_is_partition(parts)
+        assert is_partition(parts) == expected, parts
+        assert is_partition(list(parts)) == expected, parts
+        assert is_partition(iter(parts)) == expected, parts
+        accepted += expected
+        rejected += not expected
+    assert accepted > 300 and rejected > 1000
 
 
 @pytest.mark.parametrize(
