@@ -13,7 +13,7 @@ the cell's fill.
 from __future__ import annotations
 
 from .domino_tableaux import DominoTableau, _diag_order, validate_domino_tableau
-from .pavings import Domino
+from .pavings import domino
 from .tableaux import (
     Family,
     Fill,
@@ -118,11 +118,11 @@ def gamma_merge(family: Family, t1: Tableau, t2: Tableau) -> DominoTableau:
             raise ValueError(f"cell in row {r} of component {dtype} leaves no partition")
         i = part[b]
         if part[b + 1] < 0:
-            dom = Domino(i + 1, lam[i] + 1, True)
+            dom = domino(i + 1, lam[i] + 1, True)
             lam[i] += 2
             part[b + 2] = i
         else:
-            dom = Domino(i, lam[i - 1] + 1, False)
+            dom = domino(i, lam[i - 1] + 1, False)
             lam[i - 1] += 1
             lam[i] += 1
             part[b + 2], part[b + 1] = i - 1, i

@@ -12,9 +12,9 @@ import json
 from typing import Any
 
 from .partitions import Shape, check_partition
-from .pavings import Domino, Paving
+from .pavings import Domino, Paving, domino
 from .domino_tableaux import DominoTableau, make_domino_tableau
-from .polyring import Polynomial, grlex_key
+from .polyring import Polynomial
 from .tableaux import (
     FAMILIES,
     Family,
@@ -53,7 +53,7 @@ def _field(data: Any, key: str, kind: type = object) -> Any:
 def _domino_in(data: Any) -> Domino:
     if _field(data, "orient", str) not in ("H", "V"):
         raise ValueError(f"bad 'orient': {data['orient']!r}")
-    return Domino(_field(data, "row", int), _field(data, "col", int), data["orient"] == "H")
+    return domino(_field(data, "row", int), _field(data, "col", int), data["orient"] == "H")
 
 
 def to_jsonable(obj: Any) -> Any:

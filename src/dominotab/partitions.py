@@ -25,11 +25,13 @@ MAX_LISTED = 200_000
 
 def is_partition(parts: Sequence[int]) -> bool:
     """True iff the sequence is nonincreasing with all entries integers >= 1
-    (booleans are not integers here)."""
-    parts = list(parts)
-    if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts):
-        return False
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+    (booleans are not integers here), in one pass over it."""
+    last = float("inf")
+    for p in parts:
+        if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= last:
+            return False
+        last = p
+    return True
 
 
 def check_partition(parts: Iterable[int]) -> Shape:

@@ -13,6 +13,7 @@ the domino fill search walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .partitions import MAX_LISTED, Shape, Cell, cells, check_partition
@@ -21,7 +22,12 @@ from .partitions import is_staircase_admissible, two_quotient
 
 @dataclass(frozen=True, order=True)
 class Domino:
-    """A 2x1 piece: top-left cell plus orientation."""
+    """A 2x1 piece: top-left cell plus orientation.
+
+    The package builds each one through ``domino``, which interns it, so a
+    domino that many shapes hold is one object, built once.  A Domino built
+    directly is equal, hashes and sorts equal to the interned one.
+    """
 
     row: int
     col: int
@@ -56,6 +62,12 @@ class Domino:
 
     def dtype(self) -> int:
         return self._dtype
+
+
+# The interning constructor of Domino: domino(row, col, horiz).  The cache is
+# bounded; an evicted domino stays valid, and the next call builds it anew.
+# Typed keys keep 1 and True apart.
+domino = lru_cache(maxsize=4096, typed=True)(Domino)
 
 
 @dataclass(frozen=True)
@@ -211,7 +223,7 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
         ):
             if odd not in cell_set:
                 continue
-            dom = Domino(*top_left, horiz)
+            dom = domino(*top_left, horiz)
             if not shifted or odd[1] > odd[0]:
                 last[odd] = i
             # A vertical domino with its top cell on D_0 needs an up domino
@@ -296,7 +308,7 @@ def _least_tiling(region: Iterable[Cell]) -> tuple[Domino, ...] | None:
             return tuple(dom for dom, _, _ in placed)
         r, c = order[k]
         for option in range(option, 2):
-            dom = Domino(r, c, option == 1)
+            dom = domino(r, c, option == 1)
             if dom.cells()[1] in free:
                 free.difference_update(dom.cells())
                 placed.append((dom, k, option))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import lshift
 
 from .partitions import Shape, check_partition, is_staircase_admissible
@@ -145,9 +146,11 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     fills are judged and stored by (min, max) class.  An unshifted cell with
     k cells below it needs k larger letters there, so its maximum is at most
     the top rank less 2k.  Shifted shapes that are not admissible raise
-    ValueError, and a layer of more than MAX_TRANSFER_TERMS terms raises it.
+    ValueError, and so do more than MAX_VARIABLES variables and a layer of
+    more than MAX_TRANSFER_TERMS terms.
     """
     shape = check_partition(shape)
+    check_variables(n)
     if family.shifted and not is_staircase_admissible(shape):
         raise ValueError(f"shape {shape} is not admissible for shifted tableaux")
     bits = (2 * sum(shape)).bit_length()  # a shifted set-valued cell may hold i' and i
@@ -198,6 +201,20 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     return _unpack(n, bits, total)
 
 
+# The most variables a generating function may have.  A packed monomial is n
+# fields wide, so the transfers' work and memory grow with n: the plain sum
+# over (2,1) takes 1 s and 54 MB with 64 variables, 13 s and 489 MB with
+# 128, and with 32 the one over (4,4) already stops at MAX_TRANSFER_TERMS,
+# after 3.6 s and 445 MB.
+MAX_VARIABLES = 32
+
+
+def check_variables(n: int) -> None:
+    """Raise ValueError for more than MAX_VARIABLES variables."""
+    if n > MAX_VARIABLES:
+        raise ValueError(f"at most {MAX_VARIABLES} variables are allowed, got {n}")
+
+
 # The most states one layer of the domino transfer may hold.  GQ (6,5,5,4)
 # peaks at 167,412 states with n=3, in about 330 MB; with n=4 its
 # polynomials are larger, and 200,000 states take about 950 MB.
@@ -210,24 +227,41 @@ MAX_TRANSFER_TERMS = 3_000_000
 
 def _unpack(n: int, bits: int, packed: dict[int, int]) -> Polynomial:
     """The polynomial of packed terms: a monomial's exponent j is its field
-    j of ``bits`` bits, counting from 0 at the low end."""
+    j of ``bits`` bits, counting from 0 at the low end.
+
+    The terms come from the transfers and products, which build only
+    monomials of n nonnegative fields, so the result skips the per-monomial
+    check of ``Polynomial.__post_init__``; zero coefficients are dropped
+    here instead.  ``Polynomial(n, terms)`` stays the checked boundary."""
     field = (1 << bits) - 1
     shifts = [bits * j for j in range(n)]
-    return Polynomial(n, {tuple([m >> s & field for s in shifts]): c for m, c in packed.items()})
+    poly = object.__new__(Polynomial)
+    object.__setattr__(poly, "n", n)
+    object.__setattr__(
+        poly, "terms", {tuple([m >> s & field for s in shifts]): c for m, c in packed.items() if c}
+    )
+    return poly
 
 
-def _fill_classes(family: Family, n: int, bits: int) -> list[tuple[Fill, list[tuple[int, int]]]]:
+@lru_cache(maxsize=32)
+def _fill_classes(
+    family: Family, n: int, bits: int
+) -> tuple[tuple[Fill, tuple[tuple[int, int], ...]], ...]:
     """The candidate fills over n letters grouped by (min, max), sorted by
     min.  A class is its first fill and the sum of sign * x^weight over its
     fills, as (packed exponents, coefficient) terms: a fill's sign is
     (-1)^(|fill| - 1), and its letters of index j add 1 to field j - 1 of
-    ``bits`` bits."""
+    ``bits`` bits.
+
+    The classes depend on the arguments alone, so they are cached, and
+    returned as tuples that no caller can change.  MAX_VARIABLES bounds n;
+    the largest entries, set-valued over 16 letters, hold about 9 MB."""
     classes: dict[tuple[int, int], tuple[Fill, dict[int, int]]] = {}
     for fill in _candidate_fills(family, n):
         first, terms = classes.setdefault((fill[0], fill[-1]), (fill, {}))
         exps = sum(1 << bits * (letter_index(r) - 1) for r in fill)
         terms[exps] = terms.get(exps, 0) + (-1 if len(fill) % 2 == 0 else 1)
-    return sorted((first, list(terms.items())) for first, terms in classes.values())
+    return tuple(sorted((first, tuple(terms.items())) for first, terms in classes.values()))
 
 
 def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
@@ -276,9 +310,11 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     independent of them.
 
     A layer of more than MAX_TRANSFER_STATES states, or of more than
-    MAX_TRANSFER_TERMS terms in its polynomials, raises ValueError.
+    MAX_TRANSFER_TERMS terms in its polynomials, raises ValueError, and so
+    do more than MAX_VARIABLES variables.
     """
     shape = check_partition(shape)
+    check_variables(n)
     root = tiling_root(family, shape)
     if root[0] is None:  # the empty shape
         return Polynomial.one(n)
@@ -290,8 +326,8 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     relations: dict[int, dict[int, int]] = {}  # piece_relation by id(dom), id(other)
     total: dict[int, int] = {}
     # A state's key is its node's id and the ids of its frontier's dominoes
-    # and fills (one object each per shape and call), so no key hashes a
-    # Domino.
+    # and fills (one interned object per domino, one per fill class, each
+    # alive until the call ends), so no key hashes a Domino.
     layer = {(id(root),): (root, (), {0: 1})}
     while layer:
         nxt: dict[tuple[int, ...], tuple[Node, tuple[Piece, ...], dict[int, int]]] = {}

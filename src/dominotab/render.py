@@ -9,7 +9,7 @@ from __future__ import annotations
 from .canonical import serialize
 from .domino_tableaux import DominoTableau
 from .partitions import Shape
-from .tableaux import Fill, Tableau, X_FILL, format_fill
+from .tableaux import Fill, Tableau, format_fill
 
 Renderable = Tableau | DominoTableau
 

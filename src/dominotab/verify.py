@@ -10,7 +10,7 @@ from typing import Optional
 
 from .partitions import Shape, check_partition, is_pavable, partitions_up_to, two_quotient
 from .pavings import is_shifted_pavable
-from .polyring import Monomial, Polynomial, domino_genfun, genfun, grlex_key
+from .polyring import Monomial, Polynomial, check_variables, domino_genfun, genfun, grlex_key
 from .tableaux import Family
 
 MAX_JOBS = 64  # the process pool forks all its workers at the first submit
@@ -64,8 +64,10 @@ def verify_identity(family: Family, lam: Shape, n: int) -> VerificationReport:
     symmetric.
     Shapes the identity does not cover (not pavable, or not shifted pavable
     for the shifted families) yield a SKIP report rather than an error.
+    More than MAX_VARIABLES variables raise ValueError.
     """
     lam = check_partition(lam)
+    check_variables(n)
     start = time.perf_counter()
     ok = is_pavable(lam) and (not family.shifted or is_shifted_pavable(lam))
     if not ok:

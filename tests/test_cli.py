@@ -68,7 +68,9 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
         assert main(
             ["verify", "--family", "plain", "--max-size", "2", "--vars", "2", "--jobs", jobs]
         ) == 2
-    # Sizes above their limits: more set fills than MAX_CANDIDATE_FILLS.
+    # Sizes above their limits: more variables than MAX_VARIABLES, and more
+    # set fills than MAX_CANDIDATE_FILLS.
+    assert main(["genfun", "--family", "plain", "--shape", "[2,1]", "--vars", "33"]) == 2
     assert main(["genfun", "--family", "set-valued", "--shape", "[1]", "--vars", "17"]) == 2
     assert main(
         ["enumerate", "--family", "shifted-set-valued", "--shape", "[2]",

@@ -21,6 +21,13 @@ Q_k = sum_j e_j h_(k-j), the coefficient of t^k in prod (1 + x_i t)/(1 - x_i t),
 
 and Q_mu is the Pfaffian of the matrix Q_(mu_i, mu_j), with mu padded by a
 0 to even length.  It too is built from ``Polynomial`` arithmetic alone.
+
+The domino sums are checked against the same closed forms, through the
+2-quotient (mu, nu) of lambda: domino_genfun(lambda) * V^2 = A_mu * A_nu for
+s and G, where V is the Vandermonde product and A the alternant, and
+domino_genfun(SHIFTED, lambda) = Q_mu' * Q_nu' for the strict partitions mu'
+and nu' of the quotient's letter cells.  These checks share neither the fill
+classes nor the monomial packing of the transfers they judge.
 """
 
 from functools import lru_cache
@@ -28,8 +35,14 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from dominotab.partitions import is_staircase_admissible, partitions_up_to
-from dominotab.polyring import Polynomial, genfun
+from dominotab.partitions import (
+    is_pavable,
+    is_staircase_admissible,
+    partitions_up_to,
+    two_quotient,
+)
+from dominotab.pavings import is_shifted_pavable
+from dominotab.polyring import Polynomial, domino_genfun, genfun
 from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED
 
 
@@ -154,3 +167,62 @@ def test_shifted_genfun_matches_pfaffian(n, expected):
         assert g == schur_q(mu, n), lam
         checked += 1
     assert checked == expected
+
+
+# (family, max size, n, nonzero cases): every pavable lambda up to the size,
+# 139 of them up to 12 and 74 up to 10.
+DOMINO_ALTERNANT_CASES = [
+    (PLAIN, 12, 2, 80),
+    (PLAIN, 12, 3, 115),
+    (SET_VALUED, 10, 2, 50),
+    (SET_VALUED, 10, 3, 66),
+]
+
+
+@pytest.mark.parametrize(
+    "family,max_size,n,expected",
+    DOMINO_ALTERNANT_CASES,
+    ids=[f"{c[0].name}-n{c[2]}" for c in DOMINO_ALTERNANT_CASES],
+)
+def test_domino_genfun_matches_alternant_products(family, max_size, n, expected):
+    """domino_genfun(lambda) * V^2 = A_mu * A_nu on every pavable lambda up
+    to ``max_size``; the sum is 0 when a quotient component has more than n
+    parts."""
+    v2 = vandermonde(n) * vandermonde(n)
+    checked = 0
+    for lam in partitions_up_to(max_size):
+        if not is_pavable(lam):
+            continue
+        mu, nu = two_quotient(lam)
+        d = domino_genfun(family, lam, n)
+        if len(mu) > n or len(nu) > n:
+            assert d == Polynomial.zero(n), lam
+            continue
+        grothendieck = family.set_valued
+        assert d * v2 == alternant(mu, n, grothendieck) * alternant(nu, n, grothendieck), lam
+        checked += 1
+    assert checked == expected
+
+
+def strict_letter_parts(lam):
+    """The strict partition that the letter cells of an admissible lambda
+    form."""
+    return tuple(part - i for i, part in enumerate(lam))
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_shifted_domino_genfun_matches_pfaffian_products(n):
+    """domino_genfun(SHIFTED, lambda) = Q_mu' * Q_nu' on every shifted
+    pavable lambda up to size 16, 90 of them."""
+    checked = 0
+    for lam in partitions_up_to(16):
+        if not is_shifted_pavable(lam):
+            continue
+        mu, nu = (strict_letter_parts(q) for q in two_quotient(lam))
+        d = domino_genfun(SHIFTED, lam, n)
+        if len(mu) > n or len(nu) > n:
+            assert d == Polynomial.zero(n), lam
+            continue
+        assert d == schur_q(mu, n) * schur_q(nu, n), lam
+        checked += 1
+    assert checked == 90

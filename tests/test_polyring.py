@@ -9,6 +9,7 @@ from dominotab.cli import main
 from dominotab.partitions import partitions_up_to
 from dominotab.polyring import Polynomial, domino_genfun, genfun
 from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED
+from dominotab.verify import verify_identity
 
 
 def P(n, *terms):
@@ -181,6 +182,57 @@ def test_transfers_reject_too_many_terms(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
     monkeypatch.setattr(polyring, "MAX_TRANSFER_TERMS", 10_000)
     assert genfun(SHIFTED_SET_VALUED, (3, 3), 3).terms
+
+
+def test_variable_count_is_limited(capsys):
+    """More than MAX_VARIABLES variables raise ValueError in both sums and
+    in the identity check, and the CLI exits 2; at the limit the plain sum
+    over (2,1) is quick."""
+    top = polyring.MAX_VARIABLES
+    assert top == 32
+    assert genfun(PLAIN, (2, 1), top).coeff((1, 1, 1) + (0,) * (top - 3)) == 2
+    assert domino_genfun(PLAIN, (2, 2), top).terms
+    for call in (
+        lambda: genfun(PLAIN, (2, 1), top + 1),
+        lambda: genfun(PLAIN, (), top + 1),
+        lambda: domino_genfun(PLAIN, (2, 1, 1), top + 1),
+        lambda: domino_genfun(PLAIN, (), top + 1),
+        lambda: verify_identity(PLAIN, (2, 2), top + 1),
+        lambda: verify_identity(PLAIN, (3,), 3000),  # not pavable: no SKIP either
+    ):
+        with pytest.raises(ValueError, match=f"at most {top} variables"):
+            call()
+    for argv in (
+        ["genfun", "--family", "plain", "--shape", "[2,1]", "--vars", "33"],
+        ["genfun", "--family", "plain", "--shape", "[2,1]", "--vars", "3000", "--domino"],
+        ["verify", "--family", "plain", "--shape", "[2,2]", "--vars", "33"],
+        ["verify", "--family", "plain", "--max-size", "4", "--vars", "300"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: at most {top} variables")
+
+
+def test_fill_classes_are_cached_and_immutable():
+    polyring._fill_classes.cache_clear()
+    classes = polyring._fill_classes(SET_VALUED, 3, 4)
+    assert polyring._fill_classes(SET_VALUED, 3, 4) is classes
+    assert polyring._fill_classes.cache_info().hits == 1
+    assert isinstance(classes, tuple)
+    assert all(isinstance(c, tuple) and isinstance(c[1], tuple) for c in classes)
+    assert [fill[0] for fill, _ in classes] == sorted(fill[0] for fill, _ in classes)
+    # (2, 4) is its own class; (2, 4, 6) and (2, 6) share one, named by the first.
+    terms = dict(classes)
+    assert terms[(2, 4)] == ((1 | 1 << 4, -1),)
+    assert sorted(terms[(2, 4, 6)]) == [(1 | 1 << 8, -1), (1 | 1 << 4 | 1 << 8, 1)]
+
+
+def test_unpack_drops_zero_coefficients_without_checking():
+    p = polyring._unpack(2, 3, {0: 0, 1: 5, 2 << 3: -1})
+    assert p == P(2, ((1, 0), 5), ((0, 2), -1))
+    assert p.terms == {(1, 0): 5, (0, 2): -1}
+    assert polyring._unpack(2, 3, {}) == Polynomial.zero(2)
+    with pytest.raises(ValueError):  # the public constructor still checks
+        Polynomial(2, {(1,): 1})
 
 
 def test_grlex_term_order():
