@@ -203,7 +203,6 @@ def test_variable_count_is_limited(capsys):
         with pytest.raises(ValueError, match=f"at most {top} variables"):
             call()
     for argv in (
-        ["genfun", "--family", "plain", "--shape", "[2,1]", "--vars", "33"],
         ["genfun", "--family", "plain", "--shape", "[2,1]", "--vars", "3000", "--domino"],
         ["verify", "--family", "plain", "--shape", "[2,2]", "--vars", "33"],
         ["verify", "--family", "plain", "--max-size", "4", "--vars", "300"],
