@@ -1,20 +1,59 @@
-"""The merge that built each domino as an inverse 2-quotient, kept as the
-oracle for the bead-move merge.
+"""The split that rebuilt each half from its reading word and the merge
+that built each domino as an inverse 2-quotient, kept as the oracles for the
+direct split layout and the bead-move merge.
 
-``gamma_merge`` below adds the pair's cells in the order of ``_chain`` and,
-after each one, recomputes the whole inverse 2-quotient of the cells added so
-far; ``_added_domino`` reads the new domino off the difference of the two
-shapes.  ``tests/test_differential.py`` checks the library's merge against it
-piece for piece.
+``reading_word_split`` below restricts the diagonal reading word to each
+domino type, halving the diagonal indices, and rebuilds each half with
+``tableau_from_reading_word``.  ``gamma_merge`` below adds the pair's cells
+in the order of ``_chain`` and, after each one, recomputes the whole inverse
+2-quotient of the cells added so far; ``_added_domino`` reads the new domino
+off the difference of the two shapes.  ``tests/test_differential.py`` checks
+the library's split half for half and its merge piece for piece against
+them.
 """
 
 from __future__ import annotations
 
 from dominotab.bijections import _chain
-from dominotab.domino_tableaux import DominoTableau
+from dominotab.domino_tableaux import DominoTableau, _diag_order, validate_domino_tableau
 from dominotab.partitions import Shape, inverse_two_quotient
 from dominotab.pavings import Domino
-from dominotab.tableaux import Family, Tableau, validate_tableau
+from dominotab.tableaux import (
+    Family,
+    Fill,
+    ReadingWord,
+    Tableau,
+    tableau_from_reading_word,
+    validate_tableau,
+)
+
+
+def reading_word_split(t: DominoTableau) -> tuple[Tableau, Tableau]:
+    """Split a domino tableau into its type-1 and type-2 flat tableaux.
+
+    The fill of a domino crossing D_{2k} lands on diagonal D_k of the flat
+    tableau matching its type; X dominoes of shifted families come through as
+    X cells.  Both halves are rebuilt from their restricted reading words.
+    """
+    if not validate_domino_tableau(t):
+        raise ValueError("gamma_split requires a valid domino tableau")
+    per_type: dict[int, dict[int, list[Fill]]] = {1: {}, 2: {}}
+    for dom, fill in _diag_order(t.pieces):
+        per_type[dom.dtype()].setdefault(dom.crossing() // 2, []).append(fill)
+    halves = []
+    for dtype in (1, 2):
+        segs = per_type[dtype]
+        if not segs:
+            halves.append(Tableau(t.family, (), ()))
+            continue
+        lo, hi = min(segs), max(segs)
+        word = ReadingWord(
+            start=lo,
+            step=1,
+            segments=tuple(tuple(segs.get(d, ())) for d in range(lo, hi + 1)),
+        )
+        halves.append(tableau_from_reading_word(t.family, word))
+    return (halves[0], halves[1])
 
 
 def _added_domino(old: Shape, new: Shape) -> Domino:

@@ -14,7 +14,8 @@ state, and ``enumerated_genfun`` (beside it) the flat sum over the list the
 reference enumerator returns.  ``reference_tableaux.py`` keeps the flat
 enumerator and validator that count every letter per line, against which the
 single neighbour bound is checked.  ``reference_bijections.py`` keeps the
-merge that recomputed the inverse 2-quotient per cell, and
+split that rebuilt each half from its reading word and the merge that
+recomputed the inverse 2-quotient per cell, and
 ``reference_render.py`` the ASCII renderer that asked four wall predicates
 per junction.  The criterion-3 pools are pinned by count and by a digest of
 their canonical serialisation, in enumeration order.
@@ -26,7 +27,8 @@ import random
 import pytest
 
 from conftest import dt_cardinality, up_domino_count
-from dominotab import canonical, domino_tableaux
+import reference_bijections
+from dominotab import bijections, canonical, domino_tableaux
 from dominotab.bijections import gamma_merge, gamma_split
 from dominotab.domino_tableaux import (
     ABOVE,
@@ -45,7 +47,7 @@ from dominotab.domino_tableaux import (
     tiling_root,
     validate_domino_tableau,
 )
-from dominotab.partitions import is_pavable, partitions_up_to
+from dominotab.partitions import is_pavable, partitions_up_to, two_quotient
 from dominotab.pavings import enumerate_pavings, is_shifted_pavable, is_shifted_paving
 from dominotab.polyring import Polynomial, domino_genfun, genfun
 from dominotab.render import render_ascii
@@ -62,6 +64,7 @@ from dominotab.tableaux import (
     validate_tableau,
 )
 from reference_bijections import gamma_merge as reference_gamma_merge
+from reference_bijections import reading_word_split
 from reference_fill_search import enumerate_pavings as reference_pavings
 from reference_fill_search import reference_domino_fills
 from reference_fillstate import IndexedFillState, ReferenceFillState, reference_validate
@@ -226,6 +229,67 @@ def test_validate_matches_reference_on_pools_and_mutations(pools):
             accepted += ok
         # Some mutations stay valid, most do not: both outcomes are compared.
         assert 0 < accepted < len(pool), family.name
+
+
+def _split_or_error(split, t):
+    """The two halves, or (ValueError, its message)."""
+    try:
+        return split(t)
+    except ValueError as exc:
+        return (ValueError, str(exc))
+
+
+def test_split_matches_reading_word_split_on_pools_and_mutations(pools):
+    """The same halves on every pool tableau, shaped as the 2-quotient, and
+    the same halves or the same ValueError on every mutation."""
+    for family, _, letters, _, _ in POOLS:
+        pool = pools[family.name]
+        for t in pool:
+            halves = gamma_split(t)
+            assert halves == reading_word_split(t), t
+            assert (halves[0].shape, halves[1].shape) == two_quotient(t.shape), t
+        split = 0
+        for t in _mutations(family, pool, letters):
+            new = _split_or_error(gamma_split, t)
+            assert new == _split_or_error(reading_word_split, t), t
+            split += new[0] is not ValueError
+        assert 0 < split < len(pool), family.name
+
+
+def _layout_mutations(t, rng):
+    """Two letter pieces' fills swapped, and one letter piece dropped."""
+    letters = [j for j, (_, fill) in enumerate(t.pieces) if fill != X_FILL]
+    pieces = list(t.pieces)
+    if len(letters) > 1:
+        i, j = rng.sample(letters, 2)
+        (a, fa), (b, fb) = pieces[i], pieces[j]
+        pieces[i], pieces[j] = (a, fb), (b, fa)
+        yield DominoTableau(t.family, t.shape, pieces)
+    j = rng.choice(letters)
+    yield DominoTableau(t.family, t.shape, t.pieces[:j] + t.pieces[j + 1 :])
+
+
+def test_split_layout_matches_reading_word_split_unvalidated(pools, monkeypatch):
+    """With the domino validation of both splits switched off, the layouts
+    meet tableaux that break the rules: swapped fills, which the halves'
+    own validation judges, and a dropped piece, after which a half's cells
+    may form no partition profile.  Both give the same halves or the same
+    ValueError message, and all three outcomes occur."""
+    monkeypatch.setattr(bijections, "validate_domino_tableau", lambda t: True)
+    monkeypatch.setattr(reference_bijections, "validate_domino_tableau", lambda t: True)
+    rng = random.Random("layout")
+    outcomes = set()
+    for family, _, _, _, _ in POOLS:
+        for t in rng.sample(pools[family.name], 1500):
+            for m in _layout_mutations(t, rng):
+                new = _split_or_error(gamma_split, m)
+                assert new == _split_or_error(reading_word_split, m), m
+                outcomes.add(new[1] if new[0] is ValueError else "split")
+    assert outcomes == {
+        "split",
+        "segment lengths do not form a partition profile",
+        "reading word does not define a valid tableau",
+    }
 
 
 def test_check_matches_reference_in_shuffled_order(pools):
