@@ -2,8 +2,10 @@
 
 One generic engine drives all four families: the plain maps are the
 restriction of the shifted set-valued ones to singleton, unprimed, X-free
-data.  Splitting restricts the diagonal reading word to type-1 and type-2
-dominoes, halving each diagonal index.  Merging adds the pair's cells to the
+data.  Splitting lays each domino's fill on the next cell of the halved
+diagonal in the flat tableau of its type, reading the dominoes in diagonal
+order: the cells of a diagonal are known, so no reading word is rebuilt.
+Merging adds the pair's cells to the
 2-quotient one at a time on the 2-abacus (James-Kerber): row j of component
 t holds a bead on place 2(q_t[j] + m-1-j) + t-1, so a cell moves one bead two
 places up, and that move fixes the one domino the shape grows by, which takes
@@ -13,17 +15,19 @@ the cell's fill.
 from __future__ import annotations
 
 from .domino_tableaux import DominoTableau, _diag_order, validate_domino_tableau
+from .partitions import Cell
 from .pavings import domino
 from .tableaux import (
     Family,
     Fill,
-    ReadingWord,
     Tableau,
     X_FILL,
+    _tableau_from_cells,
     is_primed,
-    tableau_from_reading_word,
     validate_tableau,
 )
+# Unused here; the benchmark tracer patches the reading-word rebuild under this name.
+from .tableaux import tableau_from_reading_word  # noqa: F401
 
 
 def gamma_split(t: DominoTableau) -> tuple[Tableau, Tableau]:
@@ -31,27 +35,22 @@ def gamma_split(t: DominoTableau) -> tuple[Tableau, Tableau]:
 
     The fill of a domino crossing D_{2k} lands on diagonal D_k of the flat
     tableau matching its type; X dominoes of shifted families come through as
-    X cells.  Both halves are rebuilt from their restricted reading words.
+    X cells.  The j-th piece of type t on D_{2k} (from 0, northwest to
+    southeast) takes cell (r0 + j, r0 + j + k) of half t, r0 = max(1, 1 - k),
+    the j-th cell of D_k.
     """
     if not validate_domino_tableau(t):
         raise ValueError("gamma_split requires a valid domino tableau")
-    per_type: dict[int, dict[int, list[Fill]]] = {1: {}, 2: {}}
+    fills: tuple[dict[Cell, Fill], dict[Cell, Fill]] = ({}, {})
+    placed: tuple[dict[int, int], dict[int, int]] = ({}, {})  # pieces laid per diagonal
     for dom, fill in _diag_order(t.pieces):
-        per_type[dom.dtype()].setdefault(dom.crossing() // 2, []).append(fill)
-    halves = []
-    for dtype in (1, 2):
-        segs = per_type[dtype]
-        if not segs:
-            halves.append(Tableau(t.family, (), ()))
-            continue
-        lo, hi = min(segs), max(segs)
-        word = ReadingWord(
-            start=lo,
-            step=1,
-            segments=tuple(tuple(segs.get(d, ())) for d in range(lo, hi + 1)),
-        )
-        halves.append(tableau_from_reading_word(t.family, word))
-    return (halves[0], halves[1])
+        half = dom.dtype() - 1
+        k = dom.crossing() // 2
+        j = placed[half].get(k, 0)
+        placed[half][k] = j + 1
+        r = max(1, 1 - k) + j
+        fills[half][r, r + k] = fill
+    return (_tableau_from_cells(t.family, fills[0]), _tableau_from_cells(t.family, fills[1]))
 
 
 def _chain(family: Family, t1: Tableau, t2: Tableau) -> list[tuple[int, int, Fill]]:

@@ -25,8 +25,11 @@ Every rule between two pieces is stated once, in ``piece_relation``: which
 bounds a placed piece puts on a fill of another domino.  ``fold_bounds``
 folds them over a set of placed pieces into a floor on a fill's minimum and
 three caps, and every judge of fills reads them through it: ``FillState``,
-the incremental checker of that search and of ``validate_domino_tableau``,
-and ``polyring.domino_genfun``, which folds a transfer state's frontier.
+the incremental checker of that search; ``validate_domino_tableau``, which
+folds a tableau's own pieces once in diagonal order; and
+``polyring.domino_genfun``, which folds a transfer state's frontier.  The
+per-piece rules are stated once too, in ``fill_fits``, which the first two
+call with the folded bounds.
 """
 
 from __future__ import annotations
@@ -182,8 +185,34 @@ def fold_bounds(
     return (low if low > floor else floor, cap, odd_cap, even_cap)
 
 
+def fill_fits(
+    family: Family, dom: Domino, fill: Fill, bounds: tuple[int, float, float, float] | None
+) -> bool:
+    """Whether ``fill`` may stand on ``dom``: the per-piece family rules,
+    then the ``bounds`` that ``fold_bounds`` gave over the placed pieces.
+
+    X stands exactly on the dominoes below D_0 of shifted shapes, and no
+    bounds are read for it; a letter fill is one letter unless the family
+    is set-valued, and holds no primed letter unless it is shifted.
+    """
+    if fill == X_FILL:
+        return family.shifted and dom.crossing() < 0
+    if family.shifted:
+        if dom.crossing() < 0:
+            return False
+    else:
+        for r in fill:
+            if is_primed(r):
+                return False
+    if not family.set_valued and len(fill) != 1:
+        return False
+    floor, cap, odd_cap, even_cap = bounds
+    lo, hi = fill[0], fill[-1]
+    return floor <= lo <= cap and hi | 1 <= odd_cap and hi + (hi & 1) <= even_cap
+
+
 class FillState:
-    """Incremental validity checker shared by enumeration and validation.
+    """Incremental validity checker of the fill search.
 
     Pieces are added one at a time; ``try_add`` accepts a piece only if every
     family rule involving it and the pieces already present holds.  Adding
@@ -197,15 +226,14 @@ class FillState:
     by the pieces of crossing d - 2, d and d + 2: they alone cover its
     neighbour cells or lie two diagonals away.  ``bounds`` folds those
     through ``fold_bounds`` once per domino until the next ``add`` or
-    ``pop``, and ``check`` compares each fill against the result after the
-    per-piece family rules.  The relation memo keeps every domino it keys,
+    ``pop``, and ``check`` judges each fill against the result by
+    ``fill_fits``.  The relation memo keeps every domino it keys,
     so a state that outlives the dominoes of one shape never reads a
     relation under a recycled id.
     """
 
     def __init__(self, family: Family):
         self.family = family
-        self.shifted = family.shifted
         self.set_valued = family.set_valued
         self.pieces: list[Piece] = []
         self.covered: set[Cell] = set()
@@ -233,23 +261,8 @@ class FillState:
         return result
 
     def check(self, dom: Domino, fill: Fill) -> bool:
-        if fill == X_FILL:  # X exactly on the dominoes below D_0 of shifted shapes
-            return self.shifted and dom.crossing() < 0 and self.bounds(dom) is not None
-        if not self.set_valued and len(fill) != 1:
-            return False
-        if self.shifted:
-            if dom.crossing() < 0:
-                return False
-        else:
-            for r in fill:
-                if is_primed(r):
-                    return False
         bounds = self.bounds(dom)
-        if bounds is None:
-            return False
-        floor, cap, odd_cap, even_cap = bounds
-        lo, hi = fill[0], fill[-1]
-        return floor <= lo <= cap and hi | 1 <= odd_cap and hi + (hi & 1) <= even_cap
+        return bounds is not None and fill_fits(self.family, dom, fill, bounds)
 
     def add(self, dom: Domino, fill: Fill) -> None:
         self._last_bounds = None
@@ -276,16 +289,34 @@ class FillState:
 
 def validate_domino_tableau(t: DominoTableau) -> bool:
     """True iff every family rule holds; raises on malformed structure,
-    including a fill that is not strictly increasing."""
+    including a fill that is not strictly increasing.
+
+    After the structural checks (the fills, the tiling, and for shifted
+    families the shifted paving), each piece is judged once, in diagonal
+    reading order, by ``fill_fits`` against ``fold_bounds`` over the non-X
+    pieces already judged on crossings d - 2 and d; no piece of crossing
+    d + 2 comes earlier.  So every pairwise rule is read by the later piece
+    of its pair.  The tiling check has proved that no pieces overlap, so no
+    covered cells are kept, and each fold's relation memo is thrown away.
+    """
     for _, fill in t.pieces:
         check_fill(fill)
     paving = Paving(t.shape, tuple(d for d, _ in t.pieces))  # structural: must tile
-    if t.family.shifted and not is_shifted_paving(paving):
+    family = t.family
+    if family.shifted and not is_shifted_paving(paving):
         return False
-    state = FillState(t.family)
+    set_valued = family.set_valued
+    judged: dict[int, list[Piece]] = {}  # the non-X pieces judged, by crossing
     for dom, fill in _diag_order(t.pieces):
-        if not state.try_add(dom, fill):
+        if fill == X_FILL:
+            if not fill_fits(family, dom, fill, None):
+                return False
+            continue
+        d = dom.crossing()
+        near = (*judged.get(d - 2, ()), *judged.get(d, ()))
+        if not fill_fits(family, dom, fill, fold_bounds(dom, near, {}, set_valued)):
             return False
+        judged.setdefault(d, []).append((dom, fill))
     return True
 
 

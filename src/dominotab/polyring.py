@@ -294,8 +294,8 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     caps, as it folds the placed pieces for the fill search and the
     validator.  Its relation memo is per call and keyed by id, which is
     safe because the automaton keeps every domino alive until the call
-    ends.  The per-piece family rules, which ``FillState.check`` adds for
-    those two, never fire here, because the fill classes are admissible
+    ends.  The per-piece family rules, which ``fill_fits`` adds for those
+    two, never fire here, because the fill classes are admissible
     already: plain fills are single letters, unshifted fills hold no primed
     letter, and shifted edges cross at 0 or above.  The rules read a
     candidate fill only through its minimum and maximum, so the fills are

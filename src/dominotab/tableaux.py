@@ -22,6 +22,7 @@ from typing import Iterator
 
 from .partitions import (
     MAX_LISTED,
+    Cell,
     Shape,
     cells,
     check_partition,
@@ -225,21 +226,27 @@ def reading_word(t: Tableau) -> ReadingWord:
     return ReadingWord(start=start, step=1, segments=tuple(segments))
 
 
-def _shape_from_diagonal_counts(counts: dict[int, int]) -> Shape:
-    """Shape whose diagonal d holds counts[d] cells; ValueError if none exists."""
-    cellset = set()
+def _tableau_from_cells(family: Family, fills: dict[Cell, Fill]) -> Tableau:
+    """The tableau with the given fill on each cell.  ValueError unless the
+    cells form a partition shape, as segments of a reading word laid on
+    their diagonals must, and unless the tableau is valid."""
     widths: dict[int, int] = {}  # cells per row
-    for d, cnt in counts.items():
-        r0 = max(1, 1 - d)
-        for r in range(r0, r0 + cnt):
-            cellset.add((r, r + d))
-            widths[r] = widths.get(r, 0) + 1
-    if not cellset:
-        return ()
-    shape = tuple(widths.get(r, 0) for r in range(1, max(widths) + 1))
-    if not is_partition(shape) or cellset != set(cells(shape)):
+    for r, _ in fills:
+        widths[r] = widths.get(r, 0) + 1
+    shape = tuple(widths.get(r, 0) for r in range(1, max(widths, default=0) + 1))
+    try:
+        rows = tuple(
+            tuple(fills[r, c] for c in range(1, part + 1))
+            for r, part in enumerate(shape, start=1)
+        )
+    except KeyError:  # a row's cells leave a gap
+        rows = None
+    if rows is None or not is_partition(shape):
         raise ValueError("segment lengths do not form a partition profile")
-    return shape
+    t = Tableau(family, shape, rows)
+    if not validate_tableau(t):
+        raise ValueError("reading word does not define a valid tableau")
+    return t
 
 
 def tableau_from_reading_word(family: Family, word: ReadingWord) -> Tableau:
@@ -251,34 +258,19 @@ def tableau_from_reading_word(family: Family, word: ReadingWord) -> Tableau:
     """
     if word.step != 1:
         raise ValueError("flat tableaux read with step-1 diagonals")
-    fills: dict[tuple[int, int], Fill] = {}
-    counts: dict[int, int] = {}
+    fills: dict[Cell, Fill] = {}
     for i, seg in enumerate(word.segments):
         d = word.start + i
-        counts[d] = len(seg)
         r0 = max(1, 1 - d)
         for j, fill in enumerate(seg):
-            fills[(r0 + j, r0 + j + d)] = fill
-
-    if family.shifted and word.start >= 0 and all(
-        f != X_FILL for seg in word.segments for f in seg
-    ):
+            fills[(r0 + j, r0 + j + d)] = check_fill(tuple(fill))
+    if family.shifted and word.start >= 0 and X_FILL not in fills.values():
         # X-complete: row r needs r-1 X cells before its letters.
-        nrows = counts.get(0, 0)
-        for r in range(1, nrows + 1):
+        nrows = len(word.segments[0]) if word.start == 0 and word.segments else 0
+        for r in range(2, nrows + 1):
             for c in range(1, r):
                 fills[(r, c)] = X_FILL
-                counts[c - r] = counts.get(c - r, 0) + 1
-
-    shape = _shape_from_diagonal_counts(counts)
-    rows = tuple(
-        tuple(fills[(r, c)] for c in range(1, length + 1))
-        for r, length in enumerate(shape, start=1)
-    )
-    t = make_tableau(family, shape, rows)
-    if not validate_tableau(t):
-        raise ValueError("reading word does not define a valid tableau")
-    return t
+    return _tableau_from_cells(family, fills)
 
 
 # Set fills over m ranks number 2^m - 1; this allows 16 letters set-valued

@@ -48,7 +48,7 @@ from dominotab.domino_tableaux import (
     validate_domino_tableau,
 )
 from dominotab.partitions import is_pavable, partitions_up_to, two_quotient
-from dominotab.pavings import enumerate_pavings, is_shifted_pavable, is_shifted_paving
+from dominotab.pavings import domino, enumerate_pavings, is_shifted_pavable, is_shifted_paving
 from dominotab.polyring import Polynomial, domino_genfun, genfun
 from dominotab.render import render_ascii
 from dominotab.tableaux import (
@@ -507,19 +507,36 @@ def test_piece_relation_matches_fillstate_bounds(family):
     assert flags == (255 if family.set_valued else LEFT | ABOVE | RIGHT | BELOW)
 
 
+def _recycled_ids(family, cases):
+    """How many automaton dominoes, built afresh for each shape after the
+    domino cache is cleared, sit at an address that another domino had."""
+    last_ids, recycled = {}, 0
+    for lam in cases:
+        domino.cache_clear()
+        ids = {id(d): (d.row, d.col, d.horiz) for d in _automaton_dominoes(family, lam)}
+        recycled += sum(1 for k, v in ids.items() if last_ids.get(k, v) != v)
+        last_ids.update(ids)
+    return recycled
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_fill_state_memo_never_reads_a_recycled_id(family, monkeypatch):
-    """One ``FillState`` serves the fill search of shape after shape.  The
-    search keeps no tableau, so each shape's automaton dominoes are freed
-    before the next shape builds its own, and their ids come round again.
-    The state's relation memo, keyed by id, must still give the answers of
+    """One ``FillState`` serves the fill search of shape after shape, and
+    the domino cache is cleared before each shape, so each shape's
+    dominoes are fresh objects.  Nothing else holds the last shape's
+    dominoes, so their ids come round again, as a run over the same shapes
+    without the search counts; only the state's relation memo, keyed by
+    id, holds the dominoes it keys.  It must give the answers of
     ``ReferenceFillState`` on every try."""
+    cases = list(shapes(family, 8))
+    assert _recycled_ids(family, cases) > 0
     shared = PairedState(family)
     monkeypatch.setattr(domino_tableaux, "FillState", lambda family: shared)
     monkeypatch.setattr(PairedState, "checks", 0)
     monkeypatch.setattr(PairedState, "mismatches", [])
     for letters in (2, 3):
-        for lam in shapes(family, 8):
+        for lam in cases:
+            domino.cache_clear()
             for _ in domino_fills(family, lam, letters):
                 pass
     assert shared.pieces == []

@@ -1,16 +1,16 @@
 """The interned dominoes: ``pavings.domino`` gives one object per domino.
 
 Interned and fresh dominoes must be interchangeable, the shapes' automata
-must share them, and the id-keyed relation memos must stay right when the
-cache is cleared between shapes, so that freed dominoes' ids come round
-again under other dominoes.
+must share them, and the transfer's id-keyed relation memo and the
+validator must stay right when the cache is cleared between shapes, so
+that freed dominoes' ids come round again under other dominoes.
 """
 
 import random
 
 import pytest
 
-from dominotab import canonical, domino_tableaux
+from dominotab import canonical
 from dominotab.bijections import gamma_merge, gamma_split
 from dominotab.domino_tableaux import (
     DominoTableau,
@@ -22,7 +22,7 @@ from dominotab.partitions import is_pavable, partitions_up_to
 from dominotab.pavings import Domino, _least_tiling, domino, is_shifted_pavable
 from dominotab.polyring import domino_genfun
 from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED, _candidate_fills
-from reference_fillstate import IndexedFillState
+from reference_fillstate import reference_validate
 from reference_genfun import fillstate_domino_genfun
 
 FAMILIES = (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED)
@@ -126,51 +126,14 @@ def test_domino_genfun_after_cache_clear_matches_fillstate_transfer(family):
     assert recycled > 0
 
 
-class PairedState(domino_tableaux.FillState):
-    """The library's state with an ``IndexedFillState`` replaying every
-    call."""
-
-    checks = 0
-    mismatches: list = []
-
-    def __init__(self, family):
-        super().__init__(family)
-        self.ref = IndexedFillState(family)
-
-    def check(self, dom, fill):
-        ok = super().check(dom, fill)
-        PairedState.checks += 1
-        if ok != self.ref.check(dom, fill):
-            PairedState.mismatches.append((tuple(self.pieces), dom, fill, ok))
-        return ok
-
-    def add(self, dom, fill):
-        super().add(dom, fill)
-        self.ref.add(dom, fill)
-
-    def pop(self):
-        super().pop()
-        self.ref.pop()
-
-
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
-def test_validation_on_a_reused_state_after_cache_clear(family, monkeypatch):
-    """One ``FillState`` validates the tableaux of shape after shape; it is
-    emptied before each tableau but keeps its relation memo.  Each shape's
-    tableaux, and a mutation of each, are parsed from their canonical text
-    after the cache is cleared, so their dominoes are fresh objects whose
-    ids may be those of freed ones.  Every check must agree with
-    ``IndexedFillState``."""
-    shared = PairedState(family)
-
-    def reused(family):
-        while shared.pieces:
-            shared.pop()
-        return shared
-
-    monkeypatch.setattr(domino_tableaux, "FillState", reused)
-    monkeypatch.setattr(PairedState, "checks", 0)
-    monkeypatch.setattr(PairedState, "mismatches", [])
+def test_validation_after_cache_clear_matches_reference(family):
+    """Each shape's tableaux, and a mutation of each, are parsed from their
+    canonical text after the cache is cleared, so their dominoes are fresh
+    objects whose ids may be those of freed ones.  The validator must give
+    every one the verdict of ``reference_validate``.  (A ``FillState``
+    reused across shapes is checked on the fill search, in
+    ``test_differential.py``.)"""
     rng = random.Random(family.name)
     fills = _candidate_fills(family, 2)
     accepted = rejected = 0
@@ -185,9 +148,9 @@ def test_validation_on_a_reused_state_after_cache_clear(family, monkeypatch):
             texts.append(canonical.serialize(DominoTableau(family, lam, pieces)))
         domino.cache_clear()
         for text in texts:
-            ok = validate_domino_tableau(canonical.parse(text))
+            t = canonical.parse(text)
+            ok = validate_domino_tableau(t)
+            assert ok == reference_validate(t), text
             accepted += ok
             rejected += not ok
-    assert PairedState.mismatches == []
-    assert PairedState.checks > 1000
     assert accepted > 100 and rejected > 50
