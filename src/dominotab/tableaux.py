@@ -273,30 +273,30 @@ def tableau_from_reading_word(family: Family, word: ReadingWord) -> Tableau:
     return _tableau_from_cells(family, fills)
 
 
-# Set fills over m ranks number 2^m - 1; this allows 16 letters set-valued
-# and 8 shifted set-valued (whose letters come primed and unprimed).
+# The most candidate fills a cell may have, in every family: 65,535 letters
+# plain, 32,767 shifted, 16 set-valued and 8 shifted set-valued (set fills
+# over m ranks number 2^m - 1, and shifted letters come primed and unprimed).
 MAX_CANDIDATE_FILLS = 2**16 - 1
 
 
 def _candidate_fills(family: Family, max_letter: int) -> list[Fill]:
     """Every admissible cell fill over the first max_letter letters, sorted.
 
-    Raises ValueError when there would be more than MAX_CANDIDATE_FILLS.
+    Raises ValueError when there would be more than MAX_CANDIDATE_FILLS,
+    counted before any fill is built.
     """
-    ranks = (
-        list(range(1, 2 * max_letter + 1))
-        if family.shifted
-        else list(range(2, 2 * max_letter + 1, 2))
-    )
+    m = 2 * max_letter if family.shifted else max_letter  # the ranks in use
+    # 2^m - 1 set fills exceed 2^b - 1 exactly when m > b.
+    if m > (MAX_CANDIDATE_FILLS.bit_length() if family.set_valued else MAX_CANDIDATE_FILLS):
+        raise ValueError(
+            f"{family.name} fills over {max_letter} letters number more than "
+            f"the limit {MAX_CANDIDATE_FILLS}"
+        )
+    ranks = range(1, m + 1) if family.shifted else range(2, 2 * m + 1, 2)
     if not family.set_valued:
         return [(r,) for r in ranks]
-    if (1 << len(ranks)) - 1 > MAX_CANDIDATE_FILLS:
-        raise ValueError(
-            f"{family.name} fills over {max_letter} letters number "
-            f"{(1 << len(ranks)) - 1}, more than the limit {MAX_CANDIDATE_FILLS}"
-        )
     out: list[Fill] = []
-    for mask in range(1, 1 << len(ranks)):
+    for mask in range(1, 1 << m):
         out.append(tuple(r for i, r in enumerate(ranks) if mask >> i & 1))
     out.sort()
     return out

@@ -132,6 +132,23 @@ def test_huge_shape_parts_rejected_before_building_cells(monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "family,letters", [("set-valued", "3000000"), ("plain", "70000")]
+)
+def test_max_letter_past_the_fill_limit_exits_2(capsys, family, letters):
+    """A --max-letter whose cell fills would outnumber MAX_CANDIDATE_FILLS
+    is refused before any fill is built, with a message that names the
+    letter count and the limit, in every family."""
+    from dominotab.cli import main
+
+    argv = ["enumerate", "--family", family, "--shape", "[1]", "--max-letter", letters]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"over {letters} letters" in captured.err and "limit 65535" in captured.err
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         run(["quotient", "--shape", "[2]", "--bogus"])

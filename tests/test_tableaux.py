@@ -177,7 +177,14 @@ def test_candidate_fills_limit():
     assert len(_candidate_fills(SET_VALUED, 16)) == MAX_CANDIDATE_FILLS
     assert len(_candidate_fills(SHIFTED_SET_VALUED, 8)) == MAX_CANDIDATE_FILLS
     assert len(_candidate_fills(PLAIN, 100)) == 100
-    for family, letters in ((SET_VALUED, 17), (SHIFTED_SET_VALUED, 9)):
+    assert len(_candidate_fills(PLAIN, 65535)) == MAX_CANDIDATE_FILLS
+    assert len(_candidate_fills(SHIFTED, 32767)) == MAX_CANDIDATE_FILLS - 1
+    for family, letters in (
+        (PLAIN, 65536),
+        (SHIFTED, 32768),
+        (SET_VALUED, 17),
+        (SHIFTED_SET_VALUED, 9),
+    ):
         with pytest.raises(ValueError):
             _candidate_fills(family, letters)
         with pytest.raises(ValueError):
