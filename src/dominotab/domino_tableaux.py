@@ -53,7 +53,6 @@ from .tableaux import (
     check_fill,
     fill_floor,
     format_fill,
-    is_primed,
     letter_index,
 )
 
@@ -202,7 +201,7 @@ def fill_fits(
             return False
     else:
         for r in fill:
-            if is_primed(r):
+            if r & 1:  # primed
                 return False
     if not family.set_valued and len(fill) != 1:
         return False
@@ -225,11 +224,12 @@ class FillState:
     crossing in step with ``pieces``.  A piece of crossing d is bounded only
     by the pieces of crossing d - 2, d and d + 2: they alone cover its
     neighbour cells or lie two diagonals away.  ``bounds`` folds those
-    through ``fold_bounds`` once per domino until the next ``add`` or
-    ``pop``, and ``check`` judges each fill against the result by
-    ``fill_fits``.  The relation memo keeps every domino it keys,
-    so a state that outlives the dominoes of one shape never reads a
-    relation under a recycled id.
+    through ``fold_bounds`` once per domino and set of placed pieces:
+    ``add`` sets the last result aside and ``pop``, which brings back the
+    pieces it was folded over, restores it.  ``check`` judges each fill
+    against the result by ``fill_fits``.  The relation memo keeps every
+    domino it keys, so a state that outlives the dominoes of one shape
+    never reads a relation under a recycled id.
     """
 
     def __init__(self, family: Family):
@@ -240,6 +240,7 @@ class FillState:
         self.by_crossing: dict[int, list[Piece]] = {}
         self.relations: dict[int, tuple[Domino, dict[int, int]]] = {}
         self._last_bounds: tuple[Domino, tuple | None] | None = None
+        self._saved_bounds: list[tuple[Domino, tuple | None] | None] = []  # one per piece
 
     def bounds(self, dom: Domino) -> tuple[int, float, float, float] | None:
         """``fold_bounds`` over the placed pieces, or None if ``dom``
@@ -265,6 +266,7 @@ class FillState:
         return bounds is not None and fill_fits(self.family, dom, fill, bounds)
 
     def add(self, dom: Domino, fill: Fill) -> None:
+        self._saved_bounds.append(self._last_bounds)
         self._last_bounds = None
         if id(dom) not in self.relations:  # hold dom: later relations key its id
             self.relations[id(dom)] = (dom, {})
@@ -280,7 +282,7 @@ class FillState:
         return True
 
     def pop(self) -> None:
-        self._last_bounds = None
+        self._last_bounds = self._saved_bounds.pop()  # the pieces are as they were then
         dom, fill = self.pieces.pop()
         self.covered.difference_update(dom.cells())
         if fill != X_FILL:
