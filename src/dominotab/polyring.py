@@ -153,6 +153,11 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     check_variables(n)
     if family.shifted and not is_staircase_admissible(shape):
         raise ValueError(f"shape {shape} is not admissible for shifted tableaux")
+    return _flat_transfer(family, shape, n)
+
+
+def _flat_transfer(family: Family, shape: Shape, n: int) -> Polynomial:
+    """The transfer of ``genfun`` over a shape its checks have passed."""
     bits = (2 * sum(shape)).bit_length()  # a shifted set-valued cell may hold i' and i
     classes = _fill_classes(family, n, bits)
     class_mins = [fill[0] for fill, _ in classes]

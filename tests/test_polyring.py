@@ -184,6 +184,23 @@ def test_transfers_reject_too_many_terms(monkeypatch, capsys):
     assert genfun(SHIFTED_SET_VALUED, (3, 3), 3).terms
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", [PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED])
+def test_genfun_matches_the_uncached_transfer(family, n):
+    """``genfun`` answers, on a first call and on a repeat, exactly what the
+    flat transfer computes afresh, on every shape up to size 10 that the
+    family admits."""
+    shapes = [
+        lam
+        for lam in partitions_up_to(10)
+        if not family.shifted or not lam or lam[-1] >= len(lam)
+    ]
+    for lam in shapes:
+        fresh = polyring._flat_transfer(family, lam, n)
+        assert genfun(family, lam, n) == fresh, lam
+        assert genfun(family, lam, n) == fresh, lam
+
+
 def test_variable_count_is_limited(capsys):
     """More than MAX_VARIABLES variables raise ValueError in both sums and
     in the identity check, and the CLI exits 2; at the limit the plain sum

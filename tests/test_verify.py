@@ -1,6 +1,10 @@
+import hashlib
+import re
+
 import pytest
 
 from dominotab import verify
+from dominotab.cli import main
 from dominotab.polyring import Polynomial
 from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED
 from dominotab.verify import verify_identity, verify_sweep
@@ -93,3 +97,27 @@ def test_asymmetric_side_fails_without_raising(monkeypatch):
     report = verify_identity(PLAIN, (2, 2), 2)
     assert report.status == "FAIL" and report.first_diff is None
     assert report.line().endswith("not symmetric")
+
+
+# sha256 of ``verify --max-size 12 --format canonical`` with every
+# ``elapsed_us`` field removed, SKIP lines included, as the code computed it
+# before the flat sums were memoised and the quotient computed once a shape.
+CANONICAL_SWEEP_SHA256 = {
+    ("plain", 2): "c5e086dea73c65b4c7d92a3462ee28b162b84ed122de4a95263fcbd4e130dd62",
+    ("plain", 3): "7ba3e2a92f63522f548053332ee25d2434f81122c6d7dacbc7658d827d9ce41b",
+    ("set-valued", 2): "f2f723574dcdde1a581d700675affafcf4be6a35bedd1bf6efbedfef7393f046",
+    ("set-valued", 3): "7a0f7a13562fcbb00c0d2f1e82b84cc39d5be985512623996f0425a0b876eb65",
+    ("shifted", 2): "6fb7fa971a9fa53d56534ad209b3d37d37dff95b6e8465ca8ae0a534d1b7c38c",
+    ("shifted", 3): "da4779e7ca251eefa22ac5c2cf7e250fab689e3eedc4774ef49ae1c2aa317ded",
+    ("shifted-set-valued", 2): "d3a887502ed41803b3ebdd32f1652e007d40548ebc2bfc6e801e2d3ec63a362c",
+    ("shifted-set-valued", 3): "e5a3d17c521081d28c0aac11f44a7e9f88b808770779fd383d1ad367c843e761",
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(CANONICAL_SWEEP_SHA256))
+def test_canonical_sweep_output_is_unchanged(capsys, family, n):
+    argv = ["verify", "--family", family, "--max-size", "12", "--vars", str(n)]
+    assert main(argv + ["--format", "canonical"]) == 0
+    text = re.sub(r',"elapsed_us":\d+', "", capsys.readouterr().out)
+    assert len(text.splitlines()) == 272 and '"SKIP"' in text
+    assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_SWEEP_SHA256[family, n]
