@@ -12,6 +12,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import lshift
+from threading import Lock
 
 from .partitions import Shape, check_partition, is_staircase_admissible
 from .tableaux import Family, Fill, _candidate_fills, fill_floor, letter_index
@@ -148,12 +149,25 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     the top rank less 2k.  Shifted shapes that are not admissible raise
     ValueError, and so do more than MAX_VARIABLES variables and a layer of
     more than MAX_TRANSFER_TERMS terms.
+
+    The sums are memoised after those checks, by (family, shape, n): the
+    quotient components of a sweep's shapes repeat, so one verify pass asks
+    for a few sums many times.  The memo keeps results only, under
+    MAX_MEMO_TERMS, and a lock guards it, so concurrent calls are safe; a
+    sum that raised is computed, and raises, again.  The returned
+    polynomial may be shared with other callers, like every Polynomial it
+    is not to be changed.  The domino side never reads the memo.
     """
     shape = check_partition(shape)
     check_variables(n)
     if family.shifted and not is_staircase_admissible(shape):
         raise ValueError(f"shape {shape} is not admissible for shifted tableaux")
-    return _flat_transfer(family, shape, n)
+    key = (family, shape, n)
+    poly = _flat_memo.get(key)
+    if poly is None:
+        poly = _flat_transfer(family, shape, n)
+        _flat_memo.put(key, poly)
+    return poly
 
 
 def _flat_transfer(family: Family, shape: Shape, n: int) -> Polynomial:
@@ -228,6 +242,56 @@ MAX_TRANSFER_STATES = 250_000
 # together, which bounds its memory.  GQ (6,5,5,4) peaks at 2,123,158 terms
 # with n=3.
 MAX_TRANSFER_TERMS = 3_000_000
+
+
+# The most that the sums kept by ``genfun`` may cost together, where a sum
+# costs its terms, its shape's parts and one.  A verify-unshifted pass keeps
+# 116 sums of 1,252 terms, and a plain size-24 sweep with n=3 keeps 272
+# sums of 2,730 terms.  A kept term takes about 110 bytes with n=3 and 350
+# with n=32 (MAX_VARIABLES), so the memo holds at most about 6 and 18 MB.
+MAX_MEMO_TERMS = 50_000
+
+
+class _SumMemo:
+    """Polynomials by key, least recently used first, whose costs add up to
+    at most MAX_MEMO_TERMS: a new entry evicts the least recently used ones
+    until they fit, and one that costs more on its own is not kept.  Every
+    method holds the lock."""
+
+    def __init__(self) -> None:
+        self.lock = Lock()
+        self.sums: dict[tuple, Polynomial] = {}
+        self.cost = 0
+
+    @staticmethod
+    def cost_of(key: tuple, poly: Polynomial) -> int:
+        return len(poly.terms) + len(key[1]) + 1
+
+    def get(self, key: tuple) -> Polynomial | None:
+        with self.lock:
+            poly = self.sums.pop(key, None)
+            if poly is not None:
+                self.sums[key] = poly  # now the most recently used
+            return poly
+
+    def put(self, key: tuple, poly: Polynomial) -> None:
+        cost = self.cost_of(key, poly)
+        with self.lock:
+            if cost > MAX_MEMO_TERMS or key in self.sums:
+                return
+            self.sums[key] = poly
+            self.cost += cost
+            while self.cost > MAX_MEMO_TERMS:
+                old_key = next(iter(self.sums))
+                self.cost -= self.cost_of(old_key, self.sums.pop(old_key))
+
+    def clear(self) -> None:
+        with self.lock:
+            self.sums.clear()
+            self.cost = 0
+
+
+_flat_memo = _SumMemo()
 
 
 def _unpack(n: int, bits: int, packed: dict[int, int]) -> Polynomial:

@@ -8,8 +8,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .partitions import Shape, check_partition, is_pavable, partitions_up_to, two_quotient
-from .pavings import is_shifted_pavable
+from .partitions import (
+    Shape,
+    check_partition,
+    is_staircase_admissible,
+    partitions_up_to,
+    two_quotient,
+)
 from .polyring import Monomial, Polynomial, check_variables, domino_genfun, genfun, grlex_key
 from .tableaux import Family
 
@@ -64,18 +69,25 @@ def verify_identity(family: Family, lam: Shape, n: int) -> VerificationReport:
     symmetric.
     Shapes the identity does not cover (not pavable, or not shifted pavable
     for the shifted families) yield a SKIP report rather than an error.
+    Both facts are read off the 2-quotient (mu, nu), computed once: lam is
+    pavable iff |lam| = 2(|mu| + |nu|), and shifted pavable iff moreover mu
+    and nu are staircase admissible, as in ``is_shifted_pavable``.  The flat
+    sums come from the memo of ``genfun``; the domino sum is computed afresh
+    and reads neither the quotient nor that memo.
     More than MAX_VARIABLES variables raise ValueError.
     """
     lam = check_partition(lam)
     check_variables(n)
     start = time.perf_counter()
-    ok = is_pavable(lam) and (not family.shifted or is_shifted_pavable(lam))
+    mu, nu = two_quotient(lam)
+    ok = sum(lam) == 2 * (sum(mu) + sum(nu)) and (
+        not family.shifted or (is_staircase_admissible(mu) and is_staircase_admissible(nu))
+    )
     if not ok:
         elapsed = int((time.perf_counter() - start) * 1e6)
         return VerificationReport(
             family, lam, None, None, n, None, None, "SKIP", None, elapsed
         )
-    mu, nu = two_quotient(lam)
     lhs = genfun(family, mu, n) * genfun(family, nu, n)
     rhs = domino_genfun(family, lam, n)
     diff = _first_diff(lhs, rhs)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import homogeneous_component, min_degree, up_cell_count
 from dominotab import polyring
 from dominotab.cli import main
-from dominotab.partitions import partitions_up_to
+from dominotab.partitions import partitions_up_to, two_quotient
 from dominotab.polyring import Polynomial, domino_genfun, genfun
 from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED
 from dominotab.verify import verify_identity
@@ -170,9 +170,12 @@ def test_transfers_reject_too_many_terms(monkeypatch, capsys):
     # GQ (6,5,5,4) with n=3 peaks at 2,123,158 terms in one layer and must
     # stay in range.
     assert polyring.MAX_TRANSFER_TERMS > 2_123_158
+    # A sum kept from earlier calls would answer without the transfer.
+    polyring._flat_memo.clear()
     monkeypatch.setattr(polyring, "MAX_TRANSFER_TERMS", 100)
-    with pytest.raises(ValueError, match="more than 100 terms in one layer"):
-        genfun(SHIFTED_SET_VALUED, (3, 3), 3)
+    for _ in range(2):  # a sum that raised is not kept, so it raises again
+        with pytest.raises(ValueError, match="more than 100 terms in one layer"):
+            genfun(SHIFTED_SET_VALUED, (3, 3), 3)
     with pytest.raises(ValueError, match="more than 100 terms in one layer"):
         domino_genfun(SHIFTED_SET_VALUED, (6, 5, 5, 4), 2)
     argv = ["genfun", "--family", "shifted-set-valued", "--vars", "3", "--shape"]
@@ -199,6 +202,64 @@ def test_genfun_matches_the_uncached_transfer(family, n):
         fresh = polyring._flat_transfer(family, lam, n)
         assert genfun(family, lam, n) == fresh, lam
         assert genfun(family, lam, n) == fresh, lam
+
+
+def test_flat_memo_stays_within_its_bound(monkeypatch):
+    """After more distinct sums than it holds, the memo costs no more than
+    its bound, keeps the most recently used sums, and answers right; a sum
+    that costs more than the bound on its own is computed but not kept."""
+    memo = polyring._flat_memo
+    memo.clear()
+    monkeypatch.setattr(polyring, "MAX_MEMO_TERMS", 60)
+    shapes = list(partitions_up_to(6))
+    for lam in shapes:
+        assert genfun(SET_VALUED, lam, 2) == polyring._flat_transfer(SET_VALUED, lam, 2)
+        assert memo.cost == sum(memo.cost_of(k, p) for k, p in memo.sums.items()) <= 60
+    assert 1 < len(memo.sums) < len(shapes)
+    assert list(memo.sums)[-1] == (SET_VALUED, shapes[-1], 2)
+    oldest = next(iter(memo.sums))
+    genfun(*oldest)
+    assert list(memo.sums)[-1] == oldest  # a hit makes a sum the most recently used
+    kept = dict(memo.sums)
+    big = genfun(PLAIN, (6,), 4)
+    assert len(big.terms) > 60
+    assert memo.sums == kept
+
+
+def test_flat_memo_under_threads(monkeypatch):
+    """Concurrent calls, evicting one another's sums, all answer right and
+    leave the memo's cost in step with what it holds."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    memo = polyring._flat_memo
+    memo.clear()
+    monkeypatch.setattr(polyring, "MAX_MEMO_TERMS", 80)
+    tasks = [(family, lam, 2) for family in (PLAIN, SET_VALUED) for lam in partitions_up_to(7)]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(lambda task: genfun(*task), tasks * 3))
+    assert got == [polyring._flat_transfer(*task) for task in tasks * 3]
+    assert memo.cost == sum(memo.cost_of(k, p) for k, p in memo.sums.items()) <= 80
+
+
+def test_domino_genfun_never_reads_or_writes_the_flat_memo():
+    """The domino side stays independent of the flat sums: it stores
+    nothing in their memo, and wrong sums planted there for the quotient
+    of its shape change nothing."""
+    memo = polyring._flat_memo
+    cases = [(family, (4, 3, 1), 2) for family in (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED)]
+    memo.clear()
+    try:
+        sums = [domino_genfun(*case) for case in cases]
+        assert memo.sums == {}
+        wrong = P(2, ((5, 5), 7))
+        for family, lam, n in cases:
+            for part in two_quotient(lam):
+                memo.put((family, part, n), wrong)
+        planted = dict(memo.sums)
+        assert [domino_genfun(*case) for case in cases] == sums
+        assert memo.sums == planted
+    finally:
+        memo.clear()
 
 
 def test_variable_count_is_limited(capsys):

@@ -40,6 +40,39 @@ def test_identity_set_valued_quotient_pair():
     assert (report.mu, report.nu) == ((2, 1), (1,))
 
 
+def test_identity_computes_the_quotient_once(monkeypatch):
+    """Pavability, shifted pavability and the flat sides all come from one
+    2-quotient a shape.  The domino side, which tiles the shape on its own,
+    is stubbed so that only the calls of the check itself are counted."""
+    from dominotab import partitions, pavings
+
+    cases = [
+        (PLAIN, (2, 2), "PASS"),
+        (SET_VALUED, (3, 3, 1, 1), "PASS"),
+        (SHIFTED, (4, 3, 1), "PASS"),
+        (SHIFTED_SET_VALUED, (4, 3, 1), "PASS"),
+        (SET_VALUED, (4, 2, 2, 1, 1, 1), "SKIP"),
+        (SHIFTED, (5, 5, 4, 3, 3, 2), "SKIP"),
+    ]
+    sides = {(family, lam): verify_identity(family, lam, 2).rhs for family, lam, _ in cases}
+    calls = []
+    real = partitions.two_quotient
+
+    def counted(shape):
+        calls.append(shape)
+        return real(shape)
+
+    for module in (partitions, pavings, verify):
+        monkeypatch.setattr(module, "two_quotient", counted)
+    monkeypatch.setattr(verify, "domino_genfun", lambda family, lam, n: sides[family, lam])
+    for family, lam, status in cases:
+        calls.clear()
+        report = verify_identity(family, lam, 2)
+        assert calls == [lam] and report.status == status, (family, lam)
+        if status == "SKIP":
+            assert report.mu is None and report.nu is None
+
+
 def test_sweep_orders_and_skips():
     reports = verify_sweep(PLAIN, 4, 2)
     shapes = [r.lam for r in reports]
