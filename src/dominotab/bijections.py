@@ -14,7 +14,7 @@ the cell's fill.
 
 from __future__ import annotations
 
-from .domino_tableaux import DominoTableau, _diag_order, validate_domino_tableau
+from .domino_tableaux import DominoTableau, validate_domino_tableau
 from .partitions import Cell
 from .pavings import domino
 from .tableaux import (
@@ -43,7 +43,7 @@ def gamma_split(t: DominoTableau) -> tuple[Tableau, Tableau]:
         raise ValueError("gamma_split requires a valid domino tableau")
     fills: tuple[dict[Cell, Fill], dict[Cell, Fill]] = ({}, {})
     placed: tuple[dict[int, int], dict[int, int]] = ({}, {})  # pieces laid per diagonal
-    for dom, fill in _diag_order(t.pieces):
+    for dom, fill in t.diagonal_order():
         half = dom.dtype() - 1
         k = dom.crossing() // 2
         j = placed[half].get(k, 0)

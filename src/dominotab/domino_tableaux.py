@@ -71,8 +71,26 @@ class DominoTableau:
             self, "pieces", tuple(sorted(self.pieces, key=lambda p: p[0]))
         )
 
+    # The paving and the diagonal order are kept in the instance's __dict__
+    # once computed: they depend on the fields alone, and equality and the
+    # hash read only the fields.
+
     def paving(self) -> Paving:
-        return Paving(self.shape, tuple(d for d, _ in self.pieces))
+        """The tiling by the pieces' dominoes; raises ValueError unless they
+        tile the shape.  It is proved on the first call and kept."""
+        paving = self.__dict__.get("_paving")
+        if paving is None:
+            dominoes = tuple(d for d, _ in self.pieces)
+            paving = self.__dict__["_paving"] = Paving(self.shape, dominoes)
+        return paving
+
+    def diagonal_order(self) -> tuple[Piece, ...]:
+        """The pieces in diagonal reading order, sorted on the first call
+        and kept."""
+        order = self.__dict__.get("_diagonal_order")
+        if order is None:
+            order = self.__dict__["_diagonal_order"] = tuple(_diag_order(self.pieces))
+        return order
 
     def up_pieces(self) -> tuple[Piece, ...]:
         return tuple((d, f) for d, f in self.pieces if d.crossing() >= 0)
@@ -82,8 +100,9 @@ def make_domino_tableau(family: Family, shape: Shape, pieces: Iterable[Piece]) -
     """Build a DominoTableau, raising ValueError on structural problems."""
     shape = check_partition(shape)
     pieces = tuple((d, check_fill(tuple(f))) for d, f in pieces)
-    Paving(shape, tuple(d for d, _ in pieces))  # raises unless a tiling
-    return DominoTableau(family, shape, pieces)
+    t = DominoTableau(family, shape, pieces)
+    t.paving()  # raises unless a tiling, and is kept for the validator
+    return t
 
 
 # The bounds a placed piece puts on a fill of another domino, as flags of
@@ -300,16 +319,19 @@ def validate_domino_tableau(t: DominoTableau) -> bool:
     d + 2 comes earlier.  So every pairwise rule is read by the later piece
     of its pair.  The tiling check has proved that no pieces overlap, so no
     covered cells are kept, and each fold's relation memo is thrown away.
+    The tiling and the diagonal order are the tableau's own, kept by
+    ``paving`` and ``diagonal_order``: a parsed tableau was tiled when it
+    was built, and the split reads the same order after this check.
     """
     for _, fill in t.pieces:
         check_fill(fill)
-    paving = Paving(t.shape, tuple(d for d, _ in t.pieces))  # structural: must tile
+    paving = t.paving()  # structural: must tile
     family = t.family
     if family.shifted and not is_shifted_paving(paving):
         return False
     set_valued = family.set_valued
     judged: dict[int, list[Piece]] = {}  # the non-X pieces judged, by crossing
-    for dom, fill in _diag_order(t.pieces):
+    for dom, fill in t.diagonal_order():
         if fill == X_FILL:
             if not fill_fits(family, dom, fill, None):
                 return False

@@ -52,6 +52,44 @@ def test_unsorted_fill_raises():
         validate_domino_tableau(unsorted)
 
 
+def test_structure_checks_keep_their_order_and_messages():
+    """A tableau built directly is proved on its first validation: its
+    fills first, then its tiling, every time it is asked."""
+    bad_fill_and_tiling = DominoTableau(SET_VALUED, (2, 2), ((Domino(1, 1, True), (4, 2)),))
+    untiled = DominoTableau(PLAIN, (2, 2), ((Domino(1, 1, True), (2,)),))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            validate_domino_tableau(bad_fill_and_tiling)
+        with pytest.raises(ValueError, match="dominoes do not tile the shape"):
+            validate_domino_tableau(untiled)
+
+
+def test_a_parsed_tableau_is_tiled_and_ordered_once(monkeypatch, plain_example):
+    """Parsing proves the tiling, which the split's validation reuses, and
+    the validation and the split share one diagonal sort; the kept values
+    change neither equality nor the hash."""
+    from dominotab import canonical, pavings
+    from dominotab.bijections import gamma_split
+
+    text = canonical.serialize(plain_example)
+    fresh = canonical.parse(text)
+    tilings, sorts = [], []
+    post_init, diag_order = pavings.Paving.__post_init__, domino_tableaux._diag_order
+    monkeypatch.setattr(
+        pavings.Paving, "__post_init__", lambda self: tilings.append(1) or post_init(self)
+    )
+    monkeypatch.setattr(
+        domino_tableaux, "_diag_order", lambda pieces: sorts.append(1) or diag_order(pieces)
+    )
+    t = canonical.parse(text)
+    assert len(tilings) == 1
+    split = gamma_split(t)
+    assert gamma_split(t) == split
+    assert len(tilings) == 1 and len(sorts) == 1
+    assert t == fresh == plain_example and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    assert t.diagonal_order() == tuple(diag_order(t.pieces))
+
+
 def test_weakly_southeast():
     d = Domino(1, 1, True)
     assert weakly_southeast(d, d)
