@@ -22,6 +22,15 @@ Cell = tuple[int, int]
 # for hold about 50,000 tableaux.
 MAX_LISTED = 200_000
 
+# The most cells a shape may have where it is tiled, summed, listed or
+# verified.  The tiling automaton's masks and the flat transfer over a long
+# row grow with the square of its length.  At the limit every command on
+# the one-row shape takes at most 3 s and 41 MB (the flat sum is the
+# slowest), and the domino sum over (5000,5000) with n=2 takes 11 s and
+# 47 MB; without it, listing the pavings of (200000) took 56 s and 4.1 GB,
+# and the domino sum over (2000000) passed 7.7 GB.
+MAX_CELLS = 10_000
+
 
 def is_partition(parts: Sequence[int]) -> bool:
     """True iff the sequence is nonincreasing with all entries integers >= 1
@@ -40,6 +49,13 @@ def check_partition(parts: Iterable[int]) -> Shape:
     if not is_partition(shape):
         raise ValueError(f"not a partition: {shape!r}")
     return shape
+
+
+def check_cells(shape: Shape) -> None:
+    """Raise ValueError for a shape of more than MAX_CELLS cells."""
+    total = sum(shape)
+    if total > MAX_CELLS:
+        raise ValueError(f"a shape may have at most {MAX_CELLS} cells, got {total}")
 
 
 def size(shape: Shape) -> int:

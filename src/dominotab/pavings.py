@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .partitions import MAX_LISTED, Shape, Cell, cells, check_partition
+from .partitions import MAX_LISTED, Shape, Cell, cells, check_cells, check_partition
 from .partitions import is_staircase_admissible, two_quotient
 
 
@@ -200,8 +200,10 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
     cells below it in a column (it needs ceil(k/2) distinct dominoes there,
     each with a larger minimum two ranks up), and 0 for a shifted one.
 
-    An automaton of more than MAX_AUTOMATON_STATES states raises ValueError.
+    A shape of more than MAX_CELLS cells, or an automaton of more than
+    MAX_AUTOMATON_STATES states, raises ValueError.
     """
+    check_cells(shape)
     cell_set = set(cells(shape))
     least = 0 if shifted else 1 - len(shape)  # the least even content searched
     evens = sorted((c - r, r, c) for r, c in cell_set if c - r >= least and (c - r) % 2 == 0)

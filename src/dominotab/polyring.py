@@ -14,7 +14,7 @@ from functools import lru_cache
 from operator import lshift
 from threading import Lock
 
-from .partitions import Shape, check_partition, is_staircase_admissible
+from .partitions import Shape, check_cells, check_partition, is_staircase_admissible
 from .tableaux import Family, Fill, _candidate_fills, fill_floor, letter_index
 from .domino_tableaux import Piece, fold_bounds, tiling_root
 from .pavings import Node
@@ -147,8 +147,9 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     fills are judged and stored by (min, max) class.  An unshifted cell with
     k cells below it needs k larger letters there, so its maximum is at most
     the top rank less 2k.  Shifted shapes that are not admissible raise
-    ValueError, and so do more than MAX_VARIABLES variables and a layer of
-    more than MAX_TRANSFER_TERMS terms.
+    ValueError, and so do shapes of more than MAX_CELLS cells, more than
+    MAX_VARIABLES variables and a layer of more than MAX_TRANSFER_TERMS
+    terms.
 
     The sums are memoised after those checks, by (family, shape, n): the
     quotient components of a sweep's shapes repeat, so one verify pass asks
@@ -160,6 +161,7 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     """
     shape = check_partition(shape)
     check_variables(n)
+    check_cells(shape)
     if family.shifted and not is_staircase_admissible(shape):
         raise ValueError(f"shape {shape} is not admissible for shifted tableaux")
     key = (family, shape, n)
@@ -380,7 +382,8 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
 
     A layer of more than MAX_TRANSFER_STATES states, or of more than
     MAX_TRANSFER_TERMS terms in its polynomials, raises ValueError, and so
-    do more than MAX_VARIABLES variables.
+    do more than MAX_VARIABLES variables and, through the tiling automaton,
+    a shape of more than MAX_CELLS cells.
     """
     shape = check_partition(shape)
     check_variables(n)

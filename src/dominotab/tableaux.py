@@ -25,6 +25,7 @@ from .partitions import (
     Cell,
     Shape,
     cells,
+    check_cells,
     check_partition,
     diagonal_cells,
     diagonal_range,
@@ -310,9 +311,11 @@ def enumerate_tableaux(family: Family, shape: Shape, max_letter: int) -> list[Ta
     by row-major fill sequence.  The fills a cell may take are the sorted
     candidates from the first whose minimum meets ``fill_floor`` on, and
     the walk is iterative, so a long shape needs no deep recursion.  More
-    than MAX_LISTED tableaux raise ValueError, once one more is found.
+    than MAX_LISTED tableaux raise ValueError, once one more is found, and
+    so does a shape of more than MAX_CELLS cells, at once.
     """
     shape = check_partition(shape)
+    check_cells(shape)
     if family.shifted and not is_staircase_admissible(shape):
         raise ValueError(f"shape {shape} is not admissible for shifted tableaux")
     candidates = _candidate_fills(family, max_letter)

@@ -10,6 +10,7 @@ from typing import Optional
 
 from .partitions import (
     Shape,
+    check_cells,
     check_partition,
     is_staircase_admissible,
     partitions_up_to,
@@ -74,10 +75,12 @@ def verify_identity(family: Family, lam: Shape, n: int) -> VerificationReport:
     and nu are staircase admissible, as in ``is_shifted_pavable``.  The flat
     sums come from the memo of ``genfun``; the domino sum is computed afresh
     and reads neither the quotient nor that memo.
-    More than MAX_VARIABLES variables raise ValueError.
+    More than MAX_VARIABLES variables, or a shape of more than MAX_CELLS
+    cells, raise ValueError before either side is computed.
     """
     lam = check_partition(lam)
     check_variables(n)
+    check_cells(lam)
     start = time.perf_counter()
     mu, nu = two_quotient(lam)
     ok = sum(lam) == 2 * (sum(mu) + sum(nu)) and (

@@ -132,6 +132,66 @@ def test_huge_shape_parts_rejected_before_building_cells(monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_shapes_past_the_cell_limit_exit_2_at_once(monkeypatch, capsys):
+    """Every command that tiles, sums, lists or verifies a shape refuses one
+    of more than MAX_CELLS cells before it builds a cell or starts a sum."""
+    from dominotab import partitions, polyring, verify
+    from dominotab.cli import main
+
+    assert partitions.MAX_CELLS >= 3000  # the long shapes below must answer
+
+    def no_run(*args):
+        pytest.fail(f"a long run started on {args!r}")
+
+    for target in ("dominotab.pavings.cells", "dominotab.tableaux.cells"):
+        monkeypatch.setattr(target, no_run)
+    monkeypatch.setattr(polyring, "_flat_transfer", no_run)
+    monkeypatch.setattr(verify, "genfun", no_run)
+    monkeypatch.setattr(verify, "domino_genfun", no_run)
+    over = partitions.MAX_CELLS + 2
+    for argv in (
+        ["pavings", "--shape", "[200000]"],
+        ["pavings", "--shape", f"[{over}]"],
+        ["genfun", "--family", "plain", "--shape", "[2000000]", "--vars", "1", "--domino"],
+        ["genfun", "--family", "plain", "--shape", "[20000]", "--vars", "1"],
+        ["genfun", "--family", "shifted", "--shape", f"[{over // 2},{over // 2}]", "--vars", "1"],
+        ["enumerate", "--family", "plain", "--shape", "[20000]", "--max-letter", "1"],
+        ["enumerate", "--family", "plain", "--shape", "[20000]", "--max-letter", "1",
+         "--kind", "domino"],
+        ["verify", "--family", "plain", "--shape", "[20000]", "--vars", "1"],
+        ["verify", "--family", "plain", "--shape", "[20001]", "--vars", "1"],  # no SKIP
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at most {partitions.MAX_CELLS} cells" in captured.err, argv
+
+
+def test_the_cell_limit_is_inclusive(monkeypatch):
+    from dominotab import partitions
+    from dominotab.pavings import enumerate_pavings
+    from dominotab.polyring import domino_genfun, genfun
+    from dominotab.tableaux import PLAIN, enumerate_tableaux
+    from dominotab.verify import verify_identity
+
+    monkeypatch.setattr(partitions, "MAX_CELLS", 6)
+    for shape, ok in (((4, 2), True), ((4, 2, 1), False)):
+        for call in (
+            lambda: enumerate_pavings(shape),
+            lambda: genfun(PLAIN, shape, 2),
+            lambda: enumerate_tableaux(PLAIN, shape, 2),
+            lambda: verify_identity(PLAIN, shape, 2),
+        ):
+            if ok:
+                call()
+            else:
+                with pytest.raises(ValueError, match="at most 6 cells, got 7"):
+                    call()
+    assert domino_genfun(PLAIN, (4, 2), 2).terms
+    with pytest.raises(ValueError, match="at most 6 cells, got 8"):
+        domino_genfun(PLAIN, (4, 2, 2), 2)
+
+
 @pytest.mark.parametrize(
     "family,letters", [("set-valued", "3000000"), ("plain", "70000")]
 )
