@@ -156,8 +156,8 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     for a few sums many times.  The memo keeps results only, under
     MAX_MEMO_TERMS, and a lock guards it, so concurrent calls are safe; a
     sum that raised is computed, and raises, again.  The returned
-    polynomial may be shared with other callers, like every Polynomial it
-    is not to be changed.  The domino side never reads the memo.
+    polynomial may be shared with other callers, so, like every Polynomial,
+    it must not be changed.  The domino side never reads the memo.
     """
     shape = check_partition(shape)
     check_variables(n)
@@ -257,8 +257,8 @@ MAX_MEMO_TERMS = 50_000
 class _SumMemo:
     """Polynomials by key, least recently used first, whose costs add up to
     at most MAX_MEMO_TERMS: a new entry evicts the least recently used ones
-    until they fit, and one that costs more on its own is not kept.  Every
-    method holds the lock."""
+    until they fit, and one that costs more on its own is not kept.  ``get``,
+    ``put`` and ``clear`` hold the lock."""
 
     def __init__(self) -> None:
         self.lock = Lock()

@@ -73,8 +73,8 @@ def verify_identity(family: Family, lam: Shape, n: int) -> VerificationReport:
     Both facts are read off the 2-quotient (mu, nu), computed once: lam is
     pavable iff |lam| = 2(|mu| + |nu|), and shifted pavable iff moreover mu
     and nu are staircase admissible, as in ``is_shifted_pavable``.  The flat
-    sums come from the memo of ``genfun``; the domino sum is computed afresh
-    and reads neither the quotient nor that memo.
+    sums come from the memo of ``genfun``; the domino sum is computed afresh,
+    and its sum reads neither the quotient nor that memo.
     More than MAX_VARIABLES variables, or a shape of more than MAX_CELLS
     cells, raise ValueError before either side is computed.
     """

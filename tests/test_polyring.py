@@ -227,16 +227,22 @@ def test_flat_memo_stays_within_its_bound(monkeypatch):
 
 
 def test_flat_memo_under_threads(monkeypatch):
-    """Concurrent calls, evicting one another's sums, all answer right and
-    leave the memo's cost in step with what it holds."""
+    """Concurrent calls, evicting one another's sums with threads switched
+    often, all answer right and leave the memo's cost in step with what it
+    holds, which a lost update would break."""
     from concurrent.futures import ThreadPoolExecutor
 
     memo = polyring._flat_memo
     memo.clear()
     monkeypatch.setattr(polyring, "MAX_MEMO_TERMS", 80)
     tasks = [(family, lam, 2) for family in (PLAIN, SET_VALUED) for lam in partitions_up_to(7)]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        got = list(pool.map(lambda task: genfun(*task), tasks * 3))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda task: genfun(*task), tasks * 3, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
     assert got == [polyring._flat_transfer(*task) for task in tasks * 3]
     assert memo.cost == sum(memo.cost_of(k, p) for k, p in memo.sums.items()) <= 80
 
