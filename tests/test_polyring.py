@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import homogeneous_component, min_degree, up_cell_count
 from dominotab import polyring
 from dominotab.cli import main
-from dominotab.partitions import partitions_up_to, two_quotient
+from dominotab.partitions import is_staircase_admissible, partitions_up_to, two_quotient
 from dominotab.polyring import Polynomial, domino_genfun, genfun
 from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED
 from dominotab.verify import verify_identity
@@ -194,9 +194,7 @@ def test_genfun_matches_the_uncached_transfer(family, n):
     flat transfer computes afresh, on every shape up to size 10 that the
     family admits."""
     shapes = [
-        lam
-        for lam in partitions_up_to(10)
-        if not family.shifted or not lam or lam[-1] >= len(lam)
+        lam for lam in partitions_up_to(10) if not family.shifted or is_staircase_admissible(lam)
     ]
     for lam in shapes:
         fresh = polyring._flat_transfer(family, lam, n)
