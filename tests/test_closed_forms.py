@@ -99,6 +99,22 @@ def test_genfun_matches_alternant(family, n):
     assert checked >= 20
 
 
+# Long one- and two-row shapes, with the variable counts: the flat sum keys
+# only the maxima that later cells read, so a long row costs time linear in
+# its length.
+LONG_ROWS = [((3000,), 1), ((400,), 2), ((120, 90), 2), ((40, 40), 3), ((30, 12), 3)]
+
+
+@pytest.mark.parametrize("family", (PLAIN, SET_VALUED), ids=lambda f: f.name)
+@pytest.mark.parametrize("lam,n", LONG_ROWS, ids=[f"{c[0]}-n{c[1]}" for c in LONG_ROWS])
+def test_genfun_over_long_rows_matches_alternant(family, lam, n):
+    g = genfun(family, lam, n)
+    if len(lam) > n:
+        assert g == Polynomial.zero(n)
+    else:
+        assert g * vandermonde(n) == alternant(lam, n, family.set_valued)
+
+
 def monomial_sum(n, index_tuples):
     """The sum of x_(i_1) ... x_(i_k) over the given index tuples."""
     out = Polynomial.zero(n)

@@ -7,6 +7,7 @@ from dominotab.pavings import Domino, is_shifted_pavable, is_shifted_paving
 from dominotab.domino_tableaux import (
     DominoTableau,
     diagonal_reading,
+    domino_fills,
     dt_weight,
     enumerate_domino_tableaux,
     up_fingerprint,
@@ -230,3 +231,40 @@ def test_enumerate_domino_tableaux_past_the_listing_limit_raises(monkeypatch):
     monkeypatch.setattr(domino_tableaux, "MAX_LISTED", count - 1)
     with pytest.raises(ValueError, match=f"more than {count - 1} domino tableaux"):
         enumerate_domino_tableaux(SET_VALUED, (4, 2), 3)
+
+
+class OrderCheckedState(domino_tableaux.FillState):
+    """The fill search's state, asserting on every added piece that it
+    overlaps no placed piece and comes after each of them in diagonal
+    reading order, so its crossing is below none of theirs."""
+
+    added = 0
+
+    def add(self, dom, fill):
+        cells = set(dom.cells())
+        for placed, _ in self.pieces:
+            assert not cells & set(placed.cells()), (placed, dom)
+            assert placed.crossing() <= dom.crossing(), (placed, dom)
+            assert (placed.crossing(), placed.crossing_cell()) < (
+                dom.crossing(),
+                dom.crossing_cell(),
+            ), (placed, dom)
+        OrderCheckedState.added += 1
+        super().add(dom, fill)
+
+
+@pytest.mark.parametrize(
+    "family", (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED), ids=lambda f: f.name
+)
+def test_fill_search_adds_pieces_in_diagonal_order_without_overlap(family, monkeypatch):
+    """``FillState`` judges pieces in diagonal reading order only, so the
+    fill search must add them in that order, and never two that overlap:
+    every shape up to size 10 that the family paves, with 2 letters."""
+    monkeypatch.setattr(domino_tableaux, "FillState", OrderCheckedState)
+    monkeypatch.setattr(OrderCheckedState, "added", 0)
+    tableaux = 0
+    for lam in partitions_up_to(10):
+        if lam and is_pavable(lam) and (not family.shifted or is_shifted_pavable(lam)):
+            tableaux += sum(1 for _ in domino_fills(family, lam, 2))
+    assert tableaux > 0
+    assert OrderCheckedState.added > tableaux

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import region_split
@@ -50,6 +52,42 @@ def test_enumerate_pavings_counts():
     assert len(enumerate_pavings((2,))) == 1
     assert len(enumerate_pavings((2, 2))) == 2
     assert len(enumerate_pavings(())) == 1  # the empty paving
+
+
+# The sha256 of every paving of every shape up to size 16, in shape order and
+# then listing order: 915 shapes, 2,671 pavings.
+PAVINGS_16 = "393482aac5269aa611d8cfad94bb0594ff141ef204c067ae9426672af9d10667"
+
+
+def test_pavings_unchanged_up_to_size_16():
+    h = hashlib.sha256()
+    listed = 0
+    for lam in partitions_up_to(16):
+        for p in enumerate_pavings(lam):
+            listed += 1
+            h.update(repr((lam, [(d.row, d.col, d.horiz) for d in p.dominoes])).encode() + b"\n")
+    assert (listed, h.hexdigest()) == (2671, PAVINGS_16)
+
+
+def test_path_count_matches_the_listing(monkeypatch):
+    """The automaton's paths are counted before any paving is listed.  On
+    every pavable shape up to size 16 the count is the number listed: a
+    limit of exactly that many lists them all, and one less raises."""
+    limit = pavings.MAX_LISTED
+    checked = 0
+    for lam in partitions_up_to(16):
+        monkeypatch.setattr(pavings, "MAX_LISTED", limit)
+        listed = enumerate_pavings(lam)
+        if not listed:
+            assert not is_pavable(lam), lam
+            continue
+        monkeypatch.setattr(pavings, "MAX_LISTED", len(listed))
+        assert enumerate_pavings(lam) == listed, lam
+        monkeypatch.setattr(pavings, "MAX_LISTED", len(listed) - 1)
+        with pytest.raises(ValueError, match=f"more than {len(listed) - 1} pavings"):
+            enumerate_pavings(lam)
+        checked += 1
+    assert checked == sum(1 for lam in partitions_up_to(16) if is_pavable(lam))
 
 
 def test_pavings_are_valid_and_distinct():
