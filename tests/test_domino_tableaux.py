@@ -13,8 +13,10 @@ from dominotab.domino_tableaux import (
     up_fingerprint,
     validate_domino_tableau,
 )
-from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED
+from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED, ReadingWord
 from reference_fillstate import weakly_southeast
+
+FAMILIES = (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED)
 
 
 def test_validate_fixtures(plain_example, set_valued_example):
@@ -124,6 +126,44 @@ def test_shifted_set_valued_equivalent_pair(shifted_set_valued_equivalent_pair):
     assert str(diagonal_reading(B)) == expected
     assert up_fingerprint(A) == up_fingerprint(B)
     assert A != B
+
+
+def grouped_reading(t):
+    """The diagonal reading as it was built from the pieces themselves:
+    grouped by crossing diagonal, each group sorted northwest first."""
+    by_diag = {}
+    for dom, fill in t.pieces:
+        by_diag.setdefault(dom.crossing(), []).append((dom, fill))
+    diags = sorted(d for d in by_diag if d >= 0 or not t.family.shifted)
+    if not diags:
+        return ReadingWord(start=0, step=2, segments=())
+    segments = []
+    for d in range(diags[0], diags[-1] + 2, 2):
+        entry = sorted(by_diag.get(d, ()), key=lambda p: p[0].crossing_cell())
+        segments.append(tuple(fill for _, fill in entry))
+    return ReadingWord(start=diags[0], step=2, segments=tuple(segments))
+
+
+def test_diagonal_reading_matches_the_grouped_reading():
+    """On every domino tableau of every shape up to size 10 with 2 letters
+    in the four families, and on untiled pieces whose crossings skip
+    diagonal 2, or lie below D_0 only."""
+    checked = 0
+    for family in FAMILIES:
+        for lam in partitions_up_to(10):
+            if lam and is_pavable(lam) and (not family.shifted or is_shifted_pavable(lam)):
+                for t in enumerate_domino_tableaux(family, lam, 2):
+                    assert diagonal_reading(t) == grouped_reading(t), t
+                    checked += 1
+    assert checked > 1000
+    gapped = [Domino(5, 1, False), Domino(1, 5, True), Domino(3, 1, True), Domino(1, 1, True)]
+    for family in FAMILIES:
+        for doms in (gapped, gapped[2:3]):
+            t = DominoTableau(family, (6, 2, 2, 1, 1), tuple((d, (2,)) for d in doms))
+            assert diagonal_reading(t) == grouped_reading(t), t
+    assert str(diagonal_reading(DominoTableau(PLAIN, (6,), tuple((d, (2,)) for d in gapped)))) == (
+        "1 / 1 / 1 /  / 1"
+    )
 
 
 def test_fingerprint_differs_on_fill_change(shifted_equivalent_triple):
@@ -253,9 +293,7 @@ class OrderCheckedState(domino_tableaux.FillState):
         super().add(dom, fill)
 
 
-@pytest.mark.parametrize(
-    "family", (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED), ids=lambda f: f.name
-)
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_fill_search_adds_pieces_in_diagonal_order_without_overlap(family, monkeypatch):
     """``FillState`` judges pieces in diagonal reading order only, so the
     fill search must add them in that order, and never two that overlap:
