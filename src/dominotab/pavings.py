@@ -6,8 +6,8 @@ when the larger covered content is even (the crossing diagonal enters through
 the cell nearer the northeast) and type 2 when the smaller one is.
 
 Tilings are searched here only: ``_tiling_automaton`` holds a shape's tilings
-as the paths of a memoised automaton, which ``enumerate_pavings`` lists and
-the domino fill search walks.
+as the paths of a memoised automaton, which ``enumerate_pavings`` counts
+and lists layer by layer and the domino fill search walks.
 """
 
 from __future__ import annotations
@@ -88,45 +88,33 @@ class Paving:
 def enumerate_pavings(shape: Shape) -> list[Paving]:
     """All domino pavings: the paths of the shape's tiling automaton.
 
-    They are sorted as a row-major backtracker finds them, covering the
-    first free cell by a horizontal domino before a vertical one.  The list
-    is empty iff the shape is not pavable.  A shape with more than
+    Every path takes one edge per even cell, so the nodes of a layer are
+    all complete or none is.  The paths are counted layer by layer, each
+    node with the number of paths that reach it, and then listed layer by
+    layer.  They are sorted as a row-major backtracker finds them, covering
+    the first free cell by a horizontal domino before a vertical one.  The
+    list is empty iff the shape is not pavable.  A shape with more than
     MAX_LISTED pavings raises ValueError before any is listed.
     """
     shape = check_partition(shape)
-    out: list[Paving] = []
     root = _tiling_automaton(shape, False)
-    if root is not None and _count_paths(root) > MAX_LISTED:
+    if root is None:
+        return []
+    layer = [[root, 1]]
+    while layer[0][0][0] is not None:
+        nxt: dict[int, list] = {}  # by the child's id: [child, paths to it]
+        for node, count in layer:
+            for _, _, child in node[0]:
+                nxt.setdefault(id(child), [child, 0])[1] += count
+        layer = list(nxt.values())
+    if sum(count for _, count in layer) > MAX_LISTED:
         raise ValueError(f"shape {shape} has more than {MAX_LISTED} pavings")
-    stack = [] if root is None else [(root, ())]
-    while stack:
-        node, placed = stack.pop()
-        if node[0] is None:
-            out.append(Paving(shape, placed))
-        else:
-            stack.extend((child, placed + (dom,)) for dom, _, child in node[0])
+    paths = [(root, ())]
+    while paths[0][0][0] is not None:
+        paths = [(child, placed + (dom,)) for node, placed in paths for dom, _, child in node[0]]
+    out = [Paving(shape, placed) for _, placed in paths]
     out.sort(key=lambda p: [(d.row, d.col, not d.horiz) for d in p.dominoes])
     return out
-
-
-def _count_paths(root: Node) -> int:
-    """The number of paths from ``root`` to a complete node: each node's
-    count is the sum of its children's, found child first without
-    recursion."""
-    counts: dict[int, int] = {}
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node[0] is None:
-            counts[id(node)] = 1
-        else:
-            todo = [child for _, _, child in node[0] if id(child) not in counts]
-            if todo:
-                stack.extend(todo)
-                continue
-            counts[id(node)] = sum(counts[id(child)] for _, _, child in node[0])
-        stack.pop()
-    return counts[id(root)]
 
 
 def is_shifted_paving(paving: Paving) -> bool:
