@@ -26,10 +26,14 @@ bounds a placed piece puts on a fill of another domino.  ``fold_bounds``
 folds them over a set of placed pieces into a floor on a fill's minimum and
 three caps, and every judge of fills reads them through it: ``FillState``,
 the incremental checker of that search; ``validate_domino_tableau``, which
-folds a tableau's own pieces once in diagonal order; and
-``polyring.domino_genfun``, which folds a transfer state's frontier.  The
-per-piece rules are stated once too, in ``fill_fits``, which the first two
-call with the folded bounds.
+folds a tableau's own pieces once; and ``polyring.domino_genfun``, which
+folds a transfer state's frontier.  All three judge pieces in diagonal
+reading order, as the tiling automaton places them, so no two pieces
+overlap and each pairwise rule is read by the later piece of its pair: a
+piece of crossing d is judged against the pieces of crossings d - 2 and d
+alone.  The per-piece rules are stated once too, in ``fill_fits``, which the
+first two call with the folded bounds, and which reads the letter rule of
+the flat cells, ``tableaux._letter_ok``.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .tableaux import (
     ReadingWord,
     X_FILL,
     _candidate_fills,
+    _letter_ok,
     check_fill,
     fill_floor,
     format_fill,
@@ -210,19 +215,12 @@ def fill_fits(
     then the ``bounds`` that ``fold_bounds`` gave over the placed pieces.
 
     X stands exactly on the dominoes below D_0 of shifted shapes, and no
-    bounds are read for it; a letter fill is one letter unless the family
-    is set-valued, and holds no primed letter unless it is shifted.
+    bounds are read for it; a letter fill obeys ``tableaux._letter_ok``, the
+    rule of the flat cells.
     """
     if fill == X_FILL:
         return family.shifted and dom.crossing() < 0
-    if family.shifted:
-        if dom.crossing() < 0:
-            return False
-    else:
-        for r in fill:
-            if r & 1:  # primed
-                return False
-    if not family.set_valued and len(fill) != 1:
+    if family.shifted and dom.crossing() < 0 or not _letter_ok(family, fill):
         return False
     floor, cap, odd_cap, even_cap = bounds
     lo, hi = fill[0], fill[-1]
@@ -232,57 +230,53 @@ def fill_fits(
 class FillState:
     """Incremental validity checker of the fill search.
 
-    Pieces are added one at a time; ``try_add`` accepts a piece only if every
-    family rule involving it and the pieces already present holds.  Adding
-    pieces in any order and succeeding every time is equivalent to full
-    validity of the final tableau (all rules are pairwise or per-piece).
+    The search adds pieces in diagonal reading order, along paths of the
+    tiling automaton, so no two of them overlap and no piece of crossing
+    d + 2 comes before one of crossing d.  ``try_add`` accepts a piece only
+    if every family rule between it and the pieces already present holds;
+    every rule is pairwise or per piece, so each pair is judged by its later
+    piece, and succeeding every time is full validity of the final tableau.
+    Pieces added in any other order may be judged wrongly.
 
     Fills must be strictly increasing, as ``check_fill`` ensures: the rules
     read a fill's minimum as ``fill[0]`` and its maximum as ``fill[-1]``.
-    ``add`` and ``pop`` keep the covered cells and the non-X pieces of each
-    crossing in step with ``pieces``.  A piece of crossing d is bounded only
-    by the pieces of crossing d - 2, d and d + 2: they alone cover its
-    neighbour cells or lie two diagonals away.  ``bounds`` folds those
-    through ``fold_bounds`` once per domino and set of placed pieces:
-    ``add`` sets the last result aside and ``pop``, which brings back the
-    pieces it was folded over, restores it.  ``check`` judges each fill
-    against the result by ``fill_fits``.  The relation memo keeps every
-    domino it keys, so a state that outlives the dominoes of one shape
-    never reads a relation under a recycled id.
+    ``add`` and ``pop`` keep the non-X pieces of each crossing in step with
+    ``pieces``.  A piece of crossing d is bounded only by the placed pieces
+    of crossing d - 2 and d: they alone cover its neighbour cells or lie two
+    diagonals below it.  ``bounds`` folds those through ``fold_bounds`` once
+    per domino and set of placed pieces, as ``validate_domino_tableau``
+    folds a tableau's own pieces: ``add`` sets the last result aside and
+    ``pop``, which brings back the pieces it was folded over, restores it.
+    ``check`` judges each fill against the result by ``fill_fits``.  The
+    relation memo keeps every domino it keys, so a state that outlives the
+    dominoes of one shape never reads a relation under a recycled id.
     """
 
     def __init__(self, family: Family):
         self.family = family
         self.set_valued = family.set_valued
         self.pieces: list[Piece] = []
-        self.covered: set[Cell] = set()
         self.by_crossing: dict[int, list[Piece]] = {}
         self.relations: dict[int, tuple[Domino, dict[int, int]]] = {}
-        self._last_bounds: tuple[Domino, tuple | None] | None = None
-        self._saved_bounds: list[tuple[Domino, tuple | None] | None] = []  # one per piece
+        self._last_bounds: tuple[Domino, tuple] | None = None
+        self._saved_bounds: list[tuple[Domino, tuple] | None] = []  # one per piece
 
-    def bounds(self, dom: Domino) -> tuple[int, float, float, float] | None:
-        """``fold_bounds`` over the placed pieces, or None if ``dom``
-        overlaps one of them."""
+    def bounds(self, dom: Domino) -> tuple[int, float, float, float]:
+        """``fold_bounds`` over the placed pieces of crossings d - 2 and d."""
         last_bounds = self._last_bounds
         if last_bounds is not None and last_bounds[0] is dom:
             return last_bounds[1]
-        first, last = dom.cells()
-        if first in self.covered or last in self.covered:
-            result = None
-        else:
-            entry = self.relations.get(id(dom))
-            if entry is None:  # the entry holds dom, so no other domino takes its id
-                entry = self.relations[id(dom)] = (dom, {})
-            d, placed = dom.crossing(), self.by_crossing
-            near = (*placed.get(d - 2, ()), *placed.get(d, ()), *placed.get(d + 2, ()))
-            result = fold_bounds(dom, near, entry[1], self.set_valued)
+        entry = self.relations.get(id(dom))
+        if entry is None:  # the entry holds dom, so no other domino takes its id
+            entry = self.relations[id(dom)] = (dom, {})
+        d, placed = dom.crossing(), self.by_crossing
+        near = (*placed.get(d - 2, ()), *placed.get(d, ()))
+        result = fold_bounds(dom, near, entry[1], self.set_valued)
         self._last_bounds = (dom, result)
         return result
 
     def check(self, dom: Domino, fill: Fill) -> bool:
-        bounds = self.bounds(dom)
-        return bounds is not None and fill_fits(self.family, dom, fill, bounds)
+        return fill_fits(self.family, dom, fill, self.bounds(dom))
 
     def add(self, dom: Domino, fill: Fill) -> None:
         self._saved_bounds.append(self._last_bounds)
@@ -290,7 +284,6 @@ class FillState:
         if id(dom) not in self.relations:  # hold dom: later relations key its id
             self.relations[id(dom)] = (dom, {})
         self.pieces.append((dom, fill))
-        self.covered.update(dom.cells())
         if fill != X_FILL:
             self.by_crossing.setdefault(dom.crossing(), []).append((dom, fill))
 
@@ -303,7 +296,6 @@ class FillState:
     def pop(self) -> None:
         self._last_bounds = self._saved_bounds.pop()  # the pieces are as they were then
         dom, fill = self.pieces.pop()
-        self.covered.difference_update(dom.cells())
         if fill != X_FILL:
             self.by_crossing[dom.crossing()].pop()
 
@@ -354,24 +346,22 @@ def _diag_order(pieces: Iterable[Piece]) -> list[Piece]:
 
 
 def diagonal_reading(t: DominoTableau) -> ReadingWord:
-    """Segments per even diagonal ascending, each read northwest to southeast.
+    """Segments per even diagonal ascending, each read northwest to southeast,
+    from the tableau's diagonal order; a diagonal between the first and the
+    last that crosses no piece reads as an empty segment.
 
     Shifted families start at D_0; the X-filled down region never appears.
     """
-    by_diag: dict[int, list[Piece]] = {}
-    for dom, fill in t.pieces:
-        by_diag.setdefault(dom.crossing(), []).append((dom, fill))
+    order = t.diagonal_order()
     if t.family.shifted:
-        diags = sorted(d for d in by_diag if d >= 0)
-    else:
-        diags = sorted(by_diag)
-    if not diags:
+        order = [p for p in order if p[0].crossing() >= 0]
+    if not order:
         return ReadingWord(start=0, step=2, segments=())
-    segments = []
-    for d in range(diags[0], diags[-1] + 2, 2):
-        entry = sorted(by_diag.get(d, ()), key=lambda p: p[0].crossing_cell())
-        segments.append(tuple(fill for _, fill in entry))
-    return ReadingWord(start=diags[0], step=2, segments=tuple(segments))
+    start = order[0][0].crossing()
+    segments: list[list[Fill]] = [[] for _ in range(start, order[-1][0].crossing() + 2, 2)]
+    for dom, fill in order:
+        segments[(dom.crossing() - start) // 2].append(fill)
+    return ReadingWord(start=start, step=2, segments=tuple(map(tuple, segments)))
 
 
 def up_fingerprint(t: DominoTableau) -> str:

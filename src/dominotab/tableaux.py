@@ -140,12 +140,17 @@ def make_tableau(family: Family, shape: Shape, rows) -> Tableau:
 
 
 def _letter_ok(family: Family, fill: Fill) -> bool:
+    """The per-fill family rule of a letter cell or domino: not X, one
+    letter unless the family is set-valued, and no primed letter unless it
+    is shifted."""
     if fill == X_FILL:
         return False
     if not family.set_valued and len(fill) != 1:
         return False
-    if not family.shifted and any(is_primed(r) for r in fill):
-        return False
+    if not family.shifted:
+        for r in fill:
+            if r & 1:  # primed
+                return False
     return True
 
 

@@ -292,25 +292,6 @@ def test_split_layout_matches_reading_word_split_unvalidated(pools, monkeypatch)
     }
 
 
-def test_check_matches_reference_in_shuffled_order(pools):
-    """Pieces added in a random order, so that right and lower neighbours
-    are often placed first: the caps they put on a new minimum, which the
-    diagonal order rarely reads, decide here.  Each tableau and one
-    mutation of it are judged by both checkers in the same order."""
-    rng = random.Random("order")
-    for family, _, letters, _, _ in POOLS:
-        pool = rng.sample(pools[family.name], 1500)
-        accepted = 0
-        for t in pool + list(_mutations(family, pool, letters))[::2]:
-            pieces = list(t.pieces)
-            rng.shuffle(pieces)
-            new, ref = domino_tableaux.FillState(family), ReferenceFillState(family)
-            ok = all(new.try_add(dom, fill) for dom, fill in pieces)
-            assert ok == all(ref.try_add(dom, fill) for dom, fill in pieces), t
-            accepted += ok
-        assert len(pool) < accepted < 2 * len(pool), family.name
-
-
 def test_pools_unchanged_in_order(pools):
     for family, _, _, count, digest in POOLS:
         pool = pools[family.name]
