@@ -134,11 +134,11 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
 
     The sum is a transfer over the letter cells in row-major order (in the
     shifted families, the cells with c >= r), and lists no tableau.  A state
-    is the frontier of fill maxima that later cells still read: the left
-    cell's, the row above's at the columns this row has not filled yet, and
-    this row's at the columns the next row reads.  Every other entry is 0,
-    which is below every rank, so equal frontiers are one state, and each
-    state holds the signed weight polynomial of the prefixes that reach it.
+    is the frontier of fill maxima that later cells still read, and nothing
+    else: the row above's from the next cell's column on, this row's at the
+    columns the next row reads, and the left cell's.  So a long row keeps a
+    short key, equal frontiers are one state, and each state holds the
+    signed weight polynomial of the prefixes that reach it.
     A cell reads only its left and upper neighbours, through one lower
     bound on its minimum, ``fill_floor(max(left), max(above))``, which
     states the ordering and multiplicity rules of every family.
@@ -179,31 +179,33 @@ def _flat_transfer(family: Family, shape: Shape, n: int) -> Polynomial:
     class_mins = [fill[0] for fill, _ in classes]
     shifted = family.shifted
     heights = [sum(1 for part in shape if part >= c) for c in range(1, max(shape, default=0) + 1)]
-    layer: dict[tuple[int, ...], dict[int, int]] = {(0,) * len(heights): {0: 1}}
+    # A key holds the row above's maxima from the cell's column on (none in
+    # the first row), then this row's at the columns the next row reads, and
+    # the left cell's maximum last.
+    layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
     for r, length in enumerate(shape, start=1):
         below = shape[r] if r < len(shape) else 0
-        next_first = r + 1 if shifted else 1  # the next row's first letter column
-        for c in range(r if shifted else 1, length + 1):
-            j = c - 1  # the cell's index in a frontier
-            top = 2 * n if shifted else 2 * (n - heights[j] + r)
-            # After this cell, the left cell's entry is read again only by
-            # the next row, and this cell's by the next cell or the next row.
-            keep_left = next_first <= c - 1 <= below
-            keep_here = c < length or next_first <= c <= below
+        first = r if shifted else 1  # this row's first letter column
+        next_first = r + 1 if shifted else 1  # and the next row's
+        start = 1 if r > 1 else 0  # a key opens with the upper cell's entry, but in row 1
+        for c in range(first, length + 1):
+            top = 2 * n if shifted else 2 * (n - heights[c - 1] + r)
+            end = -1 if c > first else None  # and ends with the left cell's, but at a row start
+            # This cell's maximum is kept once per reader: the cell below, the next cell.
+            copies = (next_first <= c <= below) + (c < length)
             nxt: dict[tuple[int, ...], dict[int, int]] = {}
             hi = bisect_right(class_mins, top)
             stored = 0
             for front, terms in layer.items():
-                left = front[j - 1] if j else 0
-                above = front[j]
-                head = front[: j - 1] + (front[j - 1] if keep_left else 0,) if j else ()
-                tail = front[j + 1 :]
+                above = front[0] if start else 0
+                left = front[-1] if end else 0
+                body = front[start:end]
                 lo = bisect_left(class_mins, fill_floor(left, above))
                 for fill, fill_terms in classes[lo:hi]:
                     high = fill[-1]
                     if high > top:
                         continue
-                    key = head + (high if keep_here else 0,) + tail
+                    key = body + (high,) * copies
                     acc = nxt.get(key)
                     if acc is None:
                         acc = nxt[key] = {}
