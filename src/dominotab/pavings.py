@@ -100,7 +100,7 @@ def enumerate_pavings(shape: Shape) -> list[Paving]:
     root = _tiling_automaton(shape, False)
     if root is None:
         return []
-    layer = [[root, 1]]
+    layer = [[root, 1]]  # a layer's nodes, each with the number of paths to it
     while layer[0][0][0] is not None:
         nxt: dict[int, list] = {}  # by the child's id: [child, paths to it]
         for node, count in layer:
