@@ -1,19 +1,33 @@
-"""The per-paving fill search that the tiling automaton replaced, and the
-row-major paving backtracker it ran on.
+"""The fill searches that the domino listing replaced, and the row-major
+paving backtracker the first of them ran on.
 
-The fill search enumerates every paving, groups the shifted ones by their up
-region, and runs a separate depth-first fill search on each paving.  Both are
-kept here only as oracles of the differential tests in ``test_differential.py``.
+``reference_domino_fills`` enumerates every paving, groups the shifted ones
+by their up region, and runs a separate depth-first fill search on each
+paving, judged by ``IndexedFillState``.  ``domino_fills`` is the depth-first
+search on the shape's tiling automaton that followed it, with its
+incremental checker ``FillState`` and the listing ``enumerate_domino_tableaux``
+built on it, as they stood before the listing became a walk of the
+automaton's layers.  All are kept here only as oracles of the differential
+tests in ``test_differential.py``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import islice
 from typing import Iterator
 
-from dominotab.domino_tableaux import Piece, _diag_key
+from dominotab import domino_tableaux
+from dominotab.domino_tableaux import (
+    DominoTableau,
+    Piece,
+    _diag_key,
+    fill_fits,
+    fold_bounds,
+    tiling_root,
+)
 from dominotab.partitions import Cell, Shape, cells, check_partition
-from dominotab.pavings import Domino, Paving, is_shifted_paving
+from dominotab.pavings import Domino, Edge, Node, Paving, is_shifted_paving
 from dominotab.tableaux import Family, Fill, X_FILL, _candidate_fills
 from reference_fillstate import IndexedFillState
 
@@ -146,3 +160,149 @@ def _fill_paving(
             state.pop()
         else:
             stack.append(options(len(stack)))
+
+
+class FillState:
+    """Incremental validity checker of the fill search.
+
+    The search adds pieces in diagonal reading order, along paths of the
+    tiling automaton, so no two of them overlap and no piece of crossing
+    d + 2 comes before one of crossing d.  ``try_add`` accepts a piece only
+    if every family rule between it and the pieces already present holds;
+    every rule is pairwise or per piece, so each pair is judged by its later
+    piece, and succeeding every time is full validity of the final tableau.
+    Pieces added in any other order may be judged wrongly.
+
+    Fills must be strictly increasing, as ``check_fill`` ensures: the rules
+    read a fill's minimum as ``fill[0]`` and its maximum as ``fill[-1]``.
+    ``add`` and ``pop`` keep the non-X pieces of each crossing in step with
+    ``pieces``.  A piece of crossing d is bounded only by the placed pieces
+    of crossing d - 2 and d: they alone cover its neighbour cells or lie two
+    diagonals below it.  ``bounds`` folds those through ``fold_bounds`` once
+    per domino and set of placed pieces, as ``validate_domino_tableau``
+    folds a tableau's own pieces: ``add`` sets the last result aside and
+    ``pop``, which brings back the pieces it was folded over, restores it.
+    ``check`` judges each fill against the result by ``fill_fits``.  The
+    relation memo keeps every domino it keys, so a state that outlives the
+    dominoes of one shape never reads a relation under a recycled id.
+    """
+
+    def __init__(self, family: Family):
+        self.family = family
+        self.set_valued = family.set_valued
+        self.pieces: list[Piece] = []
+        self.by_crossing: dict[int, list[Piece]] = {}
+        self.relations: dict[int, tuple[Domino, dict[int, int]]] = {}
+        self._last_bounds: tuple[Domino, tuple] | None = None
+        self._saved_bounds: list[tuple[Domino, tuple] | None] = []  # one per piece
+
+    def bounds(self, dom: Domino) -> tuple[int, float, float, float]:
+        """``fold_bounds`` over the placed pieces of crossings d - 2 and d."""
+        last_bounds = self._last_bounds
+        if last_bounds is not None and last_bounds[0] is dom:
+            return last_bounds[1]
+        entry = self.relations.get(id(dom))
+        if entry is None:  # the entry holds dom, so no other domino takes its id
+            entry = self.relations[id(dom)] = (dom, {})
+        d, placed = dom.crossing(), self.by_crossing
+        near = (*placed.get(d - 2, ()), *placed.get(d, ()))
+        result = fold_bounds(dom, near, entry[1], self.set_valued)
+        self._last_bounds = (dom, result)
+        return result
+
+    def check(self, dom: Domino, fill: Fill) -> bool:
+        return fill_fits(self.family, dom, fill, self.bounds(dom))
+
+    def add(self, dom: Domino, fill: Fill) -> None:
+        self._saved_bounds.append(self._last_bounds)
+        self._last_bounds = None
+        if id(dom) not in self.relations:  # hold dom: later relations key its id
+            self.relations[id(dom)] = (dom, {})
+        self.pieces.append((dom, fill))
+        if fill != X_FILL:
+            self.by_crossing.setdefault(dom.crossing(), []).append((dom, fill))
+
+    def try_add(self, dom: Domino, fill: Fill) -> bool:
+        if not self.check(dom, fill):
+            return False
+        self.add(dom, fill)
+        return True
+
+    def pop(self) -> None:
+        self._last_bounds = self._saved_bounds.pop()  # the pieces are as they were then
+        dom, fill = self.pieces.pop()
+        if fill != X_FILL:
+            self.by_crossing[dom.crossing()].pop()
+
+
+def enumerate_domino_tableaux(
+    family: Family, shape: Shape, max_letter: int
+) -> list[DominoTableau]:
+    """All valid domino tableaux with letters <= max_letter, sorted by pieces.
+
+    The tableaux are those ``domino_fills`` yields: for shifted families one
+    representative per equivalence class.  More than MAX_LISTED of them
+    raise ValueError, once one more than that is found.  MAX_LISTED is read
+    from ``domino_tableaux``, so a test that lowers it there lowers it here.
+    """
+    MAX_LISTED = domino_tableaux.MAX_LISTED
+    shape = check_partition(shape)
+    fills = islice(domino_fills(family, shape, max_letter), MAX_LISTED + 1)
+    out = [DominoTableau(family, shape, p) for p in fills]
+    if len(out) > MAX_LISTED:
+        raise ValueError(f"shape {shape} has more than {MAX_LISTED} domino tableaux")
+    out.sort(key=lambda t: t.pieces)
+    return out
+
+
+def domino_fills(
+    family: Family, shape: Shape, max_letter: int
+) -> Iterator[tuple[Piece, ...]]:
+    """The pieces of every valid domino tableau, tiling and fills in one search.
+
+    The search walks the paths of ``_tiling_automaton`` depth first, so
+    dominoes arrive in diagonal reading order, a prefix shared by many
+    pavings is filled once, and no path ends in a dead-end tiling.  The
+    candidate fills are sorted, so the fills whose minimum lies in a range
+    are one slice of them.  A domino's range runs from the floor to the cap
+    that ``fold_bounds`` gives over the placed pieces, and to the top rank
+    less the edge's column depth at most; ``FillState.check`` still judges
+    every fill of the slice.
+
+    Shifted families fill the up region only (fills constrain nothing else)
+    and complete each up region with its least down region in X, so they
+    yield one representative per equivalence class.  Shapes that are not
+    pavable, or not shifted pavable, raise ValueError before any search.
+    """
+    root = tiling_root(family, shape)
+    if root[0] is None:  # the empty shape
+        yield ()
+        return
+    candidates = _candidate_fills(family, max_letter)
+    cand_mins = [fill[0] for fill in candidates]
+    max_rank = cand_mins[-1] if candidates else 0
+    state = FillState(family)
+    bounds, try_add, pop = state.bounds, state.try_add, state.pop
+
+    def options(edges: tuple[Edge, ...]) -> Iterator[Node]:
+        """The child of each edge, once per valid fill of its domino; the
+        piece stays in ``state`` until the next child is asked for."""
+        for dom, depth, child in edges:
+            lo_min, lo_max, _, _ = bounds(dom)
+            top = bisect_right(cand_mins, min(lo_max, max_rank - depth))
+            for fill in candidates[bisect_left(cand_mins, lo_min) : top]:
+                if try_add(dom, fill):
+                    yield child
+                    pop()
+
+    stack = [options(root[0])]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:  # this node's options are spent: back up one domino
+            stack.pop()
+        elif child[0] is None:  # a complete tiling; shifted ones add X below D_0
+            down = child[1]
+            pieces = tuple(state.pieces)
+            yield pieces + tuple((dom, X_FILL) for dom in down) if down else pieces
+        else:
+            stack.append(options(child[0]))

@@ -1,8 +1,10 @@
 """The generating functions that the transfers in ``polyring`` replaced.
 
-``streamed_genfun`` sums sign * x^weight over every fill ``domino_fills``
+``streamed_genfun`` sums sign * x^weight over every fill that the
+per-paving search ``reference_domino_fills`` (in ``reference_fill_search.py``)
 yields, recomputing the weight and the sign of each tableau from its pieces;
-no ``DominoTableau`` is built.  ``fillstate_domino_genfun`` is the domino
+no ``DominoTableau`` is built, and no walk of the tiling automaton is shared
+with ``polyring.domino_genfun``.  ``fillstate_domino_genfun`` is the domino
 transfer as it was when it rebuilt a checker from each state's frontier
 and judged every edge's fills through it; the checker is
 ``IndexedFillState``, which states the rules apart from ``piece_relation``.
@@ -22,11 +24,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from conftest import cardinality, up_cell_count
-from dominotab.domino_tableaux import Piece, domino_fills, dt_weight, tiling_root
+from dominotab.domino_tableaux import Piece, dt_weight, tiling_root
 from dominotab.partitions import Shape, check_partition
 from dominotab.pavings import Node
 from dominotab.polyring import MAX_TRANSFER_STATES, MAX_TRANSFER_TERMS, Monomial, Polynomial
 from dominotab.tableaux import Family, Fill, Tableau, _candidate_fills, letter_index, weight
+from reference_fill_search import reference_domino_fills
 from reference_fillstate import IndexedFillState
 from reference_tableaux import enumerate_tableaux
 
@@ -49,7 +52,7 @@ def streamed_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     up-region domino count."""
     shape = check_partition(shape)
     terms: dict[Monomial, int] = {}
-    for pieces in domino_fills(family, shape, n):
+    for pieces in reference_domino_fills(family, shape, n):
         m = dt_weight(pieces, n)
         terms[m] = terms.get(m, 0) + _domino_sign(family, pieces, shape)
     return Polynomial(n, terms)
@@ -122,10 +125,11 @@ def fillstate_domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
       its mirror, on the same neighbour cells.
 
     So a state's ``IndexedFillState`` is rebuilt from its frontier alone,
-    and its ``bounds`` and ``check`` judge the fills of each edge as in
-    ``domino_fills``.  Those rules read a candidate fill only through its
-    minimum and maximum, so the fills are judged and stored by (min, max)
-    class, and each class carries the summed terms of its fills.  The
+    and its ``bounds`` and ``check`` judge the fills of each edge as in the
+    fill search ``reference_fill_search.domino_fills``.  Those rules read a
+    candidate fill only through its minimum and maximum, so the fills are
+    judged and stored by (min, max) class, and each class carries the
+    summed terms of its fills.  The
     2-quotient enters only the shifted shape test, never the sum, and the
     bijection not at all, so the identity check stays independent of them.
 

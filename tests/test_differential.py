@@ -8,7 +8,7 @@ rules over its own cell and diagonal indexes, apart from ``piece_relation``;
 per-paving fill search, run on the row-major paving backtracker kept beside
 it; ``materialised_genfun`` is the generating function as a sum over the
 enumerated list, and ``streamed_genfun`` (in ``reference_genfun.py``) the
-sum over the fills ``domino_fills`` yields, ``fillstate_domino_genfun``
+sum over the fills ``reference_domino_fills`` yields, ``fillstate_domino_genfun``
 (beside it) the domino transfer that rebuilt an ``IndexedFillState`` per
 state, and ``enumerated_genfun`` (beside it) the flat sum over the list the
 reference enumerator returns.  ``reference_tableaux.py`` keeps the flat
@@ -65,6 +65,7 @@ from dominotab.tableaux import (
 )
 from reference_bijections import gamma_merge as reference_gamma_merge
 from reference_bijections import reading_word_split
+from reference_fill_search import enumerate_domino_tableaux as search_enumerate_domino_tableaux
 from reference_fill_search import enumerate_pavings as reference_pavings
 from reference_fill_search import reference_domino_fills
 from reference_fillstate import IndexedFillState, ReferenceFillState, reference_validate
@@ -180,6 +181,47 @@ def test_fill_search_matches_reference(family, letter_counts, spots):
             assert new == _reference_fills_or_error(family, lam, letters), (lam, letters)
             outputs += 0 if new is ValueError else len(new)
     assert outputs > 1000
+
+
+def _listing_or_error(enumerate_, family, shape, letters):
+    """The listed tableaux, or (ValueError, its message)."""
+    try:
+        return enumerate_(family, shape, letters)
+    except ValueError as exc:
+        return (ValueError, str(exc))
+
+
+# (letters, max size) for the comparison of the listing with the fill search.
+LISTING_CASES = [(1, 10), (2, 10), (3, 8)]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_listing_matches_fill_search_in_order(family, monkeypatch):
+    """The same tableaux in the same order as the listing over the
+    automaton's depth-first fill search, or the same ValueError, on every
+    shape up to size 10 with 1 or 2 letters and up to size 8 with 3; and,
+    with MAX_LISTED lowered to a shape's count and to one less, the same
+    list and the same ValueError."""
+    listed = limited = 0
+    for letters, max_size in LISTING_CASES:
+        for lam in partitions_up_to(max_size):
+            new = _listing_or_error(enumerate_domino_tableaux, family, lam, letters)
+            old = _listing_or_error(search_enumerate_domino_tableaux, family, lam, letters)
+            assert new == old, (lam, letters)
+            if not isinstance(new, list) or not new:
+                continue
+            listed += len(new)
+            for limit in (len(new), len(new) - 1):
+                with monkeypatch.context() as m:
+                    m.setattr(domino_tableaux, "MAX_LISTED", limit)
+                    new = _listing_or_error(enumerate_domino_tableaux, family, lam, letters)
+                    old = _listing_or_error(
+                        search_enumerate_domino_tableaux, family, lam, letters
+                    )
+                assert new == old, (lam, letters, limit)
+                limited += new[0] is ValueError
+    assert listed > 500
+    assert limited > 50
 
 
 def test_pavings_match_reference_in_order():
