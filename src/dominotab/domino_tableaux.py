@@ -16,35 +16,37 @@ Validity follows the flat families, read on domino fills:
   southeast conditions hold, strict or weak according to the direction and
   whether max(F1) is primed.
 
-``domino_fills`` enumerates them without listing pavings: it walks the
-paths of the shape's tiling automaton (``pavings._tiling_automaton``, one
-step per even-content cell, in diagonal reading order) in a single
-depth-first search that chooses each domino and its fill together.
-
 Every rule between two pieces is stated once, in ``piece_relation``: which
 bounds a placed piece puts on a fill of another domino.  ``fold_bounds``
 folds them over a set of placed pieces into a floor on a fill's minimum and
-three caps, and every judge of fills reads them through it: ``FillState``,
-the incremental checker of that search; ``validate_domino_tableau``, which
-folds a tableau's own pieces once; and ``polyring.domino_genfun``, which
-folds a transfer state's frontier.  All three judge pieces in diagonal
-reading order, as the tiling automaton places them, so no two pieces
-overlap and each pairwise rule is read by the later piece of its pair: a
-piece of crossing d is judged against the pieces of crossings d - 2 and d
-alone.  The per-piece rules are stated once too, in ``fill_fits``, which the
-first two call with the folded bounds, and which reads the letter rule of
-the flat cells, ``tableaux._letter_ok``.
+three caps, and both judges of fills read them through it.
+
+``tiling_walk`` walks the paths of the shape's tiling automaton
+(``pavings._tiling_automaton``, one step per even-content cell, in diagonal
+reading order) layer by layer, judging each domino's fills by (min, max)
+class against the frontier of placed pieces, and sums the paths' weights in
+a ring its caller picks: ``polyring.domino_genfun`` sums signed monomials,
+and ``enumerate_domino_tableaux`` counts the tableaux and then lists them on
+the same walk.  ``FillState`` is the judge of ``validate_domino_tableau``,
+which folds a tableau's own pieces.  It stays a class, not a loop in the
+validator, because the benchmark tracer (``benchmarks/tracing.py``) patches
+``FillState.check`` to count the validator's checks.  Both judge pieces in diagonal reading order, as the tiling
+automaton places them, so no two pieces overlap and each pairwise rule is
+read by the later piece of its pair: a piece of crossing d is judged
+against the pieces of crossings d - 2 and d alone.  The per-piece rules are
+stated once too, in ``fill_fits``, which ``FillState`` calls with the
+folded bounds, and which reads the letter rule of the flat cells,
+``tableaux._letter_ok``; the walk's candidate fills obey them already.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from .partitions import MAX_LISTED, Shape, Cell, check_partition, is_pavable
-from .pavings import Domino, Edge, Node, Paving, _tiling_automaton
+from .pavings import Domino, Node, Paving, _tiling_automaton
 from .pavings import is_shifted_pavable, is_shifted_paving
 # Unused here; the benchmark tracer patches the paving enumerator under this name.
 from .pavings import enumerate_pavings  # noqa: F401
@@ -53,9 +55,9 @@ from .tableaux import (
     Fill,
     ReadingWord,
     X_FILL,
-    _candidate_fills,
     _letter_ok,
     check_fill,
+    fill_classes,
     fill_floor,
     format_fill,
     letter_index,
@@ -228,76 +230,42 @@ def fill_fits(
 
 
 class FillState:
-    """Incremental validity checker of the fill search.
+    """The validator's judge of pieces added in diagonal reading order.
 
-    The search adds pieces in diagonal reading order, along paths of the
-    tiling automaton, so no two of them overlap and no piece of crossing
-    d + 2 comes before one of crossing d.  ``try_add`` accepts a piece only
-    if every family rule between it and the pieces already present holds;
-    every rule is pairwise or per piece, so each pair is judged by its later
-    piece, and succeeding every time is full validity of the final tableau.
-    Pieces added in any other order may be judged wrongly.
+    ``check`` judges a piece against the pieces added before it, and
+    ``add`` places it.  The pieces must come in diagonal reading order, no
+    two overlapping, so no piece of crossing d + 2 comes before one of
+    crossing d: then every rule, pairwise or per piece, is read by the
+    later piece of its pair, and a check that succeeds on every piece is
+    full validity of the tableau.  Pieces added in any other order may be
+    judged wrongly.
 
-    Fills must be strictly increasing, as ``check_fill`` ensures: the rules
-    read a fill's minimum as ``fill[0]`` and its maximum as ``fill[-1]``.
-    ``add`` and ``pop`` keep the non-X pieces of each crossing in step with
-    ``pieces``.  A piece of crossing d is bounded only by the placed pieces
-    of crossing d - 2 and d: they alone cover its neighbour cells or lie two
-    diagonals below it.  ``bounds`` folds those through ``fold_bounds`` once
-    per domino and set of placed pieces, as ``validate_domino_tableau``
-    folds a tableau's own pieces: ``add`` sets the last result aside and
-    ``pop``, which brings back the pieces it was folded over, restores it.
-    ``check`` judges each fill against the result by ``fill_fits``.  The
-    relation memo keeps every domino it keys, so a state that outlives the
-    dominoes of one shape never reads a relation under a recycled id.
+    A piece of crossing d is bounded only by the placed non-X pieces of
+    crossings d - 2 and d: they alone cover its neighbour cells or lie two
+    diagonals below it.  ``check`` folds those through ``fold_bounds``, with
+    a relation memo thrown away after the fold, and judges the fill by
+    ``fill_fits``; X reads no bounds.  Fills must be strictly increasing, as
+    ``check_fill`` ensures: the rules read a fill's minimum as ``fill[0]``
+    and its maximum as ``fill[-1]``.  It is a class, not a loop in the
+    validator, so that the benchmark tracer can count the validator's
+    checks by patching ``check``.
     """
 
     def __init__(self, family: Family):
         self.family = family
-        self.set_valued = family.set_valued
-        self.pieces: list[Piece] = []
-        self.by_crossing: dict[int, list[Piece]] = {}
-        self.relations: dict[int, tuple[Domino, dict[int, int]]] = {}
-        self._last_bounds: tuple[Domino, tuple] | None = None
-        self._saved_bounds: list[tuple[Domino, tuple] | None] = []  # one per piece
-
-    def bounds(self, dom: Domino) -> tuple[int, float, float, float]:
-        """``fold_bounds`` over the placed pieces of crossings d - 2 and d."""
-        last_bounds = self._last_bounds
-        if last_bounds is not None and last_bounds[0] is dom:
-            return last_bounds[1]
-        entry = self.relations.get(id(dom))
-        if entry is None:  # the entry holds dom, so no other domino takes its id
-            entry = self.relations[id(dom)] = (dom, {})
-        d, placed = dom.crossing(), self.by_crossing
-        near = (*placed.get(d - 2, ()), *placed.get(d, ()))
-        result = fold_bounds(dom, near, entry[1], self.set_valued)
-        self._last_bounds = (dom, result)
-        return result
+        self.by_crossing: dict[int, list[Piece]] = {}  # the placed non-X pieces
 
     def check(self, dom: Domino, fill: Fill) -> bool:
-        return fill_fits(self.family, dom, fill, self.bounds(dom))
+        bounds = None
+        if fill != X_FILL:
+            d, placed = dom.crossing(), self.by_crossing
+            near = (*placed.get(d - 2, ()), *placed.get(d, ()))
+            bounds = fold_bounds(dom, near, {}, self.family.set_valued)
+        return fill_fits(self.family, dom, fill, bounds)
 
     def add(self, dom: Domino, fill: Fill) -> None:
-        self._saved_bounds.append(self._last_bounds)
-        self._last_bounds = None
-        if id(dom) not in self.relations:  # hold dom: later relations key its id
-            self.relations[id(dom)] = (dom, {})
-        self.pieces.append((dom, fill))
         if fill != X_FILL:
             self.by_crossing.setdefault(dom.crossing(), []).append((dom, fill))
-
-    def try_add(self, dom: Domino, fill: Fill) -> bool:
-        if not self.check(dom, fill):
-            return False
-        self.add(dom, fill)
-        return True
-
-    def pop(self) -> None:
-        self._last_bounds = self._saved_bounds.pop()  # the pieces are as they were then
-        dom, fill = self.pieces.pop()
-        if fill != X_FILL:
-            self.by_crossing[dom.crossing()].pop()
 
 
 def validate_domino_tableau(t: DominoTableau) -> bool:
@@ -305,34 +273,23 @@ def validate_domino_tableau(t: DominoTableau) -> bool:
     including a fill that is not strictly increasing.
 
     After the structural checks (the fills, the tiling, and for shifted
-    families the shifted paving), each piece is judged once, in diagonal
-    reading order, by ``fill_fits`` against ``fold_bounds`` over the non-X
-    pieces already judged on crossings d - 2 and d; no piece of crossing
-    d + 2 comes earlier.  So every pairwise rule is read by the later piece
-    of its pair.  The tiling check has proved that no pieces overlap, so no
-    covered cells are kept, and each fold's relation memo is thrown away.
-    The tiling and the diagonal order are the tableau's own, kept by
-    ``paving`` and ``diagonal_order``: a parsed tableau was tiled when it
-    was built, and the split reads the same order after this check.
+    families the shifted paving), a ``FillState`` judges each piece once,
+    in the tableau's diagonal order, against the pieces judged before it.
+    The tiling check has proved that no pieces overlap.  The tiling and the
+    diagonal order are the tableau's own, kept by ``paving`` and
+    ``diagonal_order``: a parsed tableau was tiled when it was built, and
+    the split reads the same order after this check.
     """
     for _, fill in t.pieces:
         check_fill(fill)
     paving = t.paving()  # structural: must tile
-    family = t.family
-    if family.shifted and not is_shifted_paving(paving):
+    if t.family.shifted and not is_shifted_paving(paving):
         return False
-    set_valued = family.set_valued
-    judged: dict[int, list[Piece]] = {}  # the non-X pieces judged, by crossing
+    state = FillState(t.family)
     for dom, fill in t.diagonal_order():
-        if fill == X_FILL:
-            if not fill_fits(family, dom, fill, None):
-                return False
-            continue
-        d = dom.crossing()
-        near = (*judged.get(d - 2, ()), *judged.get(d, ()))
-        if not fill_fits(family, dom, fill, fold_bounds(dom, near, {}, set_valued)):
+        if not state.check(dom, fill):
             return False
-        judged.setdefault(d, []).append((dom, fill))
+        state.add(dom, fill)
     return True
 
 
@@ -393,15 +350,39 @@ def enumerate_domino_tableaux(
 ) -> list[DominoTableau]:
     """All valid domino tableaux with letters <= max_letter, sorted by pieces.
 
-    The tableaux are those ``domino_fills`` yields: for shifted families one
-    representative per equivalence class.  More than MAX_LISTED of them
-    raise ValueError, once one more than that is found.
+    Two walks of ``tiling_walk`` over the shape's tiling automaton find
+    them.  The first counts: a (min, max) class of fills weighs its number
+    of fills, so more than MAX_LISTED tableaux raise ValueError before any
+    is built.  The second lists: a piece weighs the index of its (domino,
+    fill) in a table built per call, so a path's weight is the tuple of its
+    pieces' indexes, and each complete node's down dominoes are added in X.
+    Shifted families fill the up region only (fills constrain nothing else)
+    and complete each up region with its least down region, so they list
+    one representative per equivalence class.  Shapes that are not
+    pavable, or not shifted pavable, raise ValueError before any walk.
     """
     shape = check_partition(shape)
-    fills = islice(domino_fills(family, shape, max_letter), MAX_LISTED + 1)
-    out = [DominoTableau(family, shape, p) for p in fills]
-    if len(out) > MAX_LISTED:
+    root = tiling_root(family, shape)
+    # The empty shape has one tableau, which asks for no fill.
+    classes = fill_classes(family, max_letter) if root[0] is not None else []
+    mins = [fills[0][0] for fills in classes]
+    counts = [(fills[0], ((0, len(fills)),)) for fills in classes]
+    found = tiling_walk(family, shape, root, mins, lambda dom: counts, 0)
+    if sum(c for _, terms in found for c in terms.values()) > MAX_LISTED:
         raise ValueError(f"shape {shape} has more than {MAX_LISTED} domino tableaux")
+    table: list[Piece] = []  # the pieces a path's indexes name
+
+    def indexes(dom: Domino) -> list[tuple[Fill, tuple[tuple[tuple[int], int], ...]]]:
+        out = []
+        for fills in classes:
+            out.append((fills[0], tuple(((len(table) + k,), 1) for k in range(len(fills)))))
+            table.extend((dom, fill) for fill in fills)
+        return out
+
+    out = []
+    for node, paths in tiling_walk(family, shape, root, mins, indexes, ()):
+        down = tuple((dom, X_FILL) for dom in node[1])
+        out.extend(DominoTableau(family, shape, (*map(table.__getitem__, p), *down)) for p in paths)
     out.sort(key=lambda t: t.pieces)
     return out
 
@@ -419,54 +400,124 @@ def tiling_root(family: Family, shape: Shape) -> Node:
     return _tiling_automaton(shape, family.shifted)  # not None: the checks above passed
 
 
-def domino_fills(
-    family: Family, shape: Shape, max_letter: int
-) -> Iterator[tuple[Piece, ...]]:
-    """The pieces of every valid domino tableau, tiling and fills in one search.
+# The most states one layer of ``tiling_walk`` may hold.  GQ (6,5,5,4)
+# peaks at 167,412 states with n=3, in about 330 MB; with n=4 its
+# polynomials are larger, and 200,000 states take about 950 MB.
+MAX_TRANSFER_STATES = 250_000
+# The most terms the weights of one layer of ``tiling_walk``, or of the flat
+# transfer of ``polyring.genfun``, may hold together, which bounds its
+# memory.  The domino sum over GQ (6,5,5,4) peaks at 2,123,158 terms with
+# n=3.
+MAX_TRANSFER_TERMS = 3_000_000
 
-    The search walks the paths of ``_tiling_automaton`` depth first, so
-    dominoes arrive in diagonal reading order, a prefix shared by many
-    pavings is filled once, and no path ends in a dead-end tiling.  The
-    candidate fills are sorted, so the fills whose minimum lies in a range
-    are one slice of them.  A domino's range runs from the floor to the cap
-    that ``fold_bounds`` gives over the placed pieces, and to the top rank
-    less the edge's column depth at most; ``FillState.check`` still judges
-    every fill of the slice.
 
-    Shifted families fill the up region only (fills constrain nothing else)
-    and complete each up region with its least down region in X, so they
-    yield one representative per equivalence class.  Shapes that are not
-    pavable, or not shifted pavable, raise ValueError before any search.
+def tiling_walk(
+    family: Family, shape: Shape, root: Node, mins: list[int], classes_on: Callable, one: Any
+) -> list[tuple[Node, dict]]:
+    """The valid fills of the paths of the tiling automaton under ``root``,
+    walked layer by layer, one even cell per layer, with the paths' weights
+    summed in any ring whose elements ``+`` multiplies.
+
+    ``firsts`` holds the first fill of each (min, max) class of candidate
+    fills, sorted by min: every rule reads a fill only through its minimum
+    and maximum, so the fills are judged by class.  ``class_terms(dom)``
+    gives, for each class, the weight of its fills on ``dom`` as (monomial,
+    coefficient) terms; it is asked once per domino, and ``one`` is the unit
+    monomial.  A path weighs the product of its pieces' weights, and the
+    walk returns, for each complete node, the node and the terms summed
+    over the paths that reach it.  Its callers weigh a fill by its signed
+    packed monomial (``polyring.domino_genfun``), by 1 (the count of
+    ``enumerate_domino_tableaux``), or by the 1-tuple of its piece's index,
+    so that a path weighs the tuple of its pieces (the listing).
+
+    A state is an automaton node and the frontier: the (domino, fill class)
+    of every placed piece whose crossing is at least c - 2, where c is the
+    crossing of the next even cell.  Each state holds the summed weights of
+    the prefixes that reach it, and prefixes with equal states are summed
+    once.  The frontier is enough to judge every later piece, whose
+    crossing d is at least c:
+
+    * the ordering rules read the neighbour cells of a piece, whose content
+      is at least d - 2, and only pieces of crossing at least d - 2 cover
+      such cells;
+    * the southeast rule reads only the pieces of crossing d - 2 and d + 2;
+    * the multiplicity rule of the shifted families is part of the ordering
+      rules: ``piece_relation`` reads it, as ``fill_floor`` and its mirror,
+      on the same neighbour cells.
+
+    So each edge's fills are judged from the frontier alone: every rule is
+    pairwise, and ``fold_bounds`` folds the frontier into a floor and three
+    caps, as ``FillState`` folds the placed pieces for the validator.  The
+    fills whose minimum lies between the floor and the cap, or the top rank
+    less the edge's column depth, are one slice of the classes.  Each
+    domino's class terms and its relation memo, keyed by id, are one entry
+    per call; the ids are safe, because the automaton keeps every domino
+    alive until the call ends.  The per-piece family rules, which
+    ``fill_fits`` adds for the validator, never fire here, because the
+    candidate fills are admissible already: plain fills are single
+    letters, unshifted fills hold no primed letter, and shifted edges cross
+    at 0 or above.
+
+    Layer i holds the states at even cell i, and every frontier in it holds
+    the pieces of the same earlier even cells, so the pieces that fall out
+    of the frontier are the same leading ones in each, counted once per
+    layer.  A layer of more than MAX_TRANSFER_STATES states, or of more than
+    MAX_TRANSFER_TERMS terms, raises ValueError.  The root of the empty
+    shape is complete, and its one path weighs ``one``.
     """
-    root = tiling_root(family, shape)
-    if root[0] is None:  # the empty shape
-        yield ()
-        return
-    candidates = _candidate_fills(family, max_letter)
-    cand_mins = [fill[0] for fill in candidates]
-    max_rank = cand_mins[-1] if candidates else 0
-    state = FillState(family)
-    bounds, try_add, pop = state.bounds, state.try_add, state.pop
-
-    def options(edges: tuple[Edge, ...]) -> Iterator[Node]:
-        """The child of each edge, once per valid fill of its domino; the
-        piece stays in ``state`` until the next child is asked for."""
-        for dom, depth, child in edges:
-            lo_min, lo_max, _, _ = bounds(dom)
-            top = bisect_right(cand_mins, min(lo_max, max_rank - depth))
-            for fill in candidates[bisect_left(cand_mins, lo_min) : top]:
-                if try_add(dom, fill):
-                    yield child
-                    pop()
-
-    stack = [options(root[0])]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:  # this node's options are spent: back up one domino
-            stack.pop()
-        elif child[0] is None:  # a complete tiling; shifted ones add X below D_0
-            down = child[1]
-            pieces = tuple(state.pieces)
-            yield pieces + tuple((dom, X_FILL) for dom in down) if down else pieces
-        else:
-            stack.append(options(child[0]))
+    max_rank = mins[-1] if mins else 0
+    set_valued = family.set_valued
+    entries: dict[int, tuple] = {}  # by id(dom): its classes, its piece_relation memo
+    # A state's key is its node's id and the ids of its frontier's dominoes
+    # and fill classes (one interned object per domino, one first fill per
+    # class, each alive until the call ends), so no key hashes a Domino.  A
+    # complete node's key is its id alone.
+    layer = {(id(root),): (root, (), {one: 1})}
+    while layer:
+        some_node, some_frontier, _ = next(iter(layer.values()))
+        if some_node[0] is None:  # a layer's nodes are all complete or none is
+            return [(node, terms) for node, _, terms in layer.values()]
+        nxt: dict[tuple[int, ...], tuple[Node, tuple[Piece, ...], dict]] = {}
+        stored = 0
+        # Every frontier of a layer drops the same leading pieces.
+        ahead = some_node[0][0][2][0]  # the edges of the next even cell, None at the end
+        keep_from = INF if ahead is None else ahead[0][0].crossing() - 2
+        drop = sum(1 for dom, _ in some_frontier if dom.crossing() < keep_from)
+        for key, (node, frontier, terms) in layer.items():
+            kept, kept_key = frontier[drop:], key[1 + 2 * drop :]
+            for dom, depth, child in node[0]:
+                entry = entries.get(id(dom))
+                if entry is None:
+                    entry = entries[id(dom)] = (classes_on(dom), {})
+                classes, rels = entry
+                floor, cap, odd_cap, even_cap = fold_bounds(dom, frontier, rels, set_valued)
+                top = bisect_right(mins, min(cap, max_rank - depth))
+                for fill, fill_terms in classes[bisect_left(mins, floor) : top]:
+                    hi = fill[-1]
+                    if hi | 1 > odd_cap or hi + (hi & 1) > even_cap:
+                        continue
+                    if ahead is None:
+                        child_key = (id(child),)
+                    else:
+                        child_key = (id(child), *kept_key, id(dom), id(fill))
+                    state = nxt.get(child_key)
+                    if state is None:
+                        if len(nxt) >= MAX_TRANSFER_STATES:
+                            raise ValueError(
+                                f"the domino sum over {shape} needs more than "
+                                f"{MAX_TRANSFER_STATES} states in one layer"
+                            )
+                        state = nxt[child_key] = (child, kept + ((dom, fill),), {})
+                    acc = state[2]
+                    before = len(acc)
+                    for m, c in terms.items():
+                        for e, s in fill_terms:
+                            acc[m + e] = acc.get(m + e, 0) + c * s
+                    stored += len(acc) - before
+                    if stored > MAX_TRANSFER_TERMS:
+                        raise ValueError(
+                            f"the domino sum over {shape} needs more than "
+                            f"{MAX_TRANSFER_TERMS} terms in one layer"
+                        )
+        layer = nxt
+    return []

@@ -19,13 +19,17 @@ Cell = tuple[int, int]
 # The most pavings or tableaux that ``enumerate_pavings``,
 # ``enumerate_tableaux`` or ``enumerate_domino_tableaux`` returns; a longer
 # list raises ValueError.  The longest lists the tests and the README ask
-# for hold about 50,000 tableaux.
+# for hold about 50,000 tableaux.  Pavings and domino tableaux are counted
+# before any is built: the 578,097 shifted set-valued domino tableaux of
+# (6,5,5,4) over 3 letters raise after about 3-4 s, at 187 MB.
 MAX_LISTED = 200_000
 
 # The most cells a shape may have where it is tiled, summed, listed or
-# verified.  The tiling automaton's masks and the flat transfer over a long
-# row grow with the square of its length.  At the limit every command on
-# the one-row shape takes at most 3 s and 41 MB (the flat sum is the
+# verified.  The tiling automaton's masks and the domino listing over a
+# long row grow with the square of its length: the listing's paths are
+# tuples of pieces, copied at every step.  At the limit every command on
+# the one-row shape with one letter or variable takes at most about 1.2 s
+# and 41 MB (listing its shifted set-valued domino tableaux is the
 # slowest), and the domino sum over (5000,5000) with n=2 takes 11 s and
 # 47 MB; without it, listing the pavings of (200000) took 56 s and 4.1 GB,
 # and the domino sum over (2000000) passed 7.7 GB.

@@ -15,9 +15,8 @@ from operator import lshift
 from threading import Lock
 
 from .partitions import Shape, check_cells, check_partition, is_staircase_admissible
-from .tableaux import Family, Fill, _candidate_fills, fill_floor, letter_index
-from .domino_tableaux import Piece, fold_bounds, tiling_root
-from .pavings import Node
+from .tableaux import Family, Fill, fill_classes, fill_floor, letter_index
+from .domino_tableaux import MAX_TRANSFER_TERMS, tiling_root, tiling_walk
 # Unused here; the benchmark tracer finds the flat enumerator under this name.
 from .tableaux import enumerate_tableaux  # noqa: F401
 # Unused here; the benchmark tracer finds the domino enumerator under this name.
@@ -238,16 +237,6 @@ def check_variables(n: int) -> None:
         raise ValueError(f"at most {MAX_VARIABLES} variables are allowed, got {n}")
 
 
-# The most states one layer of the domino transfer may hold.  GQ (6,5,5,4)
-# peaks at 167,412 states with n=3, in about 330 MB; with n=4 its
-# polynomials are larger, and 200,000 states take about 950 MB.
-MAX_TRANSFER_STATES = 250_000
-# The most terms the polynomials of one layer of either transfer may hold
-# together, which bounds its memory.  GQ (6,5,5,4) peaks at 2,123,158 terms
-# with n=3.
-MAX_TRANSFER_TERMS = 3_000_000
-
-
 # The most that the sums kept by ``genfun`` may cost together, where a sum
 # costs its terms, its shape's parts and one.  A verify-unshifted pass keeps
 # 116 sums of 1,252 terms, and a plain size-24 sweep with n=3 keeps 272
@@ -320,21 +309,23 @@ def _unpack(n: int, bits: int, packed: dict[int, int]) -> Polynomial:
 def _fill_classes(
     family: Family, n: int, bits: int
 ) -> tuple[tuple[Fill, tuple[tuple[int, int], ...]], ...]:
-    """The candidate fills over n letters grouped by (min, max), sorted by
-    min.  A class is its first fill and the sum of sign * x^weight over its
-    fills, as (packed exponents, coefficient) terms: a fill's sign is
+    """The classes of ``fill_classes`` over n letters, sorted by min.  A
+    class is its first fill and the sum of sign * x^weight over its fills,
+    as (packed exponents, coefficient) terms: a fill's sign is
     (-1)^(|fill| - 1), and its letters of index j add 1 to field j - 1 of
     ``bits`` bits.
 
     The classes depend on the arguments alone, so they are cached, and
     returned as tuples that no caller can change.  MAX_VARIABLES bounds n;
     the largest entries, set-valued over 16 letters, hold about 9 MB."""
-    classes: dict[tuple[int, int], tuple[Fill, dict[int, int]]] = {}
-    for fill in _candidate_fills(family, n):
-        first, terms = classes.setdefault((fill[0], fill[-1]), (fill, {}))
-        exps = sum(1 << bits * (letter_index(r) - 1) for r in fill)
-        terms[exps] = terms.get(exps, 0) + (-1 if len(fill) % 2 == 0 else 1)
-    return tuple(sorted((first, tuple(terms.items())) for first, terms in classes.values()))
+    out = []
+    for fills in fill_classes(family, n):
+        terms: dict[int, int] = {}
+        for fill in fills:
+            exps = sum(1 << bits * (letter_index(r) - 1) for r in fill)
+            terms[exps] = terms.get(exps, 0) + (-1 if len(fill) % 2 == 0 else 1)
+        out.append((fills[0], tuple(terms.items())))
+    return tuple(out)
 
 
 def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
@@ -346,39 +337,10 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     contributes its own factor (-1)^(|fill| - 1) x^weight(fill), and the X
     dominoes below D_0 contribute nothing.
 
-    The sum is a transfer over the shape's tiling automaton, one even cell
-    per layer, and lists no tableau.  A state is an automaton node and the
-    frontier: the (domino, fill) of every placed piece whose crossing is at
-    least c - 2, where c is the crossing of the next even cell.  Each state
-    holds the signed weight polynomial of the prefixes that reach it, and
-    prefixes with equal states are summed once.  The frontier is enough to
-    judge every later piece, whose crossing d is at least c:
-
-    * the ordering rules read the neighbour cells of a piece, whose content
-      is at least d - 2, and only pieces of crossing at least d - 2 cover
-      such cells;
-    * the southeast rule reads only the pieces of crossing d - 2 and d + 2;
-    * the multiplicity rule of the shifted families is part of the ordering
-      rules: ``piece_relation`` reads it, as ``fill_floor`` and its mirror,
-      on the same neighbour cells.
-
-    So each edge's fills are judged from the frontier alone: every rule is
-    pairwise, and ``fold_bounds`` folds the frontier into a floor and three
-    caps, as it folds the placed pieces for the fill search and the
-    validator.  Its relation memo is per call and keyed by id, which is
-    safe because the automaton keeps every domino alive until the call
-    ends.  The per-piece family rules, which ``fill_fits`` adds for those
-    two, never fire here, because the fill classes are admissible
-    already: plain fills are single letters, unshifted fills hold no primed
-    letter, and shifted edges cross at 0 or above.  The rules read a
-    candidate fill only through its minimum and maximum, so the fills are
-    judged and stored by (min, max) class, and each class carries the
-    summed terms of its fills.
-
-    Layer i holds the states at even cell i, and every frontier in it holds
-    the pieces of the same earlier even cells, so the pieces that fall out
-    of the frontier are the same leading ones in each, counted once per
-    layer.  The 2-quotient enters only the shifted shape test, never the
+    The sum is ``domino_tableaux.tiling_walk`` over the shape's tiling
+    automaton, with each (min, max) class of fills weighing the summed
+    terms of its fills, and lists no tableau; the complete nodes' sums are
+    added up.  The 2-quotient enters only the shifted shape test, never the
     sum, and the bijection not at all, so the identity check stays
     independent of them.
 
@@ -394,59 +356,9 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
         return Polynomial.one(n)
     bits = sum(shape).bit_length()  # no letter index occurs more than |shape| times
     classes = _fill_classes(family, n, bits)
-    class_mins = [fill[0] for fill, _ in classes]
-    max_rank = class_mins[-1]
-    set_valued = family.set_valued
-    relations: dict[int, dict[int, int]] = {}  # piece_relation by id(dom), id(other)
+    mins = [fill[0] for fill, _ in classes]
     total: dict[int, int] = {}
-    # A state's key is its node's id and the ids of its frontier's dominoes
-    # and fills (one interned object per domino, one per fill class, each
-    # alive until the call ends), so no key hashes a Domino.
-    layer = {(id(root),): (root, (), {0: 1})}
-    while layer:
-        nxt: dict[tuple[int, ...], tuple[Node, tuple[Piece, ...], dict[int, int]]] = {}
-        stored = 0
-        # Every frontier of a layer drops the same leading pieces.
-        some_node, some_frontier, _ = next(iter(layer.values()))
-        ahead = some_node[0][0][2][0]  # the edges of the next even cell, None at the end
-        if ahead is not None:
-            keep_from = ahead[0][0].crossing() - 2
-            drop = sum(1 for dom, _ in some_frontier if dom.crossing() < keep_from)
-        for key, (node, frontier, terms) in layer.items():
-            if ahead is not None:
-                kept, kept_key = frontier[drop:], key[1 + 2 * drop :]
-            for dom, depth, child in node[0]:
-                rels = relations.get(id(dom))
-                if rels is None:
-                    rels = relations[id(dom)] = {}
-                floor, cap, odd_cap, even_cap = fold_bounds(dom, frontier, rels, set_valued)
-                top = bisect_right(class_mins, min(cap, max_rank - depth))
-                for fill, fill_terms in classes[bisect_left(class_mins, floor) : top]:
-                    hi = fill[-1]
-                    if hi | 1 > odd_cap or hi + (hi & 1) > even_cap:
-                        continue
-                    if ahead is None:  # a complete tiling
-                        acc = total
-                    else:
-                        child_key = (id(child), *kept_key, id(dom), id(fill))
-                        entry = nxt.get(child_key)
-                        if entry is None:
-                            if len(nxt) >= MAX_TRANSFER_STATES:
-                                raise ValueError(
-                                    f"the domino sum over {shape} needs more than "
-                                    f"{MAX_TRANSFER_STATES} states in one layer"
-                                )
-                            entry = nxt[child_key] = (child, kept + ((dom, fill),), {})
-                        acc = entry[2]
-                    before = len(acc)
-                    for m, c in terms.items():
-                        for e, s in fill_terms:
-                            acc[m + e] = acc.get(m + e, 0) + c * s
-                    stored += len(acc) - before
-                    if stored > MAX_TRANSFER_TERMS:
-                        raise ValueError(
-                            f"the domino sum over {shape} needs more than "
-                            f"{MAX_TRANSFER_TERMS} terms in one layer"
-                        )
-        layer = nxt
+    for _, terms in tiling_walk(family, shape, root, mins, lambda dom: classes, 0):
+        for m, c in terms.items():
+            total[m] = total.get(m, 0) + c
     return _unpack(n, bits, total)

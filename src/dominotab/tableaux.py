@@ -308,6 +308,17 @@ def _candidate_fills(family: Family, max_letter: int) -> list[Fill]:
     return out
 
 
+def fill_classes(family: Family, max_letter: int) -> list[list[Fill]]:
+    """The candidate fills over the first max_letter letters, grouped by
+    (min, max): every rule between two cells or two pieces reads a fill
+    through its minimum and maximum alone.  A class keeps its fills sorted,
+    and the classes are sorted by their first fill, so by minimum."""
+    classes: dict[tuple[int, int], list[Fill]] = {}
+    for fill in _candidate_fills(family, max_letter):
+        classes.setdefault((fill[0], fill[-1]), []).append(fill)
+    return sorted(classes.values())
+
+
 def enumerate_tableaux(family: Family, shape: Shape, max_letter: int) -> list[Tableau]:
     """All valid tableaux of the family on the shape with letters <= max_letter.
 

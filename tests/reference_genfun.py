@@ -24,10 +24,16 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from conftest import cardinality, up_cell_count
-from dominotab.domino_tableaux import Piece, dt_weight, tiling_root
+from dominotab.domino_tableaux import (
+    MAX_TRANSFER_STATES,
+    MAX_TRANSFER_TERMS,
+    Piece,
+    dt_weight,
+    tiling_root,
+)
 from dominotab.partitions import Shape, check_partition
 from dominotab.pavings import Node
-from dominotab.polyring import MAX_TRANSFER_STATES, MAX_TRANSFER_TERMS, Monomial, Polynomial
+from dominotab.polyring import Monomial, Polynomial
 from dominotab.tableaux import Family, Fill, Tableau, _candidate_fills, letter_index, weight
 from reference_fill_search import reference_domino_fills
 from reference_fillstate import IndexedFillState

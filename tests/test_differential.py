@@ -1,23 +1,25 @@
-"""Differential tests: the fill search and the streamed generating function
+"""Differential tests: the domino listing and the generating functions
 against the definitions they replaced.
 
 ``ReferenceFillState`` (in ``reference_fillstate.py``) is the rule-by-rule
 checker, and ``IndexedFillState`` (beside it) the checker that stated the
-rules over its own cell and diagonal indexes, apart from ``piece_relation``;
+rules over its own cell and diagonal indexes, apart from ``piece_relation``.
 ``reference_domino_fills`` (in ``reference_fill_search.py``) is the
 per-paving fill search, run on the row-major paving backtracker kept beside
-it; ``materialised_genfun`` is the generating function as a sum over the
+it, and ``domino_fills`` (beside it) the depth-first fill search on the
+tiling automaton, whose listing the walk's must repeat in order.
+``materialised_genfun`` is the generating function as a sum over the
 enumerated list, and ``streamed_genfun`` (in ``reference_genfun.py``) the
-sum over the fills ``reference_domino_fills`` yields, ``fillstate_domino_genfun``
-(beside it) the domino transfer that rebuilt an ``IndexedFillState`` per
-state, and ``enumerated_genfun`` (beside it) the flat sum over the list the
-reference enumerator returns.  ``reference_tableaux.py`` keeps the flat
-enumerator and validator that count every letter per line, against which the
-single neighbour bound is checked.  ``reference_bijections.py`` keeps the
-split that rebuilt each half from its reading word and the merge that
-recomputed the inverse 2-quotient per cell, and
-``reference_render.py`` the ASCII renderer that asked four wall predicates
-per junction.  The criterion-3 pools are pinned by count and by a digest of
+sum over the fills ``reference_domino_fills`` yields,
+``fillstate_domino_genfun`` (beside it) the domino transfer that rebuilt an
+``IndexedFillState`` per state, and ``enumerated_genfun`` (beside it) the
+flat sum over the list the reference enumerator returns.
+``reference_tableaux.py`` keeps the flat enumerator and validator that
+count every letter per line, against which the single neighbour bound is
+checked.  ``reference_bijections.py`` keeps the split that rebuilt each half
+from its reading word and the merge that recomputed the inverse 2-quotient
+per cell, and ``reference_render.py`` the ASCII renderer that asked four
+wall predicates per junction.  The criterion-3 pools are pinned by count and by a digest of
 their canonical serialisation, in enumeration order.
 """
 
@@ -40,15 +42,15 @@ from dominotab.domino_tableaux import (
     SE_UP_CAP,
     SE_UP_FLOOR,
     DominoTableau,
-    domino_fills,
     dt_weight,
     enumerate_domino_tableaux,
+    fill_fits,
     piece_relation,
     tiling_root,
     validate_domino_tableau,
 )
 from dominotab.partitions import is_pavable, partitions_up_to, two_quotient
-from dominotab.pavings import domino, enumerate_pavings, is_shifted_pavable, is_shifted_paving
+from dominotab.pavings import enumerate_pavings, is_shifted_pavable, is_shifted_paving
 from dominotab.polyring import Polynomial, domino_genfun, genfun
 from dominotab.render import render_ascii
 from dominotab.tableaux import (
@@ -104,48 +106,41 @@ def pools():
     }
 
 
-class PairedState(domino_tableaux.FillState):
-    """The enumerator's state with a reference state replaying every call."""
-
-    checks = 0
-    mismatches: list = []
-
-    def __init__(self, family):
-        super().__init__(family)
-        self.ref = ReferenceFillState(family)
-
-    def check(self, dom, fill):
-        ok = super().check(dom, fill)
-        PairedState.checks += 1
-        if ok != self.ref.check(dom, fill):
-            PairedState.mismatches.append((tuple(self.pieces), dom, fill, ok))
-        return ok
-
-    def add(self, dom, fill):
-        super().add(dom, fill)
-        self.ref.add(dom, fill)
-
-    def pop(self):
-        super().pop()
-        self.ref.pop()
-
-
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_check_matches_reference_on_every_enumerator_try(family, monkeypatch):
-    monkeypatch.setattr(domino_tableaux, "FillState", PairedState)
-    monkeypatch.setattr(PairedState, "checks", 0)
-    monkeypatch.setattr(PairedState, "mismatches", [])
+    """Each time the listing's walk folds a frontier for a domino, the
+    verdict of ``fill_fits`` on the folded bounds is, for every candidate
+    fill, that of a ``ReferenceFillState`` holding the frontier's pieces."""
+    fold_bounds = domino_tableaux.fold_bounds
+    checks, mismatches = 0, []
+
+    def paired_fold(dom, frontier, rels, set_valued):
+        nonlocal checks
+        bounds = fold_bounds(dom, frontier, rels, set_valued)
+        ref = ReferenceFillState(family)
+        for other, fill in frontier:
+            ref.add(other, fill)
+        for fill in candidates:
+            ok = fill_fits(family, dom, fill, bounds)
+            checks += 1
+            if ok != ref.check(dom, fill):
+                mismatches.append((frontier, dom, fill, ok))
+        return bounds
+
+    monkeypatch.setattr(domino_tableaux, "fold_bounds", paired_fold)
     for letters in (2, 3):
+        candidates = _candidate_fills(family, letters)
         for lam in shapes(family, 8):
             enumerate_domino_tableaux(family, lam, letters)
-    assert PairedState.mismatches == []
-    assert PairedState.checks > 1000
+    assert mismatches == []
+    assert checks > 1000
 
 
 def _fills_or_error(family, shape, letters):
-    """The sorted multiset of yielded pieces (each sorted), or ValueError."""
+    """The sorted multiset of listed pieces (each sorted), or ValueError."""
     try:
-        return sorted(tuple(sorted(p)) for p in domino_fills(family, shape, letters))
+        listed = enumerate_domino_tableaux(family, shape, letters)
+        return sorted(tuple(sorted(t.pieces)) for t in listed)
     except ValueError:
         return ValueError
 
@@ -172,8 +167,9 @@ FILL_SEARCH_CASES = [
     "family,letter_counts,spots", FILL_SEARCH_CASES, ids=[c[0].name for c in FILL_SEARCH_CASES]
 )
 def test_fill_search_matches_reference(family, letter_counts, spots):
-    """Same fills, shape by shape, on every shape up to size 10; shapes that
-    are not pavable (or not shifted pavable) raise ValueError in both."""
+    """The listing gives the fills of the per-paving search, shape by shape,
+    on every shape up to size 10; shapes that are not pavable (or not
+    shifted pavable) raise ValueError in both."""
     outputs = 0
     for letters in letter_counts:
         for lam in list(partitions_up_to(10)) + list(spots):
@@ -528,43 +524,6 @@ def test_piece_relation_matches_fillstate_bounds(family):
                     state.pop()
     assert pairs > 600
     assert flags == (255 if family.set_valued else LEFT | ABOVE | RIGHT | BELOW)
-
-
-def _recycled_ids(family, cases):
-    """How many automaton dominoes, built afresh for each shape after the
-    domino cache is cleared, sit at an address that another domino had."""
-    last_ids, recycled = {}, 0
-    for lam in cases:
-        domino.cache_clear()
-        ids = {id(d): (d.row, d.col, d.horiz) for d in _automaton_dominoes(family, lam)}
-        recycled += sum(1 for k, v in ids.items() if last_ids.get(k, v) != v)
-        last_ids.update(ids)
-    return recycled
-
-
-@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
-def test_fill_state_memo_never_reads_a_recycled_id(family, monkeypatch):
-    """One ``FillState`` serves the fill search of shape after shape, and
-    the domino cache is cleared before each shape, so each shape's
-    dominoes are fresh objects.  Nothing else holds the last shape's
-    dominoes, so their ids come round again, as a run over the same shapes
-    without the search counts; only the state's relation memo, keyed by
-    id, holds the dominoes it keys.  It must give the answers of
-    ``ReferenceFillState`` on every try."""
-    cases = list(shapes(family, 8))
-    assert _recycled_ids(family, cases) > 0
-    shared = PairedState(family)
-    monkeypatch.setattr(domino_tableaux, "FillState", lambda family: shared)
-    monkeypatch.setattr(PairedState, "checks", 0)
-    monkeypatch.setattr(PairedState, "mismatches", [])
-    for letters in (2, 3):
-        for lam in cases:
-            domino.cache_clear()
-            for _ in domino_fills(family, lam, letters):
-                pass
-    assert shared.pieces == []
-    assert PairedState.mismatches == []
-    assert PairedState.checks > 1000
 
 
 # (family, variables, max size) for the comparison with the enumerated flat

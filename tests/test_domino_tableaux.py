@@ -2,12 +2,12 @@ import pytest
 
 from conftest import dt, dt_cardinality, up_cell_count, up_domino_count
 from dominotab import domino_tableaux
+from dominotab.cli import main
 from dominotab.partitions import is_pavable, partitions_up_to, size, two_quotient
 from dominotab.pavings import Domino, is_shifted_pavable, is_shifted_paving
 from dominotab.domino_tableaux import (
     DominoTableau,
     diagonal_reading,
-    domino_fills,
     dt_weight,
     enumerate_domino_tableaux,
     up_fingerprint,
@@ -273,36 +273,62 @@ def test_enumerate_domino_tableaux_past_the_listing_limit_raises(monkeypatch):
         enumerate_domino_tableaux(SET_VALUED, (4, 2), 3)
 
 
-class OrderCheckedState(domino_tableaux.FillState):
-    """The fill search's state, asserting on every added piece that it
-    overlaps no placed piece and comes after each of them in diagonal
-    reading order, so its crossing is below none of theirs."""
+def test_enumerate_domino_tableaux_past_the_listing_limit_builds_no_tableau(
+    monkeypatch, capsys
+):
+    """Past MAX_LISTED the listing raises from its count, before any
+    ``DominoTableau`` is built, and ``enumerate`` exits 2."""
+    count = len(enumerate_domino_tableaux(SET_VALUED, (4, 2), 3))
+    built = 0
 
-    added = 0
+    class CountedTableau(DominoTableau):
+        def __post_init__(self):
+            nonlocal built
+            built += 1
+            super().__post_init__()
 
-    def add(self, dom, fill):
+    monkeypatch.setattr(domino_tableaux, "DominoTableau", CountedTableau)
+    assert len(enumerate_domino_tableaux(SET_VALUED, (4, 2), 3)) == built == count
+    built = 0
+    monkeypatch.setattr(domino_tableaux, "MAX_LISTED", count - 1)
+    with pytest.raises(ValueError, match=f"more than {count - 1} domino tableaux"):
+        enumerate_domino_tableaux(SET_VALUED, (4, 2), 3)
+    assert built == 0
+    argv = ["enumerate", "--kind", "domino", "--family", "set-valued", "--shape", "[4,2]"]
+    assert main(argv + ["--max-letter", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert built == 0
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_fill_search_adds_pieces_in_diagonal_order_without_overlap(family, monkeypatch):
+    """The listing's walk judges each domino against the frontier of pieces
+    placed before it, so it must place them in diagonal reading order, and
+    never two that overlap: on every fold the domino overlaps no frontier
+    piece and comes after each of them, on every shape up to size 10 that
+    the family paves, with 2 letters.  (The pieces that left the frontier
+    cross two or more diagonals lower, so they can neither overlap nor
+    follow the domino.)"""
+    fold_bounds = domino_tableaux.fold_bounds
+    folds = 0
+
+    def checked_fold(dom, frontier, rels, set_valued):
+        nonlocal folds
         cells = set(dom.cells())
-        for placed, _ in self.pieces:
+        for placed, _ in frontier:
             assert not cells & set(placed.cells()), (placed, dom)
             assert placed.crossing() <= dom.crossing(), (placed, dom)
             assert (placed.crossing(), placed.crossing_cell()) < (
                 dom.crossing(),
                 dom.crossing_cell(),
             ), (placed, dom)
-        OrderCheckedState.added += 1
-        super().add(dom, fill)
+        folds += 1
+        return fold_bounds(dom, frontier, rels, set_valued)
 
-
-@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
-def test_fill_search_adds_pieces_in_diagonal_order_without_overlap(family, monkeypatch):
-    """``FillState`` judges pieces in diagonal reading order only, so the
-    fill search must add them in that order, and never two that overlap:
-    every shape up to size 10 that the family paves, with 2 letters."""
-    monkeypatch.setattr(domino_tableaux, "FillState", OrderCheckedState)
-    monkeypatch.setattr(OrderCheckedState, "added", 0)
+    monkeypatch.setattr(domino_tableaux, "fold_bounds", checked_fold)
     tableaux = 0
     for lam in partitions_up_to(10):
         if lam and is_pavable(lam) and (not family.shifted or is_shifted_pavable(lam)):
-            tableaux += sum(1 for _ in domino_fills(family, lam, 2))
+            tableaux += len(enumerate_domino_tableaux(family, lam, 2))
     assert tableaux > 0
-    assert OrderCheckedState.added > tableaux
+    assert folds > tableaux

@@ -1,7 +1,7 @@
 """The interned dominoes: ``pavings.domino`` gives one object per domino.
 
 Interned and fresh dominoes must be interchangeable, the shapes' automata
-must share them, and the transfer's id-keyed relation memo and the
+must share them, and the walk's id-keyed relation memo and the
 validator must stay right when the cache is cleared between shapes, so
 that freed dominoes' ids come round again under other dominoes.
 """
@@ -131,9 +131,8 @@ def test_validation_after_cache_clear_matches_reference(family):
     """Each shape's tableaux, and a mutation of each, are parsed from their
     canonical text after the cache is cleared, so their dominoes are fresh
     objects whose ids may be those of freed ones.  The validator must give
-    every one the verdict of ``reference_validate``.  (A ``FillState``
-    reused across shapes is checked on the fill search, in
-    ``test_differential.py``.)"""
+    every one the verdict of ``reference_validate``.  (Each validation
+    builds its own ``FillState``, which keeps no relation memo.)"""
     rng = random.Random(family.name)
     fills = _candidate_fills(family, 2)
     accepted = rejected = 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import homogeneous_component, min_degree, up_cell_count
-from dominotab import polyring
+from dominotab import domino_tableaux, polyring
 from dominotab.cli import main
 from dominotab.partitions import is_staircase_admissible, partitions_up_to, two_quotient
 from dominotab.polyring import Polynomial, domino_genfun, genfun
@@ -119,8 +119,8 @@ def test_domino_genfun_rejects_unpavable():
 def test_domino_genfun_rejects_too_many_states(monkeypatch, capsys):
     # GQ (6,5,5,4) with n=3 peaks at 167,412 states and must stay in range;
     # with n=2 it peaks at 8,990.
-    assert polyring.MAX_TRANSFER_STATES > 167_412
-    monkeypatch.setattr(polyring, "MAX_TRANSFER_STATES", 1000)
+    assert domino_tableaux.MAX_TRANSFER_STATES > 167_412
+    monkeypatch.setattr(domino_tableaux, "MAX_TRANSFER_STATES", 1000)
     with pytest.raises(ValueError, match="more than 1000 states in one layer"):
         domino_genfun(SHIFTED_SET_VALUED, (6, 5, 5, 4), 2)
     argv = ["genfun", "--family", "shifted-set-valued", "--shape", "[6,5,5,4]", "--vars", "2"]
@@ -130,13 +130,13 @@ def test_domino_genfun_rejects_too_many_states(monkeypatch, capsys):
 
 def test_domino_genfun_never_builds_a_layer_over_the_limit(monkeypatch):
     """The limit holds as states are added, not once a layer is complete:
-    the transfer calls ``fold_bounds`` once for each edge of each state it
+    the walk calls ``fold_bounds`` once for each edge of each state it
     expands, and this test fails if at any of those moments the layer being
     expanded or the one being built holds more states than the limit."""
     limit = 1000
-    monkeypatch.setattr(polyring, "MAX_TRANSFER_STATES", limit)
+    monkeypatch.setattr(domino_tableaux, "MAX_TRANSFER_STATES", limit)
     largest = []
-    fold_bounds = polyring.fold_bounds
+    fold_bounds = domino_tableaux.fold_bounds
 
     def watched_fold(dom, pieces, rels, set_valued):
         local = sys._getframe(1).f_locals
@@ -146,7 +146,7 @@ def test_domino_genfun_never_builds_a_layer_over_the_limit(monkeypatch):
         largest.append(size)
         return fold_bounds(dom, pieces, rels, set_valued)
 
-    monkeypatch.setattr(polyring, "fold_bounds", watched_fold)
+    monkeypatch.setattr(domino_tableaux, "fold_bounds", watched_fold)
     with pytest.raises(ValueError):
         domino_genfun(SHIFTED_SET_VALUED, (6, 5, 5, 4), 2)
     assert max(largest) > limit // 2
@@ -155,7 +155,6 @@ def test_domino_genfun_never_builds_a_layer_over_the_limit(monkeypatch):
 def test_domino_genfun_builds_no_fill_state(monkeypatch):
     """Edges are judged from the frontier by ``piece_relation``, so the
     transfer neither imports nor builds a ``FillState``."""
-    from dominotab import domino_tableaux
 
     def no_state(self, family):
         pytest.fail("a FillState was built")
@@ -169,10 +168,12 @@ def test_domino_genfun_builds_no_fill_state(monkeypatch):
 def test_transfers_reject_too_many_terms(monkeypatch, capsys):
     # GQ (6,5,5,4) with n=3 peaks at 2,123,158 terms in one layer and must
     # stay in range.
-    assert polyring.MAX_TRANSFER_TERMS > 2_123_158
+    assert domino_tableaux.MAX_TRANSFER_TERMS > 2_123_158
+    assert polyring.MAX_TRANSFER_TERMS == domino_tableaux.MAX_TRANSFER_TERMS
     # A sum kept from earlier calls would answer without the transfer.
     polyring._flat_memo.clear()
     monkeypatch.setattr(polyring, "MAX_TRANSFER_TERMS", 100)
+    monkeypatch.setattr(domino_tableaux, "MAX_TRANSFER_TERMS", 100)
     for _ in range(2):  # a sum that raised is not kept, so it raises again
         with pytest.raises(ValueError, match="more than 100 terms in one layer"):
             genfun(SHIFTED_SET_VALUED, (3, 3), 3)
