@@ -30,10 +30,11 @@ and ``enumerate_domino_tableaux`` counts the tableaux and then lists them on
 the same walk.  ``FillState`` is the judge of ``validate_domino_tableau``,
 which folds a tableau's own pieces.  It stays a class, not a loop in the
 validator, because the benchmark tracer (``benchmarks/tracing.py``) patches
-``FillState.check`` to count the validator's checks.  Both judge pieces in diagonal reading order, as the tiling
-automaton places them, so no two pieces overlap and each pairwise rule is
-read by the later piece of its pair: a piece of crossing d is judged
-against the pieces of crossings d - 2 and d alone.  The per-piece rules are
+``FillState.check`` to count the validator's checks.  Both judge pieces in
+diagonal reading order, as the tiling automaton places them, so no two
+pieces overlap and each pairwise rule is read by the later piece of its
+pair: a piece of crossing d is judged against the pieces of crossings d - 2
+and d alone.  The per-piece rules are
 stated once too, in ``fill_fits``, which ``FillState`` calls with the
 folded bounds, and which reads the letter rule of the flat cells,
 ``tableaux._letter_ok``; the walk's candidate fills obey them already.
@@ -372,7 +373,7 @@ def enumerate_domino_tableaux(
         raise ValueError(f"shape {shape} has more than {MAX_LISTED} domino tableaux")
     table: list[Piece] = []  # the pieces a path's indexes name
 
-    def indexes(dom: Domino) -> list[tuple[Fill, tuple[tuple[tuple[int], int], ...]]]:
+    def indexes(dom: Domino) -> list[tuple[Fill, tuple]]:
         out = []
         for fills in classes:
             out.append((fills[0], tuple(((len(table) + k,), 1) for k in range(len(fills)))))
@@ -382,7 +383,8 @@ def enumerate_domino_tableaux(
     out = []
     for node, paths in tiling_walk(family, shape, root, mins, indexes, ()):
         down = tuple((dom, X_FILL) for dom in node[1])
-        out.extend(DominoTableau(family, shape, (*map(table.__getitem__, p), *down)) for p in paths)
+        for path in paths:
+            out.append(DominoTableau(family, shape, tuple(map(table.__getitem__, path)) + down))
     out.sort(key=lambda t: t.pieces)
     return out
 
@@ -416,17 +418,18 @@ def tiling_walk(
 ) -> list[tuple[Node, dict]]:
     """The valid fills of the paths of the tiling automaton under ``root``,
     walked layer by layer, one even cell per layer, with the paths' weights
-    summed in any ring whose elements ``+`` multiplies.
+    summed.
 
-    ``firsts`` holds the first fill of each (min, max) class of candidate
-    fills, sorted by min: every rule reads a fill only through its minimum
-    and maximum, so the fills are judged by class.  ``class_terms(dom)``
-    gives, for each class, the weight of its fills on ``dom`` as (monomial,
-    coefficient) terms; it is asked once per domino, and ``one`` is the unit
-    monomial.  A path weighs the product of its pieces' weights, and the
-    walk returns, for each complete node, the node and the terms summed
-    over the paths that reach it.  Its callers weigh a fill by its signed
-    packed monomial (``polyring.domino_genfun``), by 1 (the count of
+    A weight is a dict of terms, monomial to coefficient, where monomials
+    multiply by ``+`` and ``one`` is the unit monomial.  ``mins`` holds the
+    minimum of each (min, max) class of candidate fills, sorted: every rule
+    reads a fill only through its minimum and maximum, so the fills are
+    judged by class.  ``classes_on(dom)`` gives, aligned with ``mins``, each
+    class's first fill and the terms its fills weigh on ``dom``; it is asked
+    once per domino.  A path weighs the product of its pieces' weights, and
+    the walk returns each complete node with the terms summed over the
+    paths that reach it.  Its callers weigh a fill by its signed packed
+    monomial (``polyring.domino_genfun``), by 1 (the count of
     ``enumerate_domino_tableaux``), or by the 1-tuple of its piece's index,
     so that a path weighs the tuple of its pieces (the listing).
 
@@ -450,8 +453,8 @@ def tiling_walk(
     caps, as ``FillState`` folds the placed pieces for the validator.  The
     fills whose minimum lies between the floor and the cap, or the top rank
     less the edge's column depth, are one slice of the classes.  Each
-    domino's class terms and its relation memo, keyed by id, are one entry
-    per call; the ids are safe, because the automaton keeps every domino
+    domino's classes and its relation memo, keyed by id, are one entry per
+    call; the ids are safe, because the automaton keeps every domino
     alive until the call ends.  The per-piece family rules, which
     ``fill_fits`` adds for the validator, never fire here, because the
     candidate fills are admissible already: plain fills are single
