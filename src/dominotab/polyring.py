@@ -9,6 +9,7 @@ alphabet, so degrees are bounded.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import lshift
@@ -357,8 +358,7 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     bits = sum(shape).bit_length()  # no letter index occurs more than |shape| times
     classes = _fill_classes(family, n, bits)
     mins = [fill[0] for fill, _ in classes]
-    total: dict[int, int] = {}
+    total: Counter[int] = Counter()
     for _, terms in tiling_walk(family, shape, root, mins, lambda dom: classes, 0):
-        for m, c in terms.items():
-            total[m] = total.get(m, 0) + c
+        total.update(terms)  # a plain dict copy while total is empty
     return _unpack(n, bits, total)
