@@ -374,11 +374,11 @@ def enumerate_domino_tableaux(
     table: list[Piece] = []  # the pieces a path's indexes name
 
     def indexes(dom: Domino) -> list[tuple[Fill, tuple]]:
-        out = []
+        weights = []
         for fills in classes:
-            out.append((fills[0], tuple(((len(table) + k,), 1) for k in range(len(fills)))))
+            weights.append((fills[0], tuple(((len(table) + k,), 1) for k in range(len(fills)))))
             table.extend((dom, fill) for fill in fills)
-        return out
+        return weights
 
     out = []
     for node, paths in tiling_walk(family, shape, root, mins, indexes, ()):
