@@ -26,17 +26,17 @@ three caps, and both judges of fills read them through it.
 reading order) layer by layer, judging each domino's fills by (min, max)
 class against the frontier of placed pieces, and sums the paths' weights in
 a ring its caller picks: ``polyring.domino_genfun`` sums signed monomials,
-and ``enumerate_domino_tableaux`` counts the tableaux and then lists them on
-the same walk.  ``FillState`` is the judge of ``validate_domino_tableau``,
-which folds a tableau's own pieces.  It stays a class, not a loop in the
-validator, because the benchmark tracer (``benchmarks/tracing.py``) patches
-``FillState.check`` to count the validator's checks.  Both judge pieces in
-diagonal reading order, as the tiling automaton places them, so no two
-pieces overlap and each pairwise rule is read by the later piece of its
-pair: a piece of crossing d is judged against the pieces of crossings d - 2
-and d alone.  The per-piece rules are
-stated once too, in ``fill_fits``, which ``FillState`` calls with the
-folded bounds, and which reads the letter rule of the flat cells,
+and ``enumerate_domino_tableaux`` counts the tableaux and lists them depth
+first over the links the same walk recorded.  ``FillState`` is the judge of
+``validate_domino_tableau``, which folds a tableau's own pieces.  It stays
+a class, not a loop in the validator, because the benchmark tracer
+(``benchmarks/tracing.py``) patches ``FillState.check`` to count the
+validator's checks.  Both judge pieces in diagonal reading order, as the
+tiling automaton places them, so no two pieces overlap and each pairwise
+rule is read by the later piece of its pair: a piece of crossing d is
+judged against the pieces of crossings d - 2 and d alone.  The per-piece
+rules are stated once too, in ``fill_fits``, which ``FillState`` calls with
+the folded bounds, and which reads the letter rule of the flat cells,
 ``tableaux._letter_ok``; the walk's candidate fills obey them already.
 """
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
 from .partitions import MAX_LISTED, Shape, Cell, check_partition, is_pavable
 from .pavings import Domino, Node, Paving, _tiling_automaton
@@ -351,40 +351,53 @@ def enumerate_domino_tableaux(
 ) -> list[DominoTableau]:
     """All valid domino tableaux with letters <= max_letter, sorted by pieces.
 
-    Two walks of ``tiling_walk`` over the shape's tiling automaton find
-    them.  The first counts: a (min, max) class of fills weighs its number
-    of fills, so more than MAX_LISTED tableaux raise ValueError before any
-    is built.  The second lists: a piece weighs the index of its (domino,
-    fill) in a table built per call, so a path's weight is the tuple of its
-    pieces' indexes, and each complete node's down dominoes are added in X.
-    Shifted families fill the up region only (fills constrain nothing else)
-    and complete each up region with its least down region, so they list
-    one representative per equivalence class.  Shapes that are not
-    pavable, or not shifted pavable, raise ValueError before any walk.
+    One walk of ``tiling_walk`` over the shape's tiling automaton counts
+    them, with each (min, max) class of fills weighing its number of fills,
+    and records its links, so more than MAX_LISTED tableaux raise
+    ValueError before any is built.  Marked from the last link backward,
+    the links that lead to a complete node are the ones the listing
+    follows, depth first, so it visits no path that does not complete and
+    extends a partial path by one piece in constant time.  Each complete
+    node's down dominoes are added in X.  Shifted families fill the up
+    region only (fills constrain nothing else) and complete each up region
+    with its least down region, so they list one representative per
+    equivalence class.  Shapes that are not pavable, or not shifted
+    pavable, raise ValueError before any walk.
     """
     shape = check_partition(shape)
     root = tiling_root(family, shape)
     # The empty shape has one tableau, which asks for no fill.
     classes = fill_classes(family, max_letter) if root[0] is not None else []
-    mins = [fills[0][0] for fills in classes]
+    links: list[tuple] = []
     counts = [(fills[0], ((0, len(fills)),)) for fills in classes]
-    found = tiling_walk(family, shape, root, mins, lambda dom: counts, 0)
-    if sum(c for _, terms in found for c in terms.values()) > MAX_LISTED:
+    if tiling_walk(family, shape, root, counts, links).get(0, 0) > MAX_LISTED:
         raise ValueError(f"shape {shape} has more than {MAX_LISTED} domino tableaux")
-    table: list[Piece] = []  # the pieces a path's indexes name
-
-    def indexes(dom: Domino) -> list[tuple[Fill, tuple]]:
-        weights = []
-        for fills in classes:
-            weights.append((fills[0], tuple(((len(table) + k,), 1) for k in range(len(fills)))))
-            table.extend((dom, fill) for fill in fills)
-        return weights
-
+    start = links[0][0] if links else None  # the root's weight dict
+    members = {fills[0]: fills for fills in classes}
+    # By the id of each weight dict of a state that reaches a complete
+    # node, its steps that do: (piece, child node, the child's weight dict).
+    # ``links`` held every weight dict when the walk ended, so no two share
+    # an id.
+    live: dict[int, list[tuple]] = {}
+    while links:
+        terms, dom, first, child, acc = links.pop()
+        if child[0] is None or id(acc) in live:
+            steps = live.setdefault(id(terms), [])
+            steps.extend(((dom, fill), child, acc) for fill in members[first])
+    # A partial path is linked, (last piece, the path before it), from ().
     out = []
-    for node, paths in tiling_walk(family, shape, root, mins, indexes, ()):
-        down = tuple((dom, X_FILL) for dom in node[1])
-        for path in paths:
-            out.append(DominoTableau(family, shape, tuple(map(table.__getitem__, path)) + down))
+    todo = [((), root, start)]
+    while todo:
+        path, node, terms = todo.pop()
+        if node[0] is not None:
+            steps = live.get(id(terms), ())
+            todo.extend(((piece, path), child, acc) for piece, child, acc in steps)
+            continue
+        pieces = [(dom, X_FILL) for dom in node[1]]
+        while path:
+            piece, path = path
+            pieces.append(piece)
+        out.append(DominoTableau(family, shape, tuple(pieces)))
     out.sort(key=lambda t: t.pieces)
     return out
 
@@ -414,24 +427,29 @@ MAX_TRANSFER_TERMS = 3_000_000
 
 
 def tiling_walk(
-    family: Family, shape: Shape, root: Node, mins: list[int], classes_on: Callable, one: Any
-) -> list[tuple[Node, dict]]:
+    family: Family, shape: Shape, root: Node, classes: list, links: list | None = None
+) -> dict[int, int]:
     """The valid fills of the paths of the tiling automaton under ``root``,
     walked layer by layer, one even cell per layer, with the paths' weights
     summed.
 
-    A weight is a dict of terms, monomial to coefficient, where monomials
-    multiply by ``+`` and ``one`` is the unit monomial.  ``mins`` holds the
-    minimum of each (min, max) class of candidate fills, sorted: every rule
-    reads a fill only through its minimum and maximum, so the fills are
-    judged by class.  ``classes_on(dom)`` gives, aligned with ``mins``, each
-    class's first fill and the terms its fills weigh on ``dom``; it is asked
-    once per domino.  A path weighs the product of its pieces' weights, and
-    the walk returns each complete node with the terms summed over the
-    paths that reach it.  Its callers weigh a fill by its signed packed
-    monomial (``polyring.domino_genfun``), by 1 (the count of
-    ``enumerate_domino_tableaux``), or by the 1-tuple of its piece's index,
-    so that a path weighs the tuple of its pieces (the listing).
+    A weight is a dict of terms, packed monomial to coefficient, where
+    monomials multiply by ``+`` and 0 is the unit.  ``classes`` holds each
+    (min, max) class of candidate fills, sorted by minimum, as its first
+    fill and the terms its fills weigh: every rule reads a fill only
+    through its minimum and maximum, so the fills are judged by class.  A
+    path weighs the product of its pieces' weights, and the walk returns
+    the terms summed over the paths that reach a complete node.  Its
+    callers weigh a fill by its signed packed monomial
+    (``polyring.domino_genfun``) or by 1 (the count of
+    ``enumerate_domino_tableaux``).
+
+    Given ``links``, a list, the walk appends to it one link per accepted
+    fill class, in walk order: the weight dict of the state it leaves, the
+    domino, the class's first fill, the child node, and the weight dict of
+    the state it enters (the returned dict for a complete child).  So a
+    state's links out come after its links in, and every state's weight
+    dict stays alive while the list holds it.  The listing runs over them.
 
     A state is an automaton node and the frontier: the (domino, fill class)
     of every placed piece whose crossing is at least c - 2, where c is the
@@ -452,10 +470,9 @@ def tiling_walk(
     pairwise, and ``fold_bounds`` folds the frontier into a floor and three
     caps, as ``FillState`` folds the placed pieces for the validator.  The
     fills whose minimum lies between the floor and the cap, or the top rank
-    less the edge's column depth, are one slice of the classes.  Each
-    domino's classes and its relation memo, keyed by id, are one entry per
-    call; the ids are safe, because the automaton keeps every domino
-    alive until the call ends.  The per-piece family rules, which
+    less the edge's column depth, are one slice of the classes.  The
+    relation memo is per call and keyed by id, which is safe because the
+    automaton keeps every domino alive until the call ends.  The per-piece family rules, which
     ``fill_fits`` adds for the validator, never fire here, because the
     candidate fills are admissible already: plain fills are single
     letters, unshifted fills hold no primed letter, and shifted edges cross
@@ -466,52 +483,56 @@ def tiling_walk(
     of the frontier are the same leading ones in each, counted once per
     layer.  A layer of more than MAX_TRANSFER_STATES states, or of more than
     MAX_TRANSFER_TERMS terms, raises ValueError.  The root of the empty
-    shape is complete, and its one path weighs ``one``.
+    shape is complete, and its one path weighs 1 and has no link.
     """
+    if root[0] is None:  # the empty shape
+        return {0: 1}
+    mins = [fill[0] for fill, _ in classes]
     max_rank = mins[-1] if mins else 0
     set_valued = family.set_valued
-    entries: dict[int, tuple] = {}  # by id(dom): its classes, its piece_relation memo
+    relations: dict[int, dict[int, int]] = {}  # piece_relation by id(dom), id(other)
+    total: dict[int, int] = {}
     # A state's key is its node's id and the ids of its frontier's dominoes
     # and fill classes (one interned object per domino, one first fill per
-    # class, each alive until the call ends), so no key hashes a Domino.  A
-    # complete node's key is its id alone.
-    layer = {(id(root),): (root, (), {one: 1})}
+    # class, each alive until the call ends), so no key hashes a Domino.
+    layer = {(id(root),): (root, (), {0: 1})}
     while layer:
-        some_node, some_frontier, _ = next(iter(layer.values()))
-        if some_node[0] is None:  # a layer's nodes are all complete or none is
-            return [(node, terms) for node, _, terms in layer.values()]
-        nxt: dict[tuple[int, ...], tuple[Node, tuple[Piece, ...], dict]] = {}
+        nxt: dict[tuple[int, ...], tuple[Node, tuple[Piece, ...], dict[int, int]]] = {}
         stored = 0
         # Every frontier of a layer drops the same leading pieces.
+        some_node, some_frontier, _ = next(iter(layer.values()))
         ahead = some_node[0][0][2][0]  # the edges of the next even cell, None at the end
-        keep_from = INF if ahead is None else ahead[0][0].crossing() - 2
-        drop = sum(1 for dom, _ in some_frontier if dom.crossing() < keep_from)
+        if ahead is not None:
+            keep_from = ahead[0][0].crossing() - 2
+            drop = sum(1 for dom, _ in some_frontier if dom.crossing() < keep_from)
         for key, (node, frontier, terms) in layer.items():
-            kept, kept_key = frontier[drop:], key[1 + 2 * drop :]
+            if ahead is not None:
+                kept, kept_key = frontier[drop:], key[1 + 2 * drop :]
             for dom, depth, child in node[0]:
-                entry = entries.get(id(dom))
-                if entry is None:
-                    entry = entries[id(dom)] = (classes_on(dom), {})
-                classes, rels = entry
+                rels = relations.get(id(dom))
+                if rels is None:
+                    rels = relations[id(dom)] = {}
                 floor, cap, odd_cap, even_cap = fold_bounds(dom, frontier, rels, set_valued)
                 top = bisect_right(mins, min(cap, max_rank - depth))
                 for fill, fill_terms in classes[bisect_left(mins, floor) : top]:
                     hi = fill[-1]
                     if hi | 1 > odd_cap or hi + (hi & 1) > even_cap:
                         continue
-                    if ahead is None:
-                        child_key = (id(child),)
+                    if ahead is None:  # a complete tiling
+                        acc = total
                     else:
                         child_key = (id(child), *kept_key, id(dom), id(fill))
-                    state = nxt.get(child_key)
-                    if state is None:
-                        if len(nxt) >= MAX_TRANSFER_STATES:
-                            raise ValueError(
-                                f"the domino sum over {shape} needs more than "
-                                f"{MAX_TRANSFER_STATES} states in one layer"
-                            )
-                        state = nxt[child_key] = (child, kept + ((dom, fill),), {})
-                    acc = state[2]
+                        state = nxt.get(child_key)
+                        if state is None:
+                            if len(nxt) >= MAX_TRANSFER_STATES:
+                                raise ValueError(
+                                    f"walking the tilings of {shape} needs more than "
+                                    f"{MAX_TRANSFER_STATES} states in one layer"
+                                )
+                            state = nxt[child_key] = (child, kept + ((dom, fill),), {})
+                        acc = state[2]
+                    if links is not None:
+                        links.append((terms, dom, fill, child, acc))
                     before = len(acc)
                     for m, c in terms.items():
                         for e, s in fill_terms:
@@ -519,8 +540,8 @@ def tiling_walk(
                     stored += len(acc) - before
                     if stored > MAX_TRANSFER_TERMS:
                         raise ValueError(
-                            f"the domino sum over {shape} needs more than "
+                            f"walking the tilings of {shape} needs more than "
                             f"{MAX_TRANSFER_TERMS} terms in one layer"
                         )
         layer = nxt
-    return []
+    return total

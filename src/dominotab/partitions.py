@@ -21,18 +21,16 @@ Cell = tuple[int, int]
 # list raises ValueError.  The longest lists the tests and the README ask
 # for hold about 50,000 tableaux.  Pavings and domino tableaux are counted
 # before any is built: the 578,097 shifted set-valued domino tableaux of
-# (6,5,5,4) over 3 letters raise after about 3-4 s, at 187 MB.
+# (6,5,5,4) over 3 letters raise after about 4 s, at 223 MB.
 MAX_LISTED = 200_000
 
 # The most cells a shape may have where it is tiled, summed, listed or
-# verified.  The tiling automaton's masks and the domino listing over a
-# long row grow with the square of its length: the listing's paths are
-# tuples of pieces, copied at every step.  At the limit every command on
-# the one-row shape with one letter or variable takes at most about 1.2 s
-# and 41 MB (listing its shifted set-valued domino tableaux is the
-# slowest), and the domino sum over (5000,5000) with n=2 takes 11 s and
-# 47 MB; without it, listing the pavings of (200000) took 56 s and 4.1 GB,
-# and the domino sum over (2000000) passed 7.7 GB.
+# verified.  The tiling automaton's masks over a long row grow with the
+# square of its length.  At the limit every command on the one-row shape
+# with one letter or variable takes at most about 0.7 s and 41 MB, and the
+# domino sum over (5000,5000) with n=2 takes 11 s and 47 MB; without it,
+# listing the pavings of (200000) took 56 s and 4.1 GB, and the domino sum
+# over (2000000) passed 7.7 GB.
 MAX_CELLS = 10_000
 
 

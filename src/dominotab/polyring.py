@@ -9,7 +9,6 @@ alphabet, so degrees are bounded.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import lshift
@@ -340,10 +339,9 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
 
     The sum is ``domino_tableaux.tiling_walk`` over the shape's tiling
     automaton, with each (min, max) class of fills weighing the summed
-    terms of its fills, and lists no tableau; the complete nodes' sums are
-    added up.  The 2-quotient enters only the shifted shape test, never the
-    sum, and the bijection not at all, so the identity check stays
-    independent of them.
+    terms of its fills, and lists no tableau.  The 2-quotient enters only
+    the shifted shape test, never the sum, and the bijection not at all, so
+    the identity check stays independent of them.
 
     A layer of more than MAX_TRANSFER_STATES states, or of more than
     MAX_TRANSFER_TERMS terms in its polynomials, raises ValueError, and so
@@ -353,12 +351,6 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     shape = check_partition(shape)
     check_variables(n)
     root = tiling_root(family, shape)
-    if root[0] is None:  # the empty shape
-        return Polynomial.one(n)
     bits = sum(shape).bit_length()  # no letter index occurs more than |shape| times
     classes = _fill_classes(family, n, bits)
-    mins = [fill[0] for fill, _ in classes]
-    total: Counter[int] = Counter()
-    for _, terms in tiling_walk(family, shape, root, mins, lambda dom: classes, 0):
-        total.update(terms)  # a plain dict copy while total is empty
-    return _unpack(n, bits, total)
+    return _unpack(n, bits, tiling_walk(family, shape, root, classes))

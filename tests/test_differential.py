@@ -220,6 +220,20 @@ def test_listing_matches_fill_search_in_order(family, monkeypatch):
     assert limited > 50
 
 
+def test_listing_holds_no_dead_paths(monkeypatch):
+    """Shifted set-valued (4,3,3) over 3 letters has 22,113 tableaux, but
+    160,821 partial paths reach one layer of its walk, most of which never
+    complete; the walk's largest layer holds 5,061 states.  With the terms
+    of a layer capped at the number of tableaux, a listing that kept every
+    partial path would raise, and the listing must still give the fill
+    search's tableaux in order."""
+    family, lam = SHIFTED_SET_VALUED, (4, 3, 3)
+    old = search_enumerate_domino_tableaux(family, lam, 3)
+    assert len(old) == 22_113
+    monkeypatch.setattr(domino_tableaux, "MAX_TRANSFER_TERMS", len(old))
+    assert enumerate_domino_tableaux(family, lam, 3) == old
+
+
 def test_pavings_match_reference_in_order():
     """The same pavings in the same order on every shape up to size 16."""
     total = 0

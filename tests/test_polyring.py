@@ -126,6 +126,12 @@ def test_domino_genfun_rejects_too_many_states(monkeypatch, capsys):
     argv = ["genfun", "--family", "shifted-set-valued", "--shape", "[6,5,5,4]", "--vars", "2"]
     assert main(argv + ["--domino"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # The listing counts on the same walk, under the same cap.
+    with pytest.raises(ValueError, match="more than 1000 states in one layer"):
+        domino_tableaux.enumerate_domino_tableaux(SHIFTED_SET_VALUED, (6, 5, 5, 4), 2)
+    argv = ["enumerate", "--kind", "domino", "--family", "shifted-set-valued"]
+    assert main(argv + ["--shape", "[6,5,5,4]", "--max-letter", "2"]) == 2
+    assert "walking the tilings of" in capsys.readouterr().err
 
 
 def test_domino_genfun_never_builds_a_layer_over_the_limit(monkeypatch):
@@ -184,6 +190,11 @@ def test_transfers_reject_too_many_terms(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
     assert main(argv + ["[6,5,5,4]", "--domino"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(ValueError, match="more than 100 terms in one layer"):
+        domino_tableaux.enumerate_domino_tableaux(SHIFTED_SET_VALUED, (6, 5, 5, 4), 2)
+    argv = ["enumerate", "--kind", "domino", "--family", "shifted-set-valued"]
+    assert main(argv + ["--shape", "[6,5,5,4]", "--max-letter", "2"]) == 2
+    assert "walking the tilings of" in capsys.readouterr().err
     monkeypatch.setattr(polyring, "MAX_TRANSFER_TERMS", 10_000)
     assert genfun(SHIFTED_SET_VALUED, (3, 3), 3).terms
 
