@@ -2,8 +2,11 @@
 
 Keys appear in a fixed order and semantically unordered arrays are sorted, so
 equal values always serialise to identical bytes.  Partitions render as bare
-integer arrays like [4,2,2,1,1,1]; letters as "3" / "3'" / "X"; a set fill as
-an array of letters.
+integer arrays like [4,2,2,1,1,1]; a fill as "X" or as an array of letters
+such as ["3"] or ["1'","3"].  A letter is read as ASCII digits of value at
+least 1 with an optional trailing prime, blanks around it ignored, and is
+always written back without blanks or leading zeros, so the text of a value
+does not depend on how its input spelled it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .verify import VerificationReport
 
 
 def _fill_out(fill: Fill) -> Any:
-    return "X" if fill == X_FILL else [format_letter(r) for r in fill]
+    return list(map(format_letter, fill)) if fill else "X"
 
 
 def _fill_in(data: Any) -> Fill:
@@ -37,7 +40,7 @@ def _fill_in(data: Any) -> Fill:
         return X_FILL
     if not isinstance(data, list) or not data or not all(isinstance(x, str) for x in data):
         raise ValueError(f"bad fill: {data!r}")
-    return tuple(sorted(parse_letter(x) for x in data))
+    return tuple(sorted(map(parse_letter, data)))
 
 
 def _field(data: Any, key: str, kind: type = object) -> Any:

@@ -19,7 +19,7 @@ from .domino_tableaux import DominoTableau, enumerate_domino_tableaux
 from .partitions import inverse_two_quotient, is_pavable, two_quotient
 from .pavings import enumerate_pavings, is_shifted_pavable
 from .polyring import domino_genfun, genfun
-from .render import render_ascii, render_latex
+from .render import HEADER_PREFIXES, parse_canonical_header, render_ascii, render_latex
 from .tableaux import FAMILIES, Tableau, enumerate_tableaux
 from .verify import verify_identity, verify_sweep
 
@@ -46,6 +46,16 @@ def _read_input(path: Optional[str]) -> str:
             return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_value(path: Optional[str]):
+    """The value read from canonical JSON, or from a drawing when the first
+    non-blank line is its canonical header."""
+    text = _read_input(path)
+    first = next((line for line in text.splitlines() if line.strip()), "")
+    if first.startswith(HEADER_PREFIXES):
+        return parse_canonical_header(text)
+    return canonical.parse(text)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -91,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-letter", type=int, required=True)
     p.add_argument("--kind", choices=("tableau", "domino"), default="tableau")
 
-    p = add("split", help="split a domino tableau (canonical input on stdin)")
+    p = add("split", help="split a domino tableau (canonical or rendered input on stdin)")
     p.add_argument("--in", dest="infile", help="input file (default stdin)")
 
     p = add("merge", help="merge a pair [t1,t2] (canonical input on stdin)")
@@ -112,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("human", "canonical"), default="human")
 
-    p = add("render", help="draw a tableau or domino tableau")
+    p = add("render", help="draw a tableau or domino tableau (canonical or rendered input)")
     p.add_argument("--in", dest="infile", help="input file (default stdin)")
     p.add_argument("--format", choices=("ascii", "latex"), default="ascii")
     return ap
@@ -158,7 +168,7 @@ def run(argv: list[str]) -> int:
         return 0
 
     if cmd == "split":
-        obj = canonical.parse(_read_input(args.infile))
+        obj = _read_value(args.infile)
         if not isinstance(obj, DominoTableau):
             raise ValueError("split expects a domino tableau")
         t1, t2 = gamma_split(obj)
@@ -206,7 +216,7 @@ def run(argv: list[str]) -> int:
         return 0 if all(r.status != "FAIL" for r in reports) else 1
 
     if cmd == "render":
-        obj = canonical.parse(_read_input(args.infile))
+        obj = _read_value(args.infile)
         if not isinstance(obj, (Tableau, DominoTableau)):
             raise ValueError("render expects a tableau or domino tableau")
         text = render_latex(obj) if args.format == "latex" else render_ascii(obj)

@@ -177,15 +177,22 @@ def inverse_two_quotient(q1: Shape, q2: Shape) -> Shape:
 
 def partitions_of(n: int) -> Iterator[Shape]:
     """All partitions of n in descending lexicographic order."""
-
-    def rec(remaining: int, limit: int, prefix: tuple[int, ...]) -> Iterator[Shape]:
-        if remaining == 0:
-            yield prefix
+    parts = [n] if n else []
+    while True:
+        yield tuple(parts)
+        # The next partition lowers the last part above 1 by one and lays
+        # what it and the 1s after it held out again in parts of that size.
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
             return
-        for part in range(min(limit, remaining), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(n, n, ())
+        part = parts.pop() - 1
+        copies, rest = divmod(part + 1 + ones, part)
+        parts += [part] * copies
+        if rest:
+            parts.append(rest)
 
 
 def partitions_up_to(max_size: int) -> Iterator[Shape]:

@@ -1,7 +1,13 @@
 """ASCII and LaTeX renderers for tableaux and domino tableaux.
 
 Both modes begin with a comment line holding the canonical serialisation, so
-rendered output is self-describing and machine-recoverable.
+rendered output is self-describing and machine-recoverable:
+``parse_canonical_header`` reads it back, and the ``split`` and ``render``
+commands take a drawing as input through it.
+
+``render_ascii`` draws in one pass over one owner grid, with each piece's
+label formatted once; ``render_latex`` places walls and labels from
+``_layout``.
 """
 
 from __future__ import annotations
@@ -12,6 +18,9 @@ from .partitions import Shape
 from .tableaux import Fill, Tableau, format_fill
 
 Renderable = Tableau | DominoTableau
+
+# The comment prefixes of the canonical header line, ASCII and LaTeX.
+HEADER_PREFIXES = ("# canonical: ", "% canonical: ")
 
 
 def _layout(obj: Renderable) -> tuple[Shape, dict, dict]:
@@ -33,66 +42,54 @@ def _layout(obj: Renderable) -> tuple[Shape, dict, dict]:
 
 
 def render_ascii(obj: Renderable) -> str:
-    shape, owner, pieces = _layout(obj)
-    header = "# canonical: " + serialize(obj)
+    header = HEADER_PREFIXES[0] + serialize(obj)
+    shape = obj.shape
     if not shape:
         return header + "\n(empty)"
-    width = max(len(format_fill(f)) for _, f in pieces.values()) + 2
     ncols = shape[0]
-    nrows = len(shape)
+    # ids[r][c]: the piece owning cell (r, c), -1 outside the shape, so on
+    # the frame of rows 0, nrows+1 and columns 0, ncols+1, ncols+2 too.
+    ids = [[-1] * (ncols + 3) for _ in range(len(shape) + 2)]
+    labels: list[str] = []  # piece id -> its fill's text
+    if isinstance(obj, Tableau):
+        for r, c, fill in obj.cells_with_fills():
+            ids[r][c] = len(labels)
+            labels.append(format_fill(fill))
+    else:
+        for i, (dom, fill) in enumerate(obj.pieces):
+            for r, c in dom.cells():
+                ids[r][c] = i
+            labels.append(format_fill(fill))
+    width = max(map(len, labels)) + 2
+    dash, blank = "-" * width, " " * width
 
-    # ids[r][c]: the piece owning cell (r, c), None outside the shape; the
-    # frame of rows 0, nrows+1 and columns 0, ncols+1 lies outside it.
-    ids = [[owner.get((r, c)) for c in range(ncols + 2)] for r in range(nrows + 2)]
-    # right[r][c]: a wall between (r, c) and (r, c+1); below[r][c]: between
-    # (r, c) and (r+1, c).  Two cells outside the shape compare equal.
-    right = [[a != b for a, b in zip(row, row[1:])] for row in ids]
-    below = [[a != b for a, b in zip(row, nxt)] for row, nxt in zip(ids, ids[1:])]
-
-    def junction(r: int, c: int) -> str:
-        horiz = below[r][c] or below[r][c + 1]
-        vert = right[r][c] or right[r + 1][c]
-        if horiz and vert:
-            return "+"
-        if vert:
-            return "|"
-        if horiz:
-            return "-"
-        return " "
-
-    lines = []
-    for r in range(0, nrows + 1):
-        border = ""
-        for c in range(1, ncols + 1):
-            border += junction(r, c - 1) + ("-" if below[r][c] else " ") * width
-        lines.append((border + junction(r, ncols)).rstrip())
-        if r == nrows:
+    lines = [header]
+    for up, down in zip(ids, ids[1:]):
+        # The border above row `down`: at each junction a wall runs across
+        # (-) where a cell differs from the one below it, and down (|) where
+        # a cell differs from its right neighbour.
+        line = []
+        for nw, ne, sw, se in zip(up, up[1:], down, down[1:]):
+            line.append(" |-+"[2 * (nw != sw or ne != se) + (nw != ne or sw != se)])
+            line.append(dash if ne != se else blank)
+        lines.append("".join(line).rstrip())
+        if down is ids[-1]:
             break
-        row_cells = shape[r] if r < nrows else 0
-        body = ""
-        c = 1
-        while c <= ncols:
-            body += "|" if right[r + 1][c - 1] else " "
-            if c > row_cells:
-                body += " " * width
-                c += 1
-                continue
-            idx = ids[r + 1][c]
-            cells, fill = pieces[idx]
-            text = format_fill(fill)
-            if len(cells) == 2 and cells[0][0] == cells[1][0] and cells[0] == (r + 1, c):
-                # horizontal domino: centre the label across both cells
-                body += text.center(2 * width + 1)
-                c += 2
-                continue
-            if len(cells) == 2 and cells[0][1] == cells[1][1] and cells[1] == (r + 1, c):
-                body += " " * width  # vertical domino: label lives in the top cell
+        # The cells of row `down`.  A horizontal domino centres its label
+        # across both cells, a vertical one puts it in its top cell.
+        line = []
+        for left, i, right, over in zip(down, down[1:], down[2:], up[1:]):
+            if i == left != -1:
+                continue  # the second cell of a horizontal domino
+            line.append(" " if i == left else "|")
+            if i == -1 or i == over:
+                line.append(blank)
+            elif i == right:
+                line.append(labels[i].center(2 * width + 1))
             else:
-                body += text.center(width)
-            c += 1
-        body += "|" if right[r + 1][ncols] else " "
-        lines.append(body.rstrip())
-    return header + "\n" + "\n".join(lines)
+                line.append(labels[i].center(width))
+        lines.append("".join(line).rstrip())
+    return "\n".join(lines)
 
 
 def _tex_math(fill: Fill) -> str:
@@ -107,7 +104,7 @@ def _fmt(x: float) -> str:
 def render_latex(obj: Renderable) -> str:
     """Standalone picture-environment source with dashed even diagonals."""
     shape, owner, pieces = _layout(obj)
-    out = ["% canonical: " + serialize(obj)]
+    out = [HEADER_PREFIXES[1] + serialize(obj)]
     if not shape:
         out.append("% (empty)")
         return "\n".join(out)
@@ -165,7 +162,7 @@ def parse_canonical_header(text: str) -> Renderable:
     from .canonical import parse
 
     for line in text.splitlines():
-        for prefix in ("# canonical: ", "% canonical: "):
+        for prefix in HEADER_PREFIXES:
             if line.startswith(prefix):
                 return parse(line[len(prefix):])
     raise ValueError("no canonical header found")

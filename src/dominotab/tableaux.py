@@ -38,12 +38,6 @@ Fill = tuple[int, ...]
 X_FILL: Fill = ()
 
 
-def rank(index: int, primed: bool = False) -> int:
-    if index < 1:
-        raise ValueError("letter index must be positive")
-    return 2 * index - 1 if primed else 2 * index
-
-
 def is_primed(r: int) -> bool:
     return r % 2 == 1
 
@@ -53,27 +47,32 @@ def letter_index(r: int) -> int:
 
 
 def format_letter(r: int) -> str:
-    return f"{letter_index(r)}'" if is_primed(r) else str(letter_index(r))
+    return f"{(r + 1) >> 1}'" if r & 1 else str(r >> 1)
 
 
 def parse_letter(text: str) -> int:
+    """The rank of a letter: ASCII digits of value at least 1, with an
+    optional trailing prime, surrounding blanks ignored."""
     text = text.strip()
     primed = text.endswith("'")
     body = text[:-1] if primed else text
-    if not body.isdigit() or int(body) < 1:
+    index = int(body) if body.isascii() and body.isdigit() else 0
+    if index < 1:
         raise ValueError(f"bad letter: {text!r}")
-    return rank(int(body), primed)
+    return 2 * index - primed
 
 
 def format_fill(fill: Fill) -> str:
-    if fill == X_FILL:
-        return "X"
     if len(fill) == 1:
         return format_letter(fill[0])
-    return "{" + ",".join(format_letter(r) for r in fill) + "}"
+    if not fill:
+        return "X"
+    return "{" + ",".join(map(format_letter, fill)) + "}"
 
 
 def check_fill(fill: Fill) -> Fill:
+    if len(fill) == 1 and type(fill[0]) is int and fill[0] > 0:
+        return fill  # the common one-letter fill, valid without sorting
     if fill != tuple(sorted(set(fill))) or any(r < 1 for r in fill):
         raise ValueError(f"fill must be strictly increasing positive ranks: {fill!r}")
     return fill

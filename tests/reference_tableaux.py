@@ -19,6 +19,7 @@ from dominotab.tableaux import (
     X_FILL,
     _candidate_fills,
     is_primed,
+    letter_index,
 )
 
 
@@ -165,3 +166,36 @@ def enumerate_tableaux(family: Family, shape: Shape, max_letter: int) -> list[Ta
 
     rec(0)
     return out
+
+
+def rank(index: int, primed: bool = False) -> int:
+    if index < 1:
+        raise ValueError("letter index must be positive")
+    return 2 * index - 1 if primed else 2 * index
+
+
+def format_letter(r: int) -> str:
+    return f"{letter_index(r)}'" if is_primed(r) else str(letter_index(r))
+
+
+def parse_letter(text: str) -> int:
+    text = text.strip()
+    primed = text.endswith("'")
+    body = text[:-1] if primed else text
+    if not body.isdigit() or int(body) < 1:
+        raise ValueError(f"bad letter: {text!r}")
+    return rank(int(body), primed)
+
+
+def format_fill(fill: Fill) -> str:
+    if fill == X_FILL:
+        return "X"
+    if len(fill) == 1:
+        return format_letter(fill[0])
+    return "{" + ",".join(format_letter(r) for r in fill) + "}"
+
+
+def check_fill(fill: Fill) -> Fill:
+    if fill != tuple(sorted(set(fill))) or any(r < 1 for r in fill):
+        raise ValueError(f"fill must be strictly increasing positive ranks: {fill!r}")
+    return fill

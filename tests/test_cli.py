@@ -281,6 +281,38 @@ def test_render_roundtrip(capsys, plain_example):
     assert str(diagonal_reading(again)) == "2 / 1,3 / 1,6 / 5"
 
 
+def test_non_ascii_letters_exit_2(monkeypatch, capsys):
+    from dominotab.cli import main
+
+    for letter in ("\u00b2", "\u0663"):
+        text = json.dumps({"family": "plain", "shape": [1], "rows": [[[letter]]]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["render"]) == 2
+        assert capsys.readouterr().err == f"error: bad letter: {letter!r}\n"
+
+
+def test_split_and_render_read_drawings(monkeypatch, capsys, plain_bijection_case):
+    from dominotab.cli import main
+
+    T, t1, t2 = plain_bijection_case
+    for fmt in ("ascii", "latex"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(canonical.serialize(T)))
+        assert main(["render", "--format", fmt]) == 0
+        drawing = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n  \n" + drawing))
+        assert main(["render", "--format", fmt]) == 0
+        assert capsys.readouterr().out == drawing
+        monkeypatch.setattr("sys.stdin", io.StringIO(drawing))
+        assert main(["split"]) == 0
+        parts = json.loads(capsys.readouterr().out)
+        assert [canonical.from_jsonable(p) for p in parts] == [t1, t2]
+        headless = drawing.split("\n", 1)[1]
+        for cmd in ("render", "split"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(headless))
+            assert main([cmd]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_render_single_cell(capsys, tmp_path):
     t = make_tableau(PLAIN, (1,), [[parse_fill("1")]])
     src = tmp_path / "t.json"

@@ -16,7 +16,9 @@ from dominotab.partitions import (
     size,
     two_quotient,
 )
+from dominotab.verify import MAX_SWEEP_SIZE
 from reference_partitions import is_partition as reference_is_partition
+from reference_partitions import partitions_of as reference_partitions_of
 
 
 def exhaustive_pavable(shape):
@@ -185,6 +187,11 @@ def test_partitions_of_order_and_count():
     four = list(partitions_of(4))
     assert four == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert len(list(partitions_of(10))) == 42
+
+
+def test_partitions_of_matches_recursive_reference():
+    for n in range(MAX_SWEEP_SIZE + 1):
+        assert list(partitions_of(n)) == list(reference_partitions_of(n)), n
 
 
 def test_check_partition_rejects():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_tableaux
 from conftest import cardinality, parse_fill, tb
 from dominotab import tableaux
 from dominotab.partitions import partitions_up_to
@@ -14,11 +15,12 @@ from dominotab.tableaux import (
     SHIFTED_SET_VALUED,
     Tableau,
     _candidate_fills,
+    check_fill,
     enumerate_tableaux,
     format_fill,
+    format_letter,
     make_tableau,
     parse_letter,
-    rank,
     reading_word,
     tableau_from_reading_word,
     validate_tableau,
@@ -59,7 +61,7 @@ def test_letter_order_and_formatting():
     assert format_fill(()) == "X"
     assert parse_fill("{1,3'}") == (2, 5)
     # 1' < 1 < 2' < 2 < ...
-    assert rank(1, True) < rank(1) < rank(2, True) < rank(2)
+    assert [parse_letter(x) for x in ("1'", "1", "2'", "2")] == [1, 2, 3, 4]
 
 
 def test_validate_fixtures(ssyt_t1, set_valued_flat):
@@ -205,8 +207,45 @@ def test_shifted_x_cells_have_negative_content():
 
 @given(st.integers(min_value=1, max_value=40), st.booleans())
 def test_letter_parse_format_roundtrip(idx, primed):
-    r = rank(idx, primed)
+    r = 2 * idx - primed
     assert parse_letter(format_fill((r,))) == r
+
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_letter_codec_matches_reference():
+    # Every rank of the 65,535 letters a plain fill may use, primed or not.
+    for r in range(1, 2 * MAX_CANDIDATE_FILLS + 1):
+        text = format_letter(r)
+        assert text == reference_tableaux.format_letter(r), r
+        assert format_fill((r,)) == reference_tableaux.format_fill((r,)) == text
+        assert parse_letter(text) == r
+        assert check_fill((r,)) == reference_tableaux.check_fill((r,)) == (r,)
+        pair = (r, r + 1)
+        assert format_fill(pair) == reference_tableaux.format_fill(pair)
+    assert format_fill(()) == reference_tableaux.format_fill(()) == "X"
+    texts = (" 3 ", "03", "3'", " 7' ", "0", "0'", "", "'", "1''", "-1", "+1", "1 '")
+    for text in texts:
+        assert _outcome(parse_letter, text) == _outcome(reference_tableaux.parse_letter, text)
+    fills = ((), (0,), (-1,), (2, 1), (1, 1), (1, 2, 5), (0, 3), (True,), (2.0,))
+    for fill in fills:
+        assert _outcome(check_fill, fill) == _outcome(reference_tableaux.check_fill, fill)
+
+
+def test_non_ascii_digits_are_bad_letters():
+    # str.isdigit holds for both, so the old parser crashed on the
+    # superscript and read the Arabic-Indic digit as 3.
+    assert reference_tableaux.parse_letter("\u0663") == 6
+    with pytest.raises(ValueError, match="invalid literal"):
+        reference_tableaux.parse_letter("\u00b2")
+    for text in ("\u00b2", "\u0663", "\u0663'"):
+        with pytest.raises(ValueError, match="bad letter"):
+            parse_letter(text)
 
 
 def test_enumerate_tableaux_past_the_listing_limit_raises(monkeypatch):
