@@ -10,13 +10,16 @@ and judged every edge's fills through it; the checker is
 ``IndexedFillState``, which states the rules apart from ``piece_relation``.
 ``enumerated_genfun`` sums the same over every flat tableau the reference
 enumerator in ``reference_tableaux.py`` lists, so it shares no fill rule
-with ``polyring.genfun``.  They are kept here only as the oracles of the
+with ``polyring.genfun``.  ``row_major_genfun`` is the flat transfer as it
+was when it always swept the letter cells row by row, with a key laid out
+by hand for each row.  They are kept here only as the oracles of the
 differential tests in ``test_differential.py``.
 
-``fillstate_domino_genfun`` builds its fill classes and its result with the
-copies of ``_fill_classes`` and ``_unpack`` below, as they were before the
-library cached the classes and built its transfer results unchecked: a
-fresh list per call, and a ``Polynomial`` that checks every monomial.
+``fillstate_domino_genfun`` and ``row_major_genfun`` build their fill
+classes and their results with the copies of ``_fill_classes`` and
+``_unpack`` below, as they were before the library cached the classes and
+built its transfer results unchecked: a fresh list per call, and a
+``Polynomial`` that checks every monomial.
 """
 
 from __future__ import annotations
@@ -34,7 +37,15 @@ from dominotab.domino_tableaux import (
 from dominotab.partitions import Shape, check_partition
 from dominotab.pavings import Node
 from dominotab.polyring import Monomial, Polynomial
-from dominotab.tableaux import Family, Fill, Tableau, _candidate_fills, letter_index, weight
+from dominotab.tableaux import (
+    Family,
+    Fill,
+    Tableau,
+    _candidate_fills,
+    fill_floor,
+    letter_index,
+    weight,
+)
 from reference_fill_search import reference_domino_fills
 from reference_fillstate import IndexedFillState
 from reference_tableaux import enumerate_tableaux
@@ -198,4 +209,56 @@ def fillstate_domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
                             f"{MAX_TRANSFER_TERMS} terms in one layer"
                         )
         layer = nxt
+    return _unpack(n, bits, total)
+
+
+def row_major_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
+    """The transfer of ``genfun`` over a shape its checks have passed."""
+    bits = (2 * sum(shape)).bit_length()  # a shifted set-valued cell may hold i' and i
+    classes = _fill_classes(family, n, bits)
+    class_mins = [fill[0] for fill, _ in classes]
+    shifted = family.shifted
+    heights = [sum(1 for part in shape if part >= c) for c in range(1, max(shape, default=0) + 1)]
+    # A key holds the row above's maxima from the cell's column on (none in
+    # the first row), then this row's at the columns the next row reads, and
+    # the left cell's maximum last.
+    layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    for r, length in enumerate(shape, start=1):
+        below = shape[r] if r < len(shape) else 0
+        first = r if shifted else 1  # this row's first letter column
+        next_first = r + 1 if shifted else 1  # and the next row's
+        start = 1 if r > 1 else 0  # a key opens with the upper cell's entry, but in row 1
+        for c in range(first, length + 1):
+            top = 2 * n if shifted else 2 * (n - heights[c - 1] + r)
+            end = -1 if c > first else None  # and ends with the left cell's, but at a row start
+            # This cell's maximum is kept once per reader: the cell below, the next cell.
+            copies = (next_first <= c <= below) + (c < length)
+            nxt: dict[tuple[int, ...], dict[int, int]] = {}
+            hi = bisect_right(class_mins, top)
+            stored = 0
+            for front, terms in layer.items():
+                above = front[0] if start else 0
+                left = front[-1] if end else 0
+                body = front[start:end]
+                lo = bisect_left(class_mins, fill_floor(left, above))
+                for fill, fill_terms in classes[lo:hi]:
+                    high = fill[-1]
+                    if high > top:
+                        continue
+                    key = body + (high,) * copies
+                    acc = nxt.get(key)
+                    if acc is None:
+                        acc = nxt[key] = {}
+                    before = len(acc)
+                    for m, coef in terms.items():
+                        for e, sign in fill_terms:
+                            acc[m + e] = acc.get(m + e, 0) + coef * sign
+                    stored += len(acc) - before
+                    if stored > MAX_TRANSFER_TERMS:
+                        raise ValueError(
+                            f"the flat sum over {shape} needs more than "
+                            f"{MAX_TRANSFER_TERMS} terms in one layer"
+                        )
+            layer = nxt
+    total = next(iter(layer.values()), {})  # the one state left has an empty frontier
     return _unpack(n, bits, total)

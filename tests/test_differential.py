@@ -49,7 +49,12 @@ from dominotab.domino_tableaux import (
     tiling_root,
     validate_domino_tableau,
 )
-from dominotab.partitions import is_pavable, partitions_up_to, two_quotient
+from dominotab.partitions import (
+    is_pavable,
+    is_staircase_admissible,
+    partitions_up_to,
+    two_quotient,
+)
 from dominotab.pavings import enumerate_pavings, is_shifted_pavable, is_shifted_paving
 from dominotab.polyring import Polynomial, domino_genfun, genfun
 from dominotab.render import render_ascii
@@ -71,7 +76,12 @@ from reference_fill_search import enumerate_domino_tableaux as search_enumerate_
 from reference_fill_search import enumerate_pavings as reference_pavings
 from reference_fill_search import reference_domino_fills
 from reference_fillstate import IndexedFillState, ReferenceFillState, reference_validate
-from reference_genfun import enumerated_genfun, fillstate_domino_genfun, streamed_genfun
+from reference_genfun import (
+    enumerated_genfun,
+    fillstate_domino_genfun,
+    row_major_genfun,
+    streamed_genfun,
+)
 from reference_render import render_ascii as reference_render_ascii
 from reference_tableaux import enumerate_tableaux as reference_enumerate_tableaux
 from reference_tableaux import validate_tableau as reference_validate_tableau
@@ -563,6 +573,38 @@ def test_flat_genfun_matches_enumerated(family, n, max_size):
         assert new == _genfun_or_error(enumerated_genfun, family, lam, n), lam
         nonzero += new is not ValueError and bool(new.terms)
     assert nonzero > 10
+
+
+# Tall and wide shapes, with the variable counts, that the row-major
+# transfer also sums in under a second.  The letter cells of the shifted
+# (6^6) form the staircase (6,5,4,3,2,1).
+ROW_MAJOR_SPOTS = [
+    (PLAIN, (3,) * 10, 10),
+    (PLAIN, (4,) * 8, 8),
+    (SET_VALUED, (2,) * 8, 8),
+    (SET_VALUED, (100, 100), 3),
+    (SHIFTED, (6,) * 6, 6),
+    (SHIFTED, (60, 59), 2),
+    (SHIFTED, (30, 29, 28), 3),
+    (SHIFTED_SET_VALUED, (40, 39), 2),
+]
+
+
+def test_flat_genfun_matches_row_major_transfer():
+    """The same polynomial as the transfer that swept every shape row by
+    row: on every shape up to size 10 (the admissible ones in the shifted
+    families), in all four families with n = 1-3, and on tall and wide
+    shapes."""
+    cases = [
+        (family, lam, n)
+        for family in FAMILIES
+        for lam in partitions_up_to(10)
+        if not family.shifted or is_staircase_admissible(lam)
+        for n in (1, 2, 3)
+    ]
+    assert len(cases) == 1008
+    for family, lam, n in cases + ROW_MAJOR_SPOTS:
+        assert genfun(family, lam, n) == row_major_genfun(family, lam, n), (family.name, lam, n)
 
 
 # (family, letters, max size) for the flat enumerator and validator.  Three
