@@ -187,10 +187,13 @@ def format_shape(shape: Shape) -> str:
 
 
 def parse_shape(text: str) -> Shape:
+    """The shape ``[a,b,c]``, each part ASCII digits with optional spaces
+    around them, or ``[]``."""
     text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"shape must look like [4,2,1]: {text!r}")
     inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    return check_partition(int(p) for p in inner.split(","))
+    parts = [p.strip() for p in inner.split(",")] if inner else []
+    if not (text.startswith("[") and text.endswith("]")) or not all(
+        p.isascii() and p.isdigit() for p in parts
+    ):
+        raise ValueError(f"shape must look like [4,2,1]: {text!r}")
+    return check_partition(int(p) for p in parts)

@@ -60,8 +60,8 @@ from .tableaux import (
     check_fill,
     fill_classes,
     fill_floor,
+    fills_weight,
     format_fill,
-    letter_index,
 )
 
 Piece = tuple[Domino, Fill]
@@ -336,14 +336,8 @@ def up_fingerprint(t: DominoTableau) -> str:
 def dt_weight(t: DominoTableau | Iterable[Piece], n: int) -> tuple[int, ...]:
     """Exponent vector of a domino tableau or of its pieces; each domino
     contributes its fill once."""
-    exps = [0] * n
-    for _, fill in t.pieces if isinstance(t, DominoTableau) else t:
-        for letter in fill:
-            idx = letter_index(letter)
-            if idx > n:
-                raise ValueError(f"letter index {idx} exceeds variable count {n}")
-            exps[idx - 1] += 1
-    return tuple(exps)
+    pieces = t.pieces if isinstance(t, DominoTableau) else t
+    return fills_weight((fill for _, fill in pieces), n)
 
 
 def enumerate_domino_tableaux(

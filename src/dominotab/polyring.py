@@ -131,16 +131,25 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     shifted analogue by the excess of letters over up-region cells.  So each
     letter cell contributes its own factor (-1)^(|fill| - 1) x^weight(fill).
 
-    The sum is a transfer over the letter cells in row-major order (in the
-    shifted families, the cells with c >= r), and lists no tableau.  A state
-    is the frontier of fill maxima that later cells still read, and nothing
-    else: the row above's from the next cell's column on, this row's at the
-    columns the next row reads, and the left cell's.  So a long row keeps a
-    short key, equal frontiers are one state, and each state holds the
-    signed weight polynomial of the prefixes that reach it.
-    A cell reads only its left and upper neighbours, through one lower
-    bound on its minimum, ``fill_floor(max(left), max(above))``, which
-    states the ordering and multiplicity rules of every family.
+    The sum is a transfer over the letter cells (in the shifted families,
+    the cells with c >= r), and lists no tableau.  A cell reads only its
+    left and upper neighbours, through one lower bound on its minimum,
+    ``fill_floor(max(left), max(above))``, which states the ordering and
+    multiplicity rules of every family; so the cells may be swept line by
+    line along either side.  The sweep runs along the shorter side: by
+    columns in the shifted families, whose letter cells span no more rows
+    than columns, and in shapes of fewer rows than columns; else by rows.
+    A state is the frontier of fill maxima that later cells still read,
+    and nothing else: the previous line's from the next cell's place on,
+    this line's at the places the next line reads, and the previous
+    cell's, last.  One rule lays it out: a cell reads and drops the key's
+    first entry if its neighbour in the previous line is a letter cell, and
+    the last one if the previous cell of its line is, and it appends its
+    maximum once for each of its two readers, the next line's neighbour and
+    the next cell, that is a letter cell.  So the key holds at most one
+    entry per place along the shorter side, and one more; equal frontiers
+    are one state, and each state holds the signed weight polynomial of the
+    prefixes that reach it.
 
     The bound reads a fill only through its minimum and maximum, so the
     fills are judged and stored by (min, max) class.  An unshifted cell with
@@ -178,47 +187,51 @@ def _flat_transfer(family: Family, shape: Shape, n: int) -> Polynomial:
     class_mins = [fill[0] for fill, _ in classes]
     shifted = family.shifted
     heights = [sum(1 for part in shape if part >= c) for c in range(1, max(shape, default=0) + 1)]
-    # A key holds the row above's maxima from the cell's column on (none in
-    # the first row), then this row's at the columns the next row reads, and
-    # the left cell's maximum last.
+    on = {  # the letter cells
+        (r, c)
+        for r, length in enumerate(shape, start=1)
+        for c in range(r if shifted else 1, length + 1)
+    }
+    # Sweep along the shorter side: by columns (a, b = 0, 1) in the shifted
+    # families, whose letter cells span no more rows than columns, and in
+    # shapes of fewer rows than columns; else by rows.
+    a, b = (0, 1) if shifted or len(shape) < len(heights) else (1, 0)
     layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    for r, length in enumerate(shape, start=1):
-        below = shape[r] if r < len(shape) else 0
-        first = r if shifted else 1  # this row's first letter column
-        next_first = r + 1 if shifted else 1  # and the next row's
-        start = 1 if r > 1 else 0  # a key opens with the upper cell's entry, but in row 1
-        for c in range(first, length + 1):
-            top = 2 * n if shifted else 2 * (n - heights[c - 1] + r)
-            end = -1 if c > first else None  # and ends with the left cell's, but at a row start
-            # This cell's maximum is kept once per reader: the cell below, the next cell.
-            copies = (next_first <= c <= below) + (c < length)
-            nxt: dict[tuple[int, ...], dict[int, int]] = {}
-            hi = bisect_right(class_mins, top)
-            stored = 0
-            for front, terms in layer.items():
-                above = front[0] if start else 0
-                left = front[-1] if end else 0
-                body = front[start:end]
-                lo = bisect_left(class_mins, fill_floor(left, above))
-                for fill, fill_terms in classes[lo:hi]:
-                    high = fill[-1]
-                    if high > top:
-                        continue
-                    key = body + (high,) * copies
-                    acc = nxt.get(key)
-                    if acc is None:
-                        acc = nxt[key] = {}
-                    before = len(acc)
-                    for m, coef in terms.items():
-                        for e, sign in fill_terms:
-                            acc[m + e] = acc.get(m + e, 0) + coef * sign
-                    stored += len(acc) - before
-                    if stored > MAX_TRANSFER_TERMS:
-                        raise ValueError(
-                            f"the flat sum over {shape} needs more than "
-                            f"{MAX_TRANSFER_TERMS} terms in one layer"
-                        )
-            layer = nxt
+    for r, c in sorted(on, key=lambda cell: (cell[1 - a], cell[a])):
+        top = 2 * n if shifted else 2 * (n - heights[c - 1] + r)
+        # A key opens with the previous line's neighbour's maximum and ends
+        # with the previous cell's of this line, when they are letter cells.
+        start = (r - a, c - b) in on
+        end = -1 if (r - b, c - a) in on else None
+        # This cell's maximum is kept once per reader: the next line's
+        # neighbour, the next cell of this line.
+        copies = ((r + a, c + b) in on) + ((r + b, c + a) in on)
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        hi = bisect_right(class_mins, top)
+        stored = 0
+        for front, terms in layer.items():
+            ends = (front[0] if start else 0, front[-1] if end else 0)
+            body = front[start:end]
+            lo = bisect_left(class_mins, fill_floor(ends[a], ends[b]))  # the left, the upper
+            for fill, fill_terms in classes[lo:hi]:
+                high = fill[-1]
+                if high > top:
+                    continue
+                key = body + (high,) * copies
+                acc = nxt.get(key)
+                if acc is None:
+                    acc = nxt[key] = {}
+                before = len(acc)
+                for m, coef in terms.items():
+                    for e, sign in fill_terms:
+                        acc[m + e] = acc.get(m + e, 0) + coef * sign
+                stored += len(acc) - before
+                if stored > MAX_TRANSFER_TERMS:
+                    raise ValueError(
+                        f"the flat sum over {shape} needs more than "
+                        f"{MAX_TRANSFER_TERMS} terms in one layer"
+                    )
+        layer = nxt
     total = next(iter(layer.values()), {})  # the one state left has an empty frontier
     return _unpack(n, bits, total)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .partitions import (
     MAX_LISTED,
@@ -205,8 +205,14 @@ def validate_tableau(t: Tableau) -> bool:
 
 def weight(t: Tableau, n: int) -> tuple[int, ...]:
     """Exponent vector: e_i counts occurrences of i and i' together."""
+    return fills_weight((fill for _, _, fill in t.cells_with_fills()), n)
+
+
+def fills_weight(fills: Iterable[Fill], n: int) -> tuple[int, ...]:
+    """Exponent vector of the fills: e_i counts occurrences of i and i'
+    together, over all of them."""
     exps = [0] * n
-    for _, _, fill in t.cells_with_fills():
+    for fill in fills:
         for letter in fill:
             idx = letter_index(letter)
             if idx > n:

@@ -291,6 +291,18 @@ def test_non_ascii_letters_exit_2(monkeypatch, capsys):
         assert capsys.readouterr().err == f"error: bad letter: {letter!r}\n"
 
 
+def test_shape_parts_must_be_ascii_digits(capsys):
+    """A sign, an underscore, a non-ASCII digit or an empty part is not a
+    part of ``[a,b,c]``."""
+    from dominotab.cli import main
+
+    for text in ("[+4, 2]", "[\u0663,1_0]", "[4,,2]"):
+        assert main(["quotient", "--shape", text]) == 2, text
+        assert capsys.readouterr().err == f"error: shape must look like [4,2,1]: {text!r}\n"
+    assert main(["quotient", "--shape", " [ 4 , 2 ] "]) == 0
+    assert capsys.readouterr().out.strip() == "([1],[2])"
+
+
 def test_split_and_render_read_drawings(monkeypatch, capsys, plain_bijection_case):
     from dominotab.cli import main
 

@@ -99,9 +99,10 @@ def test_genfun_matches_alternant(family, n):
     assert checked >= 20
 
 
-# Long one- and two-row shapes, with the variable counts: the flat sum keys
-# only the maxima that later cells read, so a long row costs time linear in
-# its length.
+# Long one- and two-row shapes, with the variable counts: the flat sum sweeps
+# a shape wider than tall by columns and keys only the maxima that later
+# cells read, at most one per row and one more, so a long row costs time
+# linear in its length.
 LONG_ROWS = [((3000,), 1), ((400,), 2), ((120, 90), 2), ((40, 40), 3), ((30, 12), 3)]
 
 
@@ -167,6 +168,12 @@ def schur_q(mu, n):
     return pfaffian(matrix, n)
 
 
+def strict_letter_parts(lam):
+    """The strict partition that the letter cells of an admissible lambda
+    form."""
+    return tuple(part - i for i, part in enumerate(lam))
+
+
 # The admissible shapes of size <= 10 with at most n parts: 27 for n = 2
 # and 29 for n = 3 (the empty shape included).
 @pytest.mark.parametrize("n,expected", ((2, 27), (3, 29)))
@@ -176,13 +183,45 @@ def test_shifted_genfun_matches_pfaffian(n, expected):
         if not is_staircase_admissible(lam):
             continue
         g = genfun(SHIFTED, lam, n)
-        mu = tuple(part - i for i, part in enumerate(lam))
+        mu = strict_letter_parts(lam)
         if len(mu) > n:
             assert g == Polynomial.zero(n), lam
             continue
         assert g == schur_q(mu, n), lam
         checked += 1
     assert checked == expected
+
+
+def full_length_schur_q_times_vandermonde(mu, n):
+    """Q_mu * V for a strict mu of exactly n parts, from Q_mu =
+    2^n prod_{i<j} (x_i + x_j) s_(mu - delta) with delta = (n-1, ..., 0):
+    the Schur factor times V is the alternant of mu - delta."""
+    two_n = Polynomial(n, {(0,) * n: 2**n})
+    plus = product(
+        [variable(n, i) + variable(n, j) for i in range(n) for j in range(i + 1, n)], n
+    )
+    return two_n * plus * alternant([part - (n - 1 - i) for i, part in enumerate(mu)], n, False)
+
+
+# Wide shifted shapes, with the variable counts: each has n letter rows, and
+# the sum sweeps their letter cells by columns, so its key holds at most n
+# entries and one more, however long the rows.
+WIDE_SHIFTED = [((400, 399), 2), ((800, 799), 2), ((100, 99, 98), 3), ((60, 59, 58, 57), 4)]
+
+
+def test_shifted_genfun_of_n_rows_matches_schur_factorisation():
+    """genfun(SHIFTED, lambda, n) * V = 2^n prod (x_i + x_j) A_(mu - delta)
+    on every admissible lambda up to size 14 of n <= 3 parts, 66 of them,
+    and on the wide shapes."""
+    small = [
+        (lam, len(lam))
+        for lam in partitions_up_to(14)
+        if 1 <= len(lam) <= 3 and is_staircase_admissible(lam)
+    ]
+    assert len(small) == 66
+    for lam, n in small + WIDE_SHIFTED:
+        g = genfun(SHIFTED, lam, n) * vandermonde(n)
+        assert g == full_length_schur_q_times_vandermonde(strict_letter_parts(lam), n), lam
 
 
 # (family, max size, n, nonzero cases): every pavable lambda up to the size,
@@ -218,12 +257,6 @@ def test_domino_genfun_matches_alternant_products(family, max_size, n, expected)
         assert d * v2 == alternant(mu, n, grothendieck) * alternant(nu, n, grothendieck), lam
         checked += 1
     assert checked == expected
-
-
-def strict_letter_parts(lam):
-    """The strict partition that the letter cells of an admissible lambda
-    form."""
-    return tuple(part - i for i, part in enumerate(lam))
 
 
 @pytest.mark.parametrize("n", (2, 3))
