@@ -14,7 +14,7 @@ from functools import lru_cache
 from operator import lshift
 from threading import Lock
 
-from .partitions import Shape, check_cells, check_partition, is_staircase_admissible
+from .partitions import Shape, cells, check_cells, check_partition, is_staircase_admissible
 from .tableaux import Family, Fill, fill_classes, fill_floor, letter_index
 from .domino_tableaux import MAX_TRANSFER_TERMS, tiling_root, tiling_walk
 # Unused here; the benchmark tracer finds the flat enumerator under this name.
@@ -187,11 +187,7 @@ def _flat_transfer(family: Family, shape: Shape, n: int) -> Polynomial:
     class_mins = [fill[0] for fill, _ in classes]
     shifted = family.shifted
     heights = [sum(1 for part in shape if part >= c) for c in range(1, max(shape, default=0) + 1)]
-    on = {  # the letter cells
-        (r, c)
-        for r, length in enumerate(shape, start=1)
-        for c in range(r if shifted else 1, length + 1)
-    }
+    on = {(r, c) for r, c in cells(shape) if not (shifted and c < r)}  # the letter cells
     # Sweep along the shorter side: by columns (a, b = 0, 1) in the shifted
     # families, whose letter cells span no more rows than columns, and in
     # shapes of fewer rows than columns; else by rows.
