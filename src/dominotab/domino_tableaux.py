@@ -414,9 +414,13 @@ def tiling_root(family: Family, shape: Shape) -> Node:
 # polynomials are larger, and 200,000 states take about 950 MB.
 MAX_TRANSFER_STATES = 250_000
 # The most terms the weights of one layer of ``tiling_walk``, or of the flat
-# transfer of ``polyring.genfun``, may hold together, which bounds its
-# memory.  The domino sum over GQ (6,5,5,4) peaks at 2,123,158 terms with
-# n=3.
+# transfer of ``polyring.genfun``, may hold together.  The domino sum over
+# GQ (6,5,5,4) peaks at 2,123,158 terms with n=3.  The cap counts terms, not
+# bytes, and a layer's terms are held while the next layer fills, so the
+# memory spent before it stops grows with the variable count: the flat sum
+# over plain (3^20) with n=24 stops at about 600 MB RSS (483 MB under
+# tracemalloc), and shifted (20,19,18,17,16,15) with n=6 reached 1.59 GB
+# before the flat sum swept wide shapes along their shorter side.
 MAX_TRANSFER_TERMS = 3_000_000
 
 

@@ -4,7 +4,6 @@ signed sums over domino tableaux, shape by shape."""
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +18,9 @@ from .partitions import (
 from .polyring import Monomial, Polynomial, check_variables, domino_genfun, genfun, grlex_key
 from .tableaux import Family
 
-MAX_JOBS = 64  # the process pool forks all its workers at the first submit
+# The most worker processes a sweep may start.  The pool forks all its
+# workers at the first submit, so a sweep starts no more than it has batches.
+MAX_JOBS = 64
 # The largest size a sweep may reach: it lists every partition up to that
 # size, 7,338 of them up to size 24.
 MAX_SWEEP_SIZE = 24
@@ -112,17 +113,23 @@ def verify_sweep(
     """Verify every shape of size up to max_size, in a fixed shape order.
 
     Non-pavable shapes are reported as SKIP so that ranges stay simple to
-    specify.  With jobs > 1 the shapes are checked in parallel processes;
-    the report order is identical either way.  More than MAX_JOBS jobs, or
-    a max_size above MAX_SWEEP_SIZE, raise ValueError.
+    specify.  With jobs > 1 the shapes go to a process pool, imported only
+    then, in batches of about len(shapes) / (4 * jobs), so about four per
+    worker.  The pool starts min(jobs, len(shapes)) workers, which never
+    outnumber the batches.  The report order is identical either way.  More
+    than MAX_JOBS jobs, or a max_size above MAX_SWEEP_SIZE, raise ValueError.
     """
     if jobs > MAX_JOBS:
         raise ValueError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
     if max_size > MAX_SWEEP_SIZE:
         raise ValueError(f"max size must be at most {MAX_SWEEP_SIZE}, got {max_size}")
     shapes = list(partitions_up_to(max_size))
+    jobs = min(jobs, len(shapes))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         tasks = [(family.name, lam, n) for lam in shapes]
+        batch = -(-len(shapes) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_verify_task, tasks))
+            return list(pool.map(_verify_task, tasks, chunksize=batch))
     return [verify_identity(family, lam, n) for lam in shapes]

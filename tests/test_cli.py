@@ -46,13 +46,15 @@ def test_verify_command_exit_codes(capsys):
 
 
 def test_usage_errors_exit_2(monkeypatch, capsys):
+    import concurrent.futures
+
     from dominotab import verify
     from dominotab.cli import main
 
     def no_pool(*args, **kwargs):
         pytest.fail("a process pool was started")
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(["quotient", "--shape", "oops"]) == 2
     assert main(["verify", "--family", "plain", "--vars", "2"]) == 2
     assert main(["genfun", "--family", "nope", "--shape", "[1]", "--vars", "1"]) == 2
@@ -399,22 +401,38 @@ def test_verify_jobs_flag(capsys):
     assert out.splitlines()[0].endswith(")")
 
 
+def _src_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
 def test_closed_output_pipe_exits_quietly():
     # `enumerate ... | head -1`: 121 lines, 113 KB, more than a pipe buffer,
     # so the command is still writing when the reader closes the pipe.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     with subprocess.Popen(
         [sys.executable, "-m", "dominotab.cli", "enumerate", "--family", "plain",
          "--shape", "[20,20]", "--max-letter", "2", "--kind", "domino"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
     ) as proc:
         assert proc.stdout.readline().startswith(b"{")
         proc.stdout.close()
         err = proc.stderr.read()
     assert proc.returncode == 0
     assert b"Traceback" not in err, err.decode()
+
+
+def test_package_imports_no_process_pool():
+    # A fresh interpreter, since this session may have loaded the pool already:
+    # only a parallel sweep imports it.
+    code = (
+        "import sys, dominotab, dominotab.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_listings_past_the_limit_exit_2(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from dominotab import verify
+from dominotab.canonical import to_jsonable
 from dominotab.cli import main
 from dominotab.polyring import Polynomial
 from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED
@@ -100,10 +101,37 @@ def test_sweep_rejects_a_size_above_the_limit(monkeypatch):
             verify_sweep(PLAIN, max_size, 2)
 
 
+def _records(reports):
+    out = []
+    for report in reports:
+        record = to_jsonable(report)
+        del record["elapsed_us"]
+        out.append(record)
+    return out
+
+
 def test_sweep_parallel_matches_serial():
-    serial = verify_sweep(PLAIN, 6, 2)
-    parallel = verify_sweep(PLAIN, 6, 2, jobs=2)
-    assert [(r.lam, r.status) for r in serial] == [(r.lam, r.status) for r in parallel]
+    # Plain up to size 10 is 139 shapes: several batches per worker.
+    for family, max_size in ((PLAIN, 10), (SHIFTED_SET_VALUED, 8)):
+        serial = _records(verify_sweep(family, max_size, 2))
+        for jobs in (2, 3):
+            assert _records(verify_sweep(family, max_size, 2, jobs=jobs)) == serial
+
+
+def test_sweep_starts_no_more_workers_than_shapes(monkeypatch):
+    import concurrent.futures
+
+    real = concurrent.futures.ProcessPoolExecutor
+    started = []
+
+    def counting_pool(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+    reports = verify_sweep(PLAIN, 1, 2, jobs=8)
+    assert [r.lam for r in reports] == [(), (1,)]
+    assert len(started) == 1 and started[0] <= 2
 
 
 def test_report_line_format():
