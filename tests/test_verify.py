@@ -102,12 +102,9 @@ def test_sweep_rejects_a_size_above_the_limit(monkeypatch):
 
 
 def _records(reports):
-    out = []
-    for report in reports:
-        record = to_jsonable(report)
-        del record["elapsed_us"]
-        out.append(record)
-    return out
+    return [
+        {k: v for k, v in to_jsonable(r).items() if k != "elapsed_us"} for r in reports
+    ]
 
 
 def test_sweep_parallel_matches_serial():
