@@ -59,12 +59,14 @@ def _read_value(path: Optional[str]):
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write ``text`` and a newline; a listing of no items writes nothing."""
+    text = text + "\n" if text else ""
     if out is None or out == "-":
-        print(text)
+        sys.stdout.write(text)
     else:
         try:
             with open(out, "w") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc}") from exc
 

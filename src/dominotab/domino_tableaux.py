@@ -43,7 +43,7 @@ the folded bounds, and which reads the letter rule of the flat cells,
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .partitions import MAX_LISTED, Shape, Cell, check_partition, is_pavable
@@ -68,37 +68,38 @@ Piece = tuple[Domino, Fill]
 INF = float("inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DominoTableau:
     family: Family
     shape: Shape
     pieces: tuple[Piece, ...]
+    # The paving and the diagonal order, kept in two slots once computed:
+    # they depend on the fields alone, and equality, the hash and the repr
+    # read only the fields.
+    _paving: Paving | None = field(default=None, init=False, compare=False, repr=False)
+    _diagonal_order: tuple[Piece, ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "pieces", tuple(sorted(self.pieces, key=lambda p: p[0]))
         )
 
-    # The paving and the diagonal order are kept in the instance's __dict__
-    # once computed: they depend on the fields alone, and equality and the
-    # hash read only the fields.
-
     def paving(self) -> Paving:
         """The tiling by the pieces' dominoes; raises ValueError unless they
         tile the shape.  It is proved on the first call and kept."""
-        paving = self.__dict__.get("_paving")
-        if paving is None:
+        if self._paving is None:
             dominoes = tuple(d for d, _ in self.pieces)
-            paving = self.__dict__["_paving"] = Paving(self.shape, dominoes)
-        return paving
+            object.__setattr__(self, "_paving", Paving(self.shape, dominoes))
+        return self._paving
 
     def diagonal_order(self) -> tuple[Piece, ...]:
         """The pieces in diagonal reading order, sorted on the first call
         and kept."""
-        order = self.__dict__.get("_diagonal_order")
-        if order is None:
-            order = self.__dict__["_diagonal_order"] = tuple(_diag_order(self.pieces))
-        return order
+        if self._diagonal_order is None:
+            object.__setattr__(self, "_diagonal_order", tuple(_diag_order(self.pieces)))
+        return self._diagonal_order
 
     def up_pieces(self) -> tuple[Piece, ...]:
         return tuple((d, f) for d, f in self.pieces if d.crossing() >= 0)
@@ -380,6 +381,8 @@ def enumerate_domino_tableaux(
             steps.extend(((dom, fill), child, acc) for fill in members[first])
     # A partial path is linked, (last piece, the path before it), from ().
     out = []
+    # Each complete node's X pieces, built once and shared by its tableaux.
+    downs: dict[int, list[Piece]] = {}
     todo = [((), root, start)]
     while todo:
         path, node, terms = todo.pop()
@@ -387,7 +390,10 @@ def enumerate_domino_tableaux(
             steps = live.get(id(terms), ())
             todo.extend(((piece, path), child, acc) for piece, child, acc in steps)
             continue
-        pieces = [(dom, X_FILL) for dom in node[1]]
+        down = downs.get(id(node))
+        if down is None:
+            down = downs[id(node)] = [(dom, X_FILL) for dom in node[1]]
+        pieces = down.copy()
         while path:
             piece, path = path
             pieces.append(piece)

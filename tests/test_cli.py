@@ -226,6 +226,25 @@ def test_enumerate_and_pavings(capsys):
     assert code == 0 and len(out.strip().splitlines()) == 8
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pavings", "--shape", "[1]"],
+        ["enumerate", "--family", "plain", "--shape", "[1,1]", "--max-letter", "1"],
+    ],
+    ids=["pavings", "enumerate"],
+)
+def test_an_empty_listing_writes_nothing(tmp_path, capsys, argv):
+    """A listing writes one canonical JSON per line, so zero items write
+    nothing: empty standard output, and an empty file for --out."""
+    assert run(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    out = tmp_path / "out.jsonl"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == ""
+
+
 def test_long_shapes_answer(capsys):
     """A shape of 3,000 cells, 1,500 of them even: no search recurses once
     per cell or per domino."""

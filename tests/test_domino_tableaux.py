@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from conftest import dt, dt_cardinality, up_cell_count, up_domino_count
@@ -13,7 +16,14 @@ from dominotab.domino_tableaux import (
     up_fingerprint,
     validate_domino_tableau,
 )
-from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED, ReadingWord
+from dominotab.tableaux import (
+    PLAIN,
+    SET_VALUED,
+    SHIFTED,
+    SHIFTED_SET_VALUED,
+    X_FILL,
+    ReadingWord,
+)
 from reference_fillstate import weakly_southeast
 
 FAMILIES = (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED)
@@ -91,6 +101,26 @@ def test_a_parsed_tableau_is_tiled_and_ordered_once(monkeypatch, plain_example):
     assert len(tilings) == 1 and len(sorts) == 1
     assert t == fresh == plain_example and hash(t) == hash(fresh) and repr(t) == repr(fresh)
     assert t.diagonal_order() == tuple(diag_order(t.pieces))
+    # Copies of a tableau that keeps both values are the same value.
+    for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert copied == t and hash(copied) == hash(t) and repr(copied) == repr(t)
+        assert gamma_split(copied) == split
+
+
+def test_listed_tableaux_share_their_down_pieces():
+    """A listed tableau holds no __dict__, and the tableaux that end at one
+    complete node hold the same X pieces, not equal copies."""
+    listed = enumerate_domino_tableaux(SHIFTED_SET_VALUED, (4, 4, 4), 2)
+    assert not hasattr(listed[0], "__dict__")
+    by_down: dict[tuple, list[tuple]] = {}
+    for t in listed:
+        down = tuple(p for p in t.pieces if p[1] == X_FILL)
+        by_down.setdefault(tuple(d for d, _ in down), []).append(down)
+    groups = [downs for downs in by_down.values() if len(downs) > 1]
+    assert groups
+    for first, *rest in groups:
+        for other in rest:
+            assert all(a is b for a, b in zip(first, other, strict=True))
 
 
 def test_weakly_southeast():
