@@ -1,23 +1,36 @@
-"""The flat enumerator and validator that the single neighbour bound replaced.
+"""The flat enumerators and validator that the package replaced.
 
 ``enumerate_tableaux`` is the recursive search that tries every candidate
 fill at every cell, judging it by the ordering rules and by sets of the
 (row, primed letter) and (column, unprimed letter) pairs already taken;
 ``validate_tableau`` judges a whole tableau by the ordering rules and by
 counting every letter of every fill per line.  Neither reads
-``tableaux.fill_floor``.  They are kept here only as the oracles of the
+``tableaux.fill_floor``.  ``enumerate_tableaux_by_search`` is the row-major
+depth-first search over ``fill_floor`` that the listing over the flat walk's
+live links replaced.  They are kept here only as the oracles of the
 differential tests in ``test_differential.py``.
 """
 
 from __future__ import annotations
 
-from dominotab.partitions import Shape, cells, check_partition, is_staircase_admissible
+from bisect import bisect_left
+from typing import Iterator
+
+from dominotab import tableaux
+from dominotab.partitions import (
+    Shape,
+    cells,
+    check_cells,
+    check_partition,
+    is_staircase_admissible,
+)
 from dominotab.tableaux import (
     Family,
     Fill,
     Tableau,
     X_FILL,
     _candidate_fills,
+    fill_floor,
     is_primed,
     letter_index,
 )
@@ -166,6 +179,51 @@ def enumerate_tableaux(family: Family, shape: Shape, max_letter: int) -> list[Ta
 
     rec(0)
     return out
+
+
+def enumerate_tableaux_by_search(family: Family, shape: Shape, max_letter: int) -> list[Tableau]:
+    """All valid tableaux of the family on the shape with letters <= max_letter.
+
+    Cells are filled in row-major order with candidates tried in ascending
+    fill order, so the output is duplicate-free and lexicographically sorted
+    by row-major fill sequence.  The fills a cell may take are the sorted
+    candidates from the first whose minimum meets ``fill_floor`` on, and
+    the walk is iterative, so a long shape needs no deep recursion.  More
+    than ``tableaux.MAX_LISTED`` tableaux raise ValueError, once one more is
+    found, and so does a shape of more than MAX_CELLS cells, at once.
+    """
+    shape = check_partition(shape)
+    check_cells(shape)
+    if family.shifted and not is_staircase_admissible(shape):
+        raise ValueError(f"shape {shape} is not admissible for shifted tableaux")
+    candidates = _candidate_fills(family, max_letter)
+    mins = [fill[0] for fill in candidates]
+    grid = [[X_FILL] * length for length in shape]
+    letter_cells = [
+        (r - 1, c - 1) for r, c in cells(shape) if not (family.shifted and c < r)
+    ]
+    out: list[Tableau] = []
+    # tries[k] runs over the fills left to try at letter cell k.
+    tries: list[Iterator[Fill]] = []
+    while True:
+        k = len(tries)
+        if k == len(letter_cells):
+            if len(out) == tableaux.MAX_LISTED:
+                raise ValueError(f"shape {shape} has more than {tableaux.MAX_LISTED} tableaux")
+            out.append(Tableau(family, shape, tuple(map(tuple, grid))))
+        else:
+            r, c = letter_cells[k]
+            left = grid[r][c - 1] if c else X_FILL
+            above = grid[r - 1][c] if r else X_FILL
+            floor = fill_floor(left[-1] if left else 0, above[-1] if above else 0)
+            tries.append(iter(candidates[bisect_left(mins, floor) :]))
+        # Move the deepest cell with a fill left to its next fill.
+        while tries and (fill := next(tries[-1], None)) is None:
+            tries.pop()
+        if not tries:
+            return out
+        r, c = letter_cells[len(tries) - 1]
+        grid[r][c] = fill
 
 
 def rank(index: int, primed: bool = False) -> int:

@@ -16,7 +16,8 @@ sum over the fills ``reference_domino_fills`` yields,
 flat sum over the list the reference enumerator returns.
 ``reference_tableaux.py`` keeps the flat enumerator and validator that
 count every letter per line, against which the single neighbour bound is
-checked.  ``reference_bijections.py`` keeps the split that rebuilt each half
+checked, and the row-major search that listed flat tableaux before the
+listing over the flat walk.  ``reference_bijections.py`` keeps the split that rebuilt each half
 from its reading word and the merge that recomputed the inverse 2-quotient
 per cell, and ``reference_render.py`` the ASCII renderer that asked four
 wall predicates per junction.  The criterion-3 pools are pinned by count and by a digest of
@@ -30,7 +31,7 @@ import pytest
 
 from conftest import dt_cardinality, up_domino_count
 import reference_bijections
-from dominotab import bijections, canonical, domino_tableaux
+from dominotab import bijections, canonical, domino_tableaux, tableaux
 from dominotab.bijections import gamma_merge, gamma_split
 from dominotab.domino_tableaux import (
     ABOVE,
@@ -84,6 +85,7 @@ from reference_genfun import (
 )
 from reference_render import render_ascii as reference_render_ascii
 from reference_tableaux import enumerate_tableaux as reference_enumerate_tableaux
+from reference_tableaux import enumerate_tableaux_by_search
 from reference_tableaux import validate_tableau as reference_validate_tableau
 
 FAMILIES = (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED)
@@ -638,6 +640,32 @@ def test_flat_enumerator_matches_reference_in_order(flat_lists):
             assert new == expected, (family.name, n, lam)
             total += 0 if expected is ValueError else len(expected)
     assert total > 10000
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_flat_listing_matches_row_major_search_in_order(family, monkeypatch):
+    """The same tableaux in the same order as the row-major search, or the
+    same ValueError, on every shape up to size 8 with 1 to 3 letters; and,
+    with MAX_LISTED lowered to a shape's count and to one less, the same
+    list and the same ValueError."""
+    listed = limited = 0
+    for letters in (1, 2, 3):
+        for lam in partitions_up_to(8):
+            new = _listing_or_error(enumerate_tableaux, family, lam, letters)
+            old = _listing_or_error(enumerate_tableaux_by_search, family, lam, letters)
+            assert new == old, (lam, letters)
+            if not isinstance(new, list) or not new:
+                continue
+            listed += len(new)
+            for limit in (len(new), len(new) - 1):
+                with monkeypatch.context() as m:
+                    m.setattr(tableaux, "MAX_LISTED", limit)
+                    new = _listing_or_error(enumerate_tableaux, family, lam, letters)
+                    old = _listing_or_error(enumerate_tableaux_by_search, family, lam, letters)
+                assert new == old, (lam, letters, limit)
+                limited += new[0] is ValueError
+    assert listed > 500
+    assert limited > 40
 
 
 def _flat_mutations(family, pool, letters, rng):
