@@ -51,18 +51,8 @@ from .pavings import Domino, Node, Paving, _tiling_automaton
 from .pavings import is_shifted_pavable, is_shifted_paving
 # Unused here; the benchmark tracer patches the paving enumerator under this name.
 from .pavings import enumerate_pavings  # noqa: F401
-from .tableaux import (
-    Family,
-    Fill,
-    ReadingWord,
-    X_FILL,
-    _letter_ok,
-    check_fill,
-    fill_classes,
-    fill_floor,
-    fills_weight,
-    format_fill,
-)
+from .tableaux import MAX_TRANSFER_TERMS, Family, Fill, ReadingWord, X_FILL, _letter_ok
+from .tableaux import check_fill, fill_classes, fill_floor, fills_weight, format_fill, walk_paths
 
 Piece = tuple[Domino, Fill]
 INF = float("inf")
@@ -349,10 +339,9 @@ def enumerate_domino_tableaux(
     One walk of ``tiling_walk`` over the shape's tiling automaton counts
     them, with each (min, max) class of fills weighing its number of fills,
     and records its links, so more than MAX_LISTED tableaux raise
-    ValueError before any is built.  Marked from the last link backward,
-    the links that lead to a complete node are the ones the listing
-    follows, depth first, so it visits no path that does not complete and
-    extends a partial path by one piece in constant time.  Each complete
+    ValueError before any is built; the listing then follows only the links
+    that lead to a complete node, through ``tableaux.walk_paths``, as
+    ``tableaux.enumerate_tableaux`` lists flat tableaux.  Each complete
     node's down dominoes are added in X.  Shifted families fill the up
     region only (fills constrain nothing else) and complete each up region
     with its least down region, so they list one representative per
@@ -364,40 +353,18 @@ def enumerate_domino_tableaux(
     # The empty shape has one tableau, which asks for no fill.
     classes = fill_classes(family, max_letter) if root[0] is not None else []
     links: list[tuple] = []
-    counts = [(fills[0], ((0, len(fills)),)) for fills in classes]
-    if tiling_walk(family, shape, root, counts, links).get(0, 0) > MAX_LISTED:
+    total = tiling_walk(family, shape, root, [(f[0], ((0, len(f)),)) for f in classes], links)
+    if total.get(0, 0) > MAX_LISTED:
         raise ValueError(f"shape {shape} has more than {MAX_LISTED} domino tableaux")
-    start = links[0][0] if links else None  # the root's weight dict
-    members = {fills[0]: fills for fills in classes}
-    # By the id of each weight dict of a state that reaches a complete
-    # node, its steps that do: (piece, child node, the child's weight dict).
-    # ``links`` held every weight dict when the walk ended, so no two share
-    # an id.
-    live: dict[int, list[tuple]] = {}
-    while links:
-        terms, dom, first, child, acc = links.pop()
-        if child[0] is None or id(acc) in live:
-            steps = live.setdefault(id(terms), [])
-            steps.extend(((dom, fill), child, acc) for fill in members[first])
-    # A partial path is linked, (last piece, the path before it), from ().
     out = []
     # Each complete node's X pieces, built once and shared by its tableaux.
     downs: dict[int, list[Piece]] = {}
-    todo = [((), root, start)]
-    while todo:
-        path, node, terms = todo.pop()
-        if node[0] is not None:
-            steps = live.get(id(terms), ())
-            todo.extend(((piece, path), child, acc) for piece, child, acc in steps)
-            continue
+    for pieces, node in walk_paths(links, total, classes):
+        node = node or root  # None for the empty path, of a complete root
         down = downs.get(id(node))
         if down is None:
             down = downs[id(node)] = [(dom, X_FILL) for dom in node[1]]
-        pieces = down.copy()
-        while path:
-            piece, path = path
-            pieces.append(piece)
-        out.append(DominoTableau(family, shape, tuple(pieces)))
+        out.append(DominoTableau(family, shape, tuple(pieces + down)))
     out.sort(key=lambda t: t.pieces)
     return out
 
@@ -419,15 +386,6 @@ def tiling_root(family: Family, shape: Shape) -> Node:
 # peaks at 167,412 states with n=3, in about 330 MB; with n=4 its
 # polynomials are larger, and 200,000 states take about 950 MB.
 MAX_TRANSFER_STATES = 250_000
-# The most terms the weights of one layer of ``tiling_walk``, or of the flat
-# transfer of ``polyring.genfun``, may hold together.  The domino sum over
-# GQ (6,5,5,4) peaks at 2,123,158 terms with n=3.  The cap counts terms, not
-# bytes, and a layer's terms are held while the next layer fills, so the
-# memory spent before it stops grows with the variable count: the flat sum
-# over plain (3^20) with n=24 stops at about 600 MB RSS (483 MB under
-# tracemalloc), and shifted (20,19,18,17,16,15) with n=6 reached 1.59 GB
-# before the flat sum swept wide shapes along their shorter side.
-MAX_TRANSFER_TERMS = 3_000_000
 
 
 def tiling_walk(
@@ -453,7 +411,8 @@ def tiling_walk(
     domino, the class's first fill, the child node, and the weight dict of
     the state it enters (the returned dict for a complete child).  So a
     state's links out come after its links in, and every state's weight
-    dict stays alive while the list holds it.  The listing runs over them.
+    dict stays alive while the list holds it.  ``tableaux.walk_paths``
+    lists the complete paths over them.
 
     A state is an automaton node and the frontier: the (domino, fill class)
     of every placed piece whose crossing is at least c - 2, where c is the

@@ -19,9 +19,11 @@ Cell = tuple[int, int]
 # The most pavings or tableaux that ``enumerate_pavings``,
 # ``enumerate_tableaux`` or ``enumerate_domino_tableaux`` returns; a longer
 # list raises ValueError.  The longest lists the tests and the README ask
-# for hold about 50,000 tableaux.  Pavings and domino tableaux are counted
-# before any is built: the 578,097 shifted set-valued domino tableaux of
-# (6,5,5,4) over 3 letters raise after about 4 s, at 223 MB.
+# for hold about 50,000 tableaux.  Pavings, flat tableaux and domino
+# tableaux are all counted before any is built: the 578,097 shifted
+# set-valued domino tableaux of (6,5,5,4) over 3 letters raise after about
+# 4 s, at 223 MB, and the 457,380 plain tableaux of (4,4,4) over 9
+# letters at once.
 MAX_LISTED = 200_000
 
 # The most cells a shape may have where it is tiled, summed, listed or

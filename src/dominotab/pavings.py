@@ -7,7 +7,7 @@ the cell nearer the northeast) and type 2 when the smaller one is.
 
 Tilings are searched here only: ``_tiling_automaton`` holds a shape's tilings
 as the paths of a memoised automaton, which ``enumerate_pavings`` counts
-and lists layer by layer and the domino fill search walks.
+and lists layer by layer and ``domino_tableaux.tiling_walk`` walks.
 """
 
 from __future__ import annotations

@@ -8,15 +8,14 @@ alphabet, so degrees are bounded.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import lshift
 from threading import Lock
 
-from .partitions import Shape, cells, check_cells, check_partition, is_staircase_admissible
-from .tableaux import Family, Fill, fill_classes, fill_floor, letter_index
-from .domino_tableaux import MAX_TRANSFER_TERMS, tiling_root, tiling_walk
+from .partitions import Shape, check_cells, check_partition, is_staircase_admissible
+from .tableaux import Family, Fill, fill_classes, flat_walk, letter_index
+from .domino_tableaux import tiling_root, tiling_walk
 # Unused here; the benchmark tracer finds the flat enumerator under this name.
 from .tableaux import enumerate_tableaux  # noqa: F401
 # Unused here; the benchmark tracer finds the domino enumerator under this name.
@@ -131,33 +130,13 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     shifted analogue by the excess of letters over up-region cells.  So each
     letter cell contributes its own factor (-1)^(|fill| - 1) x^weight(fill).
 
-    The sum is a transfer over the letter cells (in the shifted families,
-    the cells with c >= r), and lists no tableau.  A cell reads only its
-    left and upper neighbours, through one lower bound on its minimum,
-    ``fill_floor(max(left), max(above))``, which states the ordering and
-    multiplicity rules of every family; so the cells may be swept line by
-    line along either side.  The sweep runs along the shorter side: by
-    columns in the shifted families, whose letter cells span no more rows
-    than columns, and in shapes of fewer rows than columns; else by rows.
-    A state is the frontier of fill maxima that later cells still read,
-    and nothing else: the previous line's from the next cell's place on,
-    this line's at the places the next line reads, and the previous
-    cell's, last.  One rule lays it out: a cell reads and drops the key's
-    first entry if its neighbour in the previous line is a letter cell, and
-    the last one if the previous cell of its line is, and it appends its
-    maximum once for each of its two readers, the next line's neighbour and
-    the next cell, that is a letter cell.  So the key holds at most one
-    entry per place along the shorter side, and one more; equal frontiers
-    are one state, and each state holds the signed weight polynomial of the
-    prefixes that reach it.
-
-    The bound reads a fill only through its minimum and maximum, so the
-    fills are judged and stored by (min, max) class.  An unshifted cell with
-    k cells below it needs k larger letters there, so its maximum is at most
-    the top rank less 2k.  Shifted shapes that are not admissible raise
-    ValueError, and so do shapes of more than MAX_CELLS cells, more than
-    MAX_VARIABLES variables and a layer of more than MAX_TRANSFER_TERMS
-    terms.
+    The sum is ``tableaux.flat_walk`` over the letter cells (in the shifted
+    families, the cells with c >= r), swept along the shape's shorter side,
+    with each (min, max) class of fills weighing the summed terms of its
+    fills, and lists no tableau.  Shifted shapes that are not admissible
+    raise ValueError, and so do shapes of more than MAX_CELLS cells, a
+    negative variable count or more than MAX_VARIABLES variables, and a
+    layer of more than MAX_TRANSFER_TERMS terms.
 
     The sums are memoised after those checks, by (family, shape, n): the
     quotient components of a sweep's shapes repeat, so one verify pass asks
@@ -183,53 +162,7 @@ def genfun(family: Family, shape: Shape, n: int) -> Polynomial:
 def _flat_transfer(family: Family, shape: Shape, n: int) -> Polynomial:
     """The transfer of ``genfun`` over a shape its checks have passed."""
     bits = (2 * sum(shape)).bit_length()  # a shifted set-valued cell may hold i' and i
-    classes = _fill_classes(family, n, bits)
-    class_mins = [fill[0] for fill, _ in classes]
-    shifted = family.shifted
-    heights = [sum(1 for part in shape if part >= c) for c in range(1, max(shape, default=0) + 1)]
-    on = {(r, c) for r, c in cells(shape) if not (shifted and c < r)}  # the letter cells
-    # Sweep along the shorter side: by columns (a, b = 0, 1) in the shifted
-    # families, whose letter cells span no more rows than columns, and in
-    # shapes of fewer rows than columns; else by rows.
-    a, b = (0, 1) if shifted or len(shape) < len(heights) else (1, 0)
-    layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    for r, c in sorted(on, key=lambda cell: (cell[1 - a], cell[a])):
-        top = 2 * n if shifted else 2 * (n - heights[c - 1] + r)
-        # A key opens with the previous line's neighbour's maximum and ends
-        # with the previous cell's of this line, when they are letter cells.
-        start = (r - a, c - b) in on
-        end = -1 if (r - b, c - a) in on else None
-        # This cell's maximum is kept once per reader: the next line's
-        # neighbour, the next cell of this line.
-        copies = ((r + a, c + b) in on) + ((r + b, c + a) in on)
-        nxt: dict[tuple[int, ...], dict[int, int]] = {}
-        hi = bisect_right(class_mins, top)
-        stored = 0
-        for front, terms in layer.items():
-            ends = (front[0] if start else 0, front[-1] if end else 0)
-            body = front[start:end]
-            lo = bisect_left(class_mins, fill_floor(ends[a], ends[b]))  # the left, the upper
-            for fill, fill_terms in classes[lo:hi]:
-                high = fill[-1]
-                if high > top:
-                    continue
-                key = body + (high,) * copies
-                acc = nxt.get(key)
-                if acc is None:
-                    acc = nxt[key] = {}
-                before = len(acc)
-                for m, coef in terms.items():
-                    for e, sign in fill_terms:
-                        acc[m + e] = acc.get(m + e, 0) + coef * sign
-                stored += len(acc) - before
-                if stored > MAX_TRANSFER_TERMS:
-                    raise ValueError(
-                        f"the flat sum over {shape} needs more than "
-                        f"{MAX_TRANSFER_TERMS} terms in one layer"
-                    )
-        layer = nxt
-    total = next(iter(layer.values()), {})  # the one state left has an empty frontier
-    return _unpack(n, bits, total)
+    return _unpack(n, bits, flat_walk(family, shape, _fill_classes(family, n, bits)))
 
 
 # The most variables a generating function may have.  A packed monomial is n
@@ -241,7 +174,10 @@ MAX_VARIABLES = 32
 
 
 def check_variables(n: int) -> None:
-    """Raise ValueError for more than MAX_VARIABLES variables."""
+    """Raise ValueError for a negative variable count or more than
+    MAX_VARIABLES variables."""
+    if n < 0:
+        raise ValueError(f"the variable count must not be negative, got {n}")
     if n > MAX_VARIABLES:
         raise ValueError(f"at most {MAX_VARIABLES} variables are allowed, got {n}")
 

@@ -10,13 +10,16 @@ Nonempty fills compare by A <= B iff max(A) <= min(B).
 
 The ordering and multiplicity rules of all four families are one lower
 bound on a fill's minimum, ``fill_floor``, read on the maxima of its left
-and upper neighbours; validation, enumeration and the generating functions
-all judge fills by it.
+and upper neighbours; validation and ``flat_walk``, which counts, sums and
+lists the flat tableaux, judge fills by it.  ``walk_paths`` lists the
+complete paths of a walk, of ``flat_walk`` here and of
+``domino_tableaux.tiling_walk`` for the domino tableaux, from the links the
+walk recorded.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -325,45 +328,204 @@ def fill_classes(family: Family, max_letter: int) -> list[list[Fill]]:
 
 
 def enumerate_tableaux(family: Family, shape: Shape, max_letter: int) -> list[Tableau]:
-    """All valid tableaux of the family on the shape with letters <= max_letter.
+    """All valid tableaux of the family on the shape with letters <= max_letter,
+    sorted by rows, which is the lexicographic order of their row-major fill
+    sequences.
 
-    Cells are filled in row-major order with candidates tried in ascending
-    fill order, so the output is duplicate-free and lexicographically sorted
-    by row-major fill sequence.  The fills a cell may take are the sorted
-    candidates from the first whose minimum meets ``fill_floor`` on, and
-    the walk is iterative, so a long shape needs no deep recursion.  More
-    than MAX_LISTED tableaux raise ValueError, once one more is found, and
-    so does a shape of more than MAX_CELLS cells, at once.
+    One walk of ``flat_walk`` counts them, with each (min, max) class of
+    fills weighing its number of fills, and records its links, so more than
+    MAX_LISTED tableaux raise ValueError before any is built, and as soon as
+    the partial fillings up to one cell outnumber MAX_LISTED; the listing
+    then follows the links through ``walk_paths``, every one of which
+    completes.
+    Shifted shapes that are not admissible raise ValueError, and so does a
+    shape of more than MAX_CELLS cells, at once.
     """
     shape = check_partition(shape)
     check_cells(shape)
     if family.shifted and not is_staircase_admissible(shape):
         raise ValueError(f"shape {shape} is not admissible for shifted tableaux")
-    candidates = _candidate_fills(family, max_letter)
-    mins = [fill[0] for fill in candidates]
+    classes = fill_classes(family, max_letter)
+    links: list[tuple] = []
+    total = flat_walk(family, shape, [(f[0], ((0, len(f)),)) for f in classes], links)
+    if total.get(0, 0) > MAX_LISTED:
+        raise ValueError(f"shape {shape} has more than {MAX_LISTED} tableaux")
+    out = []
+    # Every path fills every letter cell, so one grid serves them all.
     grid = [[X_FILL] * length for length in shape]
-    letter_cells = [
-        (r - 1, c - 1) for r, c in cells(shape) if not (family.shifted and c < r)
-    ]
-    out: list[Tableau] = []
-    # tries[k] runs over the fills left to try at letter cell k.
-    tries: list[Iterator[Fill]] = []
-    while True:
-        k = len(tries)
-        if k == len(letter_cells):
-            if len(out) == MAX_LISTED:
-                raise ValueError(f"shape {shape} has more than {MAX_LISTED} tableaux")
-            out.append(Tableau(family, shape, tuple(map(tuple, grid))))
+    for pieces, _ in walk_paths(links, total, classes):
+        for (r, c), fill in pieces:
+            grid[r - 1][c - 1] = fill
+        out.append(tuple(map(tuple, grid)))
+    return [Tableau(family, shape, rows) for rows in sorted(out)]
+
+
+def walk_paths(links: list, total: dict, classes: list) -> Iterator[tuple[list, object]]:
+    """The complete paths of a walk, from the ``links`` it recorded: yields
+    each path's pieces, in the order they were placed, as a new list, and
+    the node its last link enters (None for the empty path).
+
+    A link is (the weight dict of the state it leaves, the piece's place,
+    the first fill of its class, the node it enters, the weight dict of the
+    state it enters), in walk order, so a state's links out come after its
+    links in; ``total`` is the walk's returned dict, which the links into a
+    complete state enter.  ``classes`` holds each class's fills, keyed by
+    its first.  Marked from the last link back, a link is live when it
+    enters ``total`` or a state with a live link out, and the paths follow
+    live links only, depth first, over one stack of partial paths' pieces:
+    so no path that never completes is visited, a path grows by one piece
+    in constant time, and each complete path costs one copy of the stack.
+    A walk without links has the empty path, which completes when
+    ``total`` is not empty.  ``links`` is emptied.
+    """
+    members = {fills[0]: fills for fills in classes}
+    start = links[0][0] if links else total  # the root's weight dict
+    # By the id of each weight dict of a live state, its live steps:
+    # (piece, the node entered, the entered state's weight dict).  ``links``
+    # held every weight dict when the walk ended, so no two share an id.
+    live: dict[int, list[tuple]] = {}
+    while links:
+        terms, place, first, child, acc = links.pop()
+        if acc is total or id(acc) in live:
+            live.setdefault(id(terms), []).extend(((place, f), child, acc) for f in members[first])
+    # The pieces of the path so far, after None for the step into the root,
+    # and per piece the live steps left to try after it; one step more
+    # completes a path or extends it.
+    path: list = []
+    tries = [iter([(None, None, start)])] if total else []
+    while tries:
+        for piece, child, acc in tries[-1]:
+            path.append(piece)
+            if acc is total:
+                yield path[1:], child
+                path.pop()
+            else:
+                tries.append(iter(live[id(acc)]))
+                break
         else:
-            r, c = letter_cells[k]
-            left = grid[r][c - 1] if c else X_FILL
-            above = grid[r - 1][c] if r else X_FILL
-            floor = fill_floor(left[-1] if left else 0, above[-1] if above else 0)
-            tries.append(iter(candidates[bisect_left(mins, floor) :]))
-        # Move the deepest cell with a fill left to its next fill.
-        while tries and (fill := next(tries[-1], None)) is None:
             tries.pop()
-        if not tries:
-            return out
-        r, c = letter_cells[len(tries) - 1]
-        grid[r][c] = fill
+            del path[-1:]
+
+
+# The most terms the weights of one layer of ``flat_walk``, or of
+# ``domino_tableaux.tiling_walk``, may hold together.  The domino sum over
+# GQ (6,5,5,4) peaks at 2,123,158 terms with n=3.  The cap counts terms, not
+# bytes, and a layer's terms are held while the next layer fills, so the
+# memory spent before it stops grows with the variable count: the flat sum
+# over plain (3^20) with n=24 stops at about 600 MB RSS (483 MB under
+# tracemalloc), and shifted (20,19,18,17,16,15) with n=6 reached 1.59 GB
+# before the flat sum swept wide shapes along their shorter side.
+MAX_TRANSFER_TERMS = 3_000_000
+
+
+def flat_walk(family: Family, shape: Shape, classes, links: list | None = None) -> dict[int, int]:
+    """The valid fills of the letter cells of ``shape`` (in the shifted
+    families, the cells with c >= r), walked cell by cell, with the fills'
+    weights summed, as ``domino_tableaux.tiling_walk`` walks the dominoes
+    (Stanley, *EC I*, §4.7).
+
+    A weight is a dict of terms, packed monomial to coefficient, where
+    monomials multiply by ``+`` and 0 is the unit.  ``classes`` holds each
+    (min, max) class of candidate fills, sorted by minimum, as its first
+    fill and the terms its fills weigh, and the walk returns the terms
+    summed over the complete fillings.  Its callers weigh a fill by its
+    signed packed monomial (``polyring.genfun``) or by 1 (the count of
+    ``enumerate_tableaux``).  Given ``links``, a list, the walk appends to
+    it one link per accepted class, in walk order: the weight dict of the
+    state it leaves, the cell (r, c), the class's first fill, None (a cell
+    enters no automaton node), and the weight dict of the state it enters,
+    which for the last cell is the returned dict; ``walk_paths`` lists the
+    complete paths over them.
+
+    A cell reads only its left and upper neighbours, through one lower
+    bound on its minimum, ``fill_floor(max(left), max(above))``, which
+    states the ordering and multiplicity rules of every family; so the
+    cells may be swept line by line along either side.  The sweep runs
+    along the shorter side: by columns in the shifted families, whose
+    letter cells span no more rows than columns, and in shapes of fewer
+    rows than columns; else by rows.  A state is the frontier of fill
+    maxima that later cells still read, and nothing else: the previous
+    line's from the next cell's place on, this line's at the places the
+    next line reads, and the previous cell's, last.  One rule lays it out:
+    a cell reads and drops the key's first entry if its neighbour in the
+    previous line is a letter cell, and the last one if the previous cell
+    of its line is, and it appends its maximum once for each of its two
+    readers, the next line's neighbour and the next cell, that is a letter
+    cell.  So the key holds at most one entry per place along the shorter
+    side, and one more; equal frontiers are one state, and each state holds
+    the summed weights of the prefixes that reach it.
+
+    The bound reads a fill only through its minimum and maximum, so the
+    fills are judged by class.  The top rank is the last class's minimum,
+    and each cell's fill has a maximum of at most the cell's top: the
+    largest rank whose up_even stays within the top of the right neighbour
+    and whose up_odd stays within the lower one's, for the letter cells
+    among them, where the last cells' tops are the top rank.  Filling each
+    later cell with the one letter at its floor then completes any state,
+    since that floor stays within the cell's top, so every state of the
+    walk completes.  (Unshifted, the top of a cell with k cells below it
+    is the top rank less 2k.)  Hence the partial fillings up to a cell are
+    no more than the fillings, and with ``links`` the walk counts them: its
+    classes must then weigh their numbers of fills, (0, count), and a cell
+    whose partial fillings number more than MAX_LISTED raises the listing's
+    ValueError at once.  A layer of more than MAX_TRANSFER_TERMS terms
+    raises ValueError.
+    """
+    mins = [fill[0] for fill, _ in classes]
+    max_rank = mins[-1] if mins else 0
+    shifted = family.shifted
+    on = {(r, c) for r, c in cells(shape) if not (shifted and c < r)}  # the letter cells
+    # Sweep along the shorter side: by columns (a, b = 0, 1) in the shifted
+    # families, whose letter cells span no more rows than columns, and in
+    # shapes of fewer rows than columns; else by rows.
+    a, b = (0, 1) if shifted or len(shape) < max(shape, default=0) else (1, 0)
+    # Each cell's top: its right neighbour reads up_even of its maximum and
+    # its lower one up_odd, and neither may exceed their own top.
+    tops: dict[Cell, int] = {}
+    for r, c in sorted(on, reverse=True):  # the right and lower neighbours first
+        right, below = tops.get((r, c + 1), max_rank), tops.get((r + 1, c), max_rank + 1)
+        top = min(max_rank, right - (right & 1), (below - 1) | 1)
+        tops[r, c] = top if shifted else top - (top & 1)  # unshifted ranks are even
+    layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    for r, c in sorted(on, key=lambda cell: (cell[1 - a], cell[a])):
+        top = tops[r, c]
+        reached = 0  # the partial fillings up to this cell, when listing
+        # A key opens with the previous line's neighbour's maximum and ends
+        # with the previous cell's of this line, when they are letter cells.
+        start = (r - a, c - b) in on
+        end = -1 if (r - b, c - a) in on else None
+        # This cell's maximum is kept once per reader: the next line's
+        # neighbour, the next cell of this line.
+        copies = ((r + a, c + b) in on) + ((r + b, c + a) in on)
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        hi = bisect_right(mins, top)
+        stored = 0
+        for front, terms in layer.items():
+            ends = (front[0] if start else 0, front[-1] if end else 0)
+            body = front[start:end]
+            lo = bisect_left(mins, fill_floor(ends[a], ends[b]))  # the left, the upper
+            for fill, fill_terms in classes[lo:hi]:
+                high = fill[-1]
+                if high > top:
+                    continue
+                key = body + (high,) * copies
+                acc = nxt.get(key)
+                if acc is None:
+                    acc = nxt[key] = {}
+                if links is not None:
+                    links.append((terms, (r, c), fill, None, acc))
+                    reached += terms[0] * fill_terms[0][1]
+                    if reached > MAX_LISTED:
+                        raise ValueError(f"shape {shape} has more than {MAX_LISTED} tableaux")
+                before = len(acc)
+                for m, coef in terms.items():
+                    for e, sign in fill_terms:
+                        acc[m + e] = acc.get(m + e, 0) + coef * sign
+                stored += len(acc) - before
+                if stored > MAX_TRANSFER_TERMS:
+                    raise ValueError(
+                        f"the flat sum over {shape} needs more than "
+                        f"{MAX_TRANSFER_TERMS} terms in one layer"
+                    )
+        layer = nxt
+    return next(iter(layer.values()), {})  # the one state left has an empty frontier

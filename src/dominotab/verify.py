@@ -116,9 +116,12 @@ def verify_sweep(
     specify.  With jobs > 1 the shapes go to a process pool, imported only
     then, in batches of about len(shapes) / (4 * jobs), so about four per
     worker.  The pool starts min(jobs, len(shapes)) workers, which never
-    outnumber the batches.  The report order is identical either way.  More
-    than MAX_JOBS jobs, or a max_size above MAX_SWEEP_SIZE, raise ValueError.
+    outnumber the batches.  The report order is identical either way.  Fewer
+    than 1 or more than MAX_JOBS jobs, or a max_size above MAX_SWEEP_SIZE,
+    raise ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > MAX_JOBS:
         raise ValueError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
     if max_size > MAX_SWEEP_SIZE:

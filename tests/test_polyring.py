@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import homogeneous_component, min_degree, up_cell_count
-from dominotab import domino_tableaux, polyring
+from dominotab import domino_tableaux, polyring, tableaux
 from dominotab.cli import main
 from dominotab.partitions import is_staircase_admissible, partitions_up_to, two_quotient
 from dominotab.polyring import Polynomial, domino_genfun, genfun
@@ -175,10 +175,10 @@ def test_transfers_reject_too_many_terms(monkeypatch, capsys):
     # GQ (6,5,5,4) with n=3 peaks at 2,123,158 terms in one layer and must
     # stay in range.
     assert domino_tableaux.MAX_TRANSFER_TERMS > 2_123_158
-    assert polyring.MAX_TRANSFER_TERMS == domino_tableaux.MAX_TRANSFER_TERMS
+    assert tableaux.MAX_TRANSFER_TERMS == domino_tableaux.MAX_TRANSFER_TERMS
     # A sum kept from earlier calls would answer without the transfer.
     polyring._flat_memo.clear()
-    monkeypatch.setattr(polyring, "MAX_TRANSFER_TERMS", 100)
+    monkeypatch.setattr(tableaux, "MAX_TRANSFER_TERMS", 100)
     monkeypatch.setattr(domino_tableaux, "MAX_TRANSFER_TERMS", 100)
     for _ in range(2):  # a sum that raised is not kept, so it raises again
         with pytest.raises(ValueError, match="more than 100 terms in one layer"):
@@ -195,7 +195,13 @@ def test_transfers_reject_too_many_terms(monkeypatch, capsys):
     argv = ["enumerate", "--kind", "domino", "--family", "shifted-set-valued"]
     assert main(argv + ["--shape", "[6,5,5,4]", "--max-letter", "2"]) == 2
     assert "walking the tilings of" in capsys.readouterr().err
-    monkeypatch.setattr(polyring, "MAX_TRANSFER_TERMS", 10_000)
+    # The flat listing counts on the same walk as the flat sum.
+    with pytest.raises(ValueError, match="more than 100 terms in one layer"):
+        tableaux.enumerate_tableaux(PLAIN, (4, 4, 4), 8)
+    argv = ["enumerate", "--family", "plain", "--shape", "[4,4,4]", "--max-letter", "8"]
+    assert main(argv) == 2
+    assert "the flat sum over" in capsys.readouterr().err
+    monkeypatch.setattr(tableaux, "MAX_TRANSFER_TERMS", 10_000)
     assert genfun(SHIFTED_SET_VALUED, (3, 3), 3).terms
 
 
@@ -276,6 +282,24 @@ def test_domino_genfun_never_reads_or_writes_the_flat_memo():
         assert memo.sums == planted
     finally:
         memo.clear()
+
+
+def test_a_negative_variable_count_is_rejected():
+    """Both sums and the identity check raise ValueError for n < 0, where
+    they returned polynomials in -1 variables whose reports did not parse
+    back; n = 0 stays valid."""
+    for call in (
+        lambda: genfun(PLAIN, (1,), -1),
+        lambda: genfun(PLAIN, (), -2),
+        lambda: domino_genfun(PLAIN, (2,), -1),
+        lambda: verify_identity(PLAIN, (2, 2), -2),
+        lambda: verify_identity(PLAIN, (3,), -1),  # not pavable: no SKIP either
+    ):
+        with pytest.raises(ValueError, match="must not be negative, got -"):
+            call()
+    assert genfun(PLAIN, (), 0) == Polynomial.one(0)
+    assert genfun(PLAIN, (1,), 0) == Polynomial.zero(0)
+    assert verify_identity(PLAIN, (2, 2), 0).passed
 
 
 def test_variable_count_is_limited(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 import reference_tableaux
 from conftest import cardinality, parse_fill, tb
 from dominotab import tableaux
-from dominotab.partitions import partitions_up_to
+from dominotab.partitions import is_staircase_admissible, partitions_up_to
 from dominotab.tableaux import (
     MAX_CANDIDATE_FILLS,
     PLAIN,
@@ -17,6 +17,8 @@ from dominotab.tableaux import (
     _candidate_fills,
     check_fill,
     enumerate_tableaux,
+    fill_classes,
+    flat_walk,
     format_fill,
     format_letter,
     make_tableau,
@@ -255,3 +257,58 @@ def test_enumerate_tableaux_past_the_listing_limit_raises(monkeypatch):
     monkeypatch.setattr(tableaux, "MAX_LISTED", count - 1)
     with pytest.raises(ValueError, match=f"more than {count - 1} tableaux"):
         enumerate_tableaux(SHIFTED_SET_VALUED, (3, 2), 2)
+
+
+def _limit_fill_floor(monkeypatch, most):
+    """Patch ``tableaux.fill_floor`` to fail the test on its call after the
+    ``most``-th, and return the list its calls are counted in."""
+    calls = []
+    fill_floor = tableaux.fill_floor
+
+    def counted(left, above):
+        calls.append(None)
+        assert len(calls) <= most, "too many fills judged"
+        return fill_floor(left, above)
+
+    monkeypatch.setattr(tableaux, "fill_floor", counted)
+    return calls
+
+
+def test_a_tall_column_lists_without_dead_fills(monkeypatch):
+    """Plain (1^18) over 18 letters has one tableau.  A search that tries
+    every partial fill judges 2^18 - 1 of them; the walk judges each cell's
+    few states once."""
+    calls = _limit_fill_floor(monkeypatch, 100)
+    (t,) = enumerate_tableaux(PLAIN, (1,) * 18, 18)
+    assert t.rows == tuple(((2 * i,),) for i in range(1, 19))
+    assert len(calls) == 18
+
+
+def test_a_listing_past_the_limit_stops_early(monkeypatch):
+    """Plain (6^6) over 20 letters has far more than MAX_LISTED tableaux.
+    The listing raises as soon as the partial fillings up to one cell
+    outnumber the limit, after about 29,000 fills judged, where counting
+    all the tableaux would judge millions."""
+    _limit_fill_floor(monkeypatch, 100_000)
+    with pytest.raises(ValueError, match=f"more than {tableaux.MAX_LISTED} tableaux"):
+        enumerate_tableaux(PLAIN, (6,) * 6, 20)
+
+
+def test_every_state_of_the_flat_walk_completes():
+    """Every link the flat walk records enters the total or a state with a
+    link out, so the listing's per-cell check of MAX_LISTED links is sound:
+    every family, every shape up to size 7, 1 to 3 letters."""
+    links_seen = 0
+    for family in ALL_FAMILIES:
+        for letters in (1, 2, 3):
+            counts = [(fills[0], ((0, len(fills)),)) for fills in fill_classes(family, letters)]
+            for lam in partitions_up_to(7):
+                if family.shifted and not is_staircase_admissible(lam):
+                    continue
+                links = []
+                total = flat_walk(family, lam, counts, links)
+                left = {id(terms) for terms, *_ in links}
+                for *_, acc in links:
+                    assert acc is total or id(acc) in left, (family.name, lam, letters)
+                links_seen += len(links)
+    assert links_seen > 4000

@@ -101,6 +101,16 @@ def test_sweep_rejects_a_size_above_the_limit(monkeypatch):
             verify_sweep(PLAIN, max_size, 2)
 
 
+def test_sweep_rejects_fewer_than_one_job(monkeypatch):
+    def no_listing(max_size):
+        pytest.fail("the shapes were listed")
+
+    monkeypatch.setattr(verify, "partitions_up_to", no_listing)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match=f"at least 1, got {jobs}"):
+            verify_sweep(PLAIN, 4, 2, jobs=jobs)
+
+
 def _records(reports):
     return [
         {k: v for k, v in to_jsonable(r).items() if k != "elapsed_us"} for r in reports
