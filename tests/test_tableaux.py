@@ -296,8 +296,9 @@ def test_a_listing_past_the_limit_stops_early(monkeypatch):
 
 def test_every_state_of_the_flat_walk_completes():
     """Every link the flat walk records enters the total or a state with a
-    link out, so the listing's per-cell check of MAX_LISTED links is sound:
-    every family, every shape up to size 7, 1 to 3 letters."""
+    link out, so no partial filling is dead and the listing may stop as
+    soon as those up to one cell outnumber MAX_LISTED: every family, every
+    shape up to size 7, 1 to 3 letters."""
     links_seen = 0
     for family in ALL_FAMILIES:
         for letters in (1, 2, 3):
