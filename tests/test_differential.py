@@ -37,12 +37,10 @@ from dominotab.domino_tableaux import (
     ABOVE,
     BELOW,
     LEFT,
-    RIGHT,
     SE_DOWN_CAP,
     SE_DOWN_FLOOR,
-    SE_UP_CAP,
-    SE_UP_FLOOR,
     DominoTableau,
+    _diag_key,
     dt_weight,
     enumerate_domino_tableaux,
     fill_fits,
@@ -295,6 +293,30 @@ def test_validate_matches_reference_on_pools_and_mutations(pools):
         assert 0 < accepted < len(pool), family.name
 
 
+def test_validate_folds_only_pieces_before_the_domino(pools, monkeypatch):
+    """The validator judges each piece against the pieces added before it,
+    as the listing's walk does, so on every fold over a pool tableau the
+    domino overlaps no folded piece and comes after each of them in
+    diagonal reading order: ``piece_relation`` is read on no other pairs."""
+    fold_bounds = domino_tableaux.fold_bounds
+    folds = 0
+
+    def checked_fold(dom, pieces, rels, set_valued):
+        nonlocal folds
+        cells = set(dom.cells())
+        for placed, _ in pieces:
+            assert not cells & set(placed.cells()), (placed, dom)
+            assert _diag_key(placed) < _diag_key(dom), (placed, dom)
+        folds += 1
+        return fold_bounds(dom, pieces, rels, set_valued)
+
+    monkeypatch.setattr(domino_tableaux, "fold_bounds", checked_fold)
+    for family, _, _, count, _ in POOLS:
+        for t in pools[family.name]:
+            assert validate_domino_tableau(t)
+    assert folds > sum(count for _, _, _, count, _ in POOLS)
+
+
 def _split_or_error(split, t):
     """The two halves, or (ValueError, its message)."""
     try:
@@ -501,55 +523,53 @@ def _automaton_dominoes(family, shape):
 
 
 def _fold(rel, fill):
-    """The bounds (floor, cap, odd_cap, even_cap) that one placed piece of
-    ``fill`` in relation ``rel`` puts on a fill, as ``piece_relation`` names
-    them."""
+    """The bounds (floor, cap, odd_cap) that one placed piece of ``fill`` in
+    relation ``rel`` puts on a fill, as ``piece_relation`` names them."""
     lo, hi = fill[0], fill[-1]
     floor = fill_floor(lo if rel & LEFT else 0, lo if rel & ABOVE else 0)
-    cap = odd_cap = even_cap = float("inf")
-    if rel & RIGHT:
-        cap = lo - (lo & 1)
+    cap = odd_cap = float("inf")
     if rel & BELOW:
-        cap = min(cap, (lo - 1) | 1)
+        cap = (lo - 1) | 1
     if rel & SE_DOWN_FLOOR:
         floor = max(floor, hi + (hi & 1))
     if rel & SE_DOWN_CAP:
         odd_cap = lo
-    if rel & SE_UP_FLOOR:
-        floor = max(floor, hi | 1)
-    if rel & SE_UP_CAP:
-        even_cap = lo
-    return (floor, cap, odd_cap, even_cap)
+    return (floor, cap, odd_cap)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
 def test_piece_relation_matches_fillstate_bounds(family):
     """For every pair of distinct, non-overlapping dominoes on the edges of
-    the tiling automaton of every shape up to size 10, and every (min, max)
-    class of fills over three letters on the placed one, the bounds that
-    ``piece_relation`` names are those of ``IndexedFillState.bounds``, which
-    states the rules with its own neighbour cells and southeast
-    comparisons."""
+    the tiling automaton of every shape up to size 12, with the other
+    domino before the domino in diagonal reading order (the only pairs
+    either judge reads), and every (min, max) class of fills over three
+    letters on the other one, the bounds that ``piece_relation`` names are
+    those of ``IndexedFillState.bounds``, which states the rules with its
+    own neighbour cells and southeast comparisons.  Its fourth bound, the
+    cap that a same-type piece two diagonals up puts on the maximum, never
+    arises on these pairs, and nor does a right neighbour."""
     fills = {}
     for fill in _candidate_fills(family, 3):
         fills.setdefault((fill[0], fill[-1]), fill)
     state = IndexedFillState(family)
     pairs, flags = 0, 0
-    for lam in shapes(family, 10):
+    for lam in shapes(family, 12):
         dominoes = _automaton_dominoes(family, lam)
         for dom in dominoes:
             for other in dominoes:
-                if set(dom.cells()) & set(other.cells()):
+                if _diag_key(other) >= _diag_key(dom) or set(dom.cells()) & set(other.cells()):
                     continue
                 rel = piece_relation(dom, other, family.set_valued)
                 pairs += 1
                 flags |= rel
                 for fill in fills.values():
                     state.add(other, fill)
-                    assert state.bounds(dom) == _fold(rel, fill), (lam, dom, other, fill)
+                    bounds = (*_fold(rel, fill), float("inf"))
+                    assert state.bounds(dom) == bounds, (lam, dom, other, fill)
                     state.pop()
     assert pairs > 600
-    assert flags == (255 if family.set_valued else LEFT | ABOVE | RIGHT | BELOW)
+    southeast = SE_DOWN_FLOOR | SE_DOWN_CAP if family.set_valued else 0
+    assert flags == LEFT | ABOVE | BELOW | southeast
 
 
 # (family, variables, max size) for the comparison with the enumerated flat
