@@ -17,9 +17,9 @@ Validity follows the flat families, read on domino fills:
   whether max(F1) is primed.
 
 Every rule between two pieces is stated once, in ``piece_relation``: which
-bounds a placed piece puts on a fill of another domino.  ``fold_bounds``
+bounds a placed piece puts on a fill of a later domino.  ``fold_bounds``
 folds them over a set of placed pieces into a floor on a fill's minimum and
-three caps, and both judges of fills read them through it.
+two caps, and both judges of fills read them through it.
 
 ``tiling_walk`` walks the paths of the shape's tiling automaton
 (``pavings._tiling_automaton``, one step per even-content cell, in diagonal
@@ -104,75 +104,73 @@ def make_domino_tableau(family: Family, shape: Shape, pieces: Iterable[Piece]) -
     return t
 
 
-# The bounds a placed piece puts on a fill of another domino, as flags of
+# The bounds a placed piece puts on a fill of a later domino, as flags of
 # ``piece_relation``; lo and hi are the placed fill's minimum and maximum.
 LEFT = 1  # it covers a left cell: left >= lo, for fill_floor(left, above)
 ABOVE = 2  # it covers an upper cell: above >= lo
-RIGHT = 4  # it covers a right cell: min <= lo - (lo & 1)
 BELOW = 8  # it covers a lower cell: min <= (lo - 1) | 1
 # Set-valued families only: a piece of the same type two diagonals down ...
 SE_DOWN_FLOOR = 16  # ... with the domino's last cell weakly SE of its first: min >= hi + (hi & 1)
 SE_DOWN_CAP = 32  # ... with its last cell weakly SE of the domino's first: max | 1 <= lo
-# ... or two diagonals up.
-SE_UP_FLOOR = 64  # the domino's last cell weakly SE of its first: min >= hi | 1
-SE_UP_CAP = 128  # its last cell weakly SE of the domino's first: max + (max & 1) <= lo
 
 
 def piece_relation(dom: Domino, other: Domino, set_valued: bool) -> int:
     """Which bounds a placed piece on ``other`` puts on a fill of ``dom``,
     as the sum of the flags above; 0 for none.  The dominoes must not
-    overlap.
+    overlap, and ``other`` must come before ``dom`` in diagonal reading
+    order, as both judges place them.  So ``other`` crosses diagonal d - 2
+    or d, where ``dom`` crosses d, and on d it lies northwest of ``dom``.
+    It is never two diagonals up, nor a right neighbour: a cell right of
+    ``dom`` has content one higher than its neighbour in ``dom``, so its
+    piece crosses d southeast of ``dom``, or d + 2.
 
     Ordering and multiplicity: the minima obey ``fill_floor`` cell by cell,
-    so a left or upper neighbour bounds the minimum from below and a right
-    or lower one, by the mirror rule, from above.  Southeast: for same-type
-    F1, F2 on diagonals two apart with F2's last cell weakly southeast of
-    F1's first, max(F1) <= min(F2), strictly when F2 lies on the higher
-    diagonal and max(F1) is primed, or on the lower one and max(F1) is
-    unprimed; up_even(max(F1)) <= min(F2) and up_odd(max(F1)) <= min(F2)
-    state the two cases, where up_even rounds a rank up to even (a primed
-    letter up to its unprimed one) and up_odd up to odd.
+    so a left or upper neighbour bounds the minimum from below and a lower
+    one, by the mirror rule, from above.  Southeast: for same-type F1, F2
+    on diagonals two apart with F2's last cell weakly southeast of F1's
+    first, max(F1) <= min(F2), strictly when F2 lies on the higher diagonal
+    and max(F1) is primed, or on the lower one and max(F1) is unprimed;
+    up_even(max(F1)) <= min(F2) and up_odd(max(F1)) <= min(F2) state the
+    two cases, where up_even rounds a rank up to even (a primed letter up
+    to its unprimed one) and up_odd up to odd.  ``dom`` lies on the higher
+    diagonal, as F2 in the first case and F1 in the second.
     """
     (r, c), (last_r, last_c) = dom.cells()
     (o_r, o_c), (o_last_r, o_last_c) = other.cells()
     # A domino covers its first row in every column it spans and its first
     # column in every row, so a piece whose rows meet the domino's can only
-    # be a left or right neighbour, and one whose columns meet an upper or
-    # lower one; no piece meets both without overlapping the domino.
+    # be a left neighbour, and one whose columns meet an upper or lower one;
+    # no piece meets both without overlapping the domino.
     if o_r <= last_r and o_last_r >= r:
-        rel = LEFT if o_last_c == c - 1 else RIGHT if o_c == last_c + 1 else 0
+        rel = LEFT if o_last_c == c - 1 else 0
     elif o_c <= last_c and o_last_c >= c:
         rel = ABOVE if o_last_r == r - 1 else BELOW if o_r == last_r + 1 else 0
     else:
         rel = 0
-    if set_valued and other.dtype() == dom.dtype():
+    if set_valued and other.dtype() == dom.dtype() and other.crossing() == dom.crossing() - 2:
         after = last_r >= o_r and last_c >= o_c  # dom's last cell weakly SE of other's first
         before = o_last_r >= r and o_last_c >= c  # and other's last cell of dom's first
-        gap = other.crossing() - dom.crossing()
-        if gap == -2:
-            rel |= SE_DOWN_FLOOR * after | SE_DOWN_CAP * before
-        elif gap == 2:
-            rel |= SE_UP_FLOOR * after | SE_UP_CAP * before
+        rel |= SE_DOWN_FLOOR * after | SE_DOWN_CAP * before
     return rel
 
 
 def fold_bounds(
     dom: Domino, pieces: Iterable[Piece], rels: dict[int, int], set_valued: bool
-) -> tuple[int, float, float, float]:
-    """What the placed non-X ``pieces`` require of a fill on ``dom``:
-    (floor, cap, odd_cap, even_cap), with ``inf`` for no bound.  A fill is
-    accepted iff floor <= min <= cap, max | 1 <= odd_cap and
-    max + (max & 1) <= even_cap.
+) -> tuple[int, float, float]:
+    """What the placed non-X ``pieces``, each before ``dom`` in diagonal
+    reading order, require of a fill on ``dom``: (floor, cap, odd_cap),
+    with ``inf`` for no bound.  A fill is accepted iff
+    floor <= min <= cap and max | 1 <= odd_cap.
 
     Each piece is read through ``piece_relation``: left and above are the
     largest minimum of their pieces, floor the largest of
     ``fill_floor(left, above)`` and the southeast floors, cap the least of
-    the right and lower caps, and odd_cap and even_cap the least minimum of
-    their pieces.  ``rels`` memoises the relations of ``dom`` by the id of
-    the other domino; the caller keeps every domino it keys alive.
+    the lower caps, and odd_cap the least minimum of its pieces.  ``rels``
+    memoises the relations of ``dom`` by the id of the other domino; the
+    caller keeps every domino it keys alive.
     """
     left = above = 0
-    floor, cap, odd_cap, even_cap = 0, INF, INF, INF
+    floor, cap, odd_cap = 0, INF, INF
     for other, fill in pieces:
         rel = rels.get(id(other))
         if rel is None:
@@ -184,8 +182,6 @@ def fold_bounds(
             left = lo
         if rel & ABOVE and lo > above:
             above = lo
-        if rel & RIGHT and lo - (lo & 1) < cap:
-            cap = lo - (lo & 1)
         if rel & BELOW and (lo - 1) | 1 < cap:
             cap = (lo - 1) | 1
         if rel >= SE_DOWN_FLOOR:  # a southeast flag, the high ones
@@ -194,16 +190,12 @@ def fold_bounds(
                 floor = hi + (hi & 1)
             if rel & SE_DOWN_CAP and lo < odd_cap:
                 odd_cap = lo
-            if rel & SE_UP_FLOOR and hi | 1 > floor:
-                floor = hi | 1
-            if rel & SE_UP_CAP and lo < even_cap:
-                even_cap = lo
     low = fill_floor(left, above)
-    return (low if low > floor else floor, cap, odd_cap, even_cap)
+    return (low if low > floor else floor, cap, odd_cap)
 
 
 def fill_fits(
-    family: Family, dom: Domino, fill: Fill, bounds: tuple[int, float, float, float] | None
+    family: Family, dom: Domino, fill: Fill, bounds: tuple[int, float, float] | None
 ) -> bool:
     """Whether ``fill`` may stand on ``dom``: the per-piece family rules,
     then the ``bounds`` that ``fold_bounds`` gave over the placed pieces.
@@ -216,9 +208,9 @@ def fill_fits(
         return family.shifted and dom.crossing() < 0
     if family.shifted and dom.crossing() < 0 or not _letter_ok(family, fill):
         return False
-    floor, cap, odd_cap, even_cap = bounds
+    floor, cap, odd_cap = bounds
     lo, hi = fill[0], fill[-1]
-    return floor <= lo <= cap and hi | 1 <= odd_cap and hi + (hi & 1) <= even_cap
+    return floor <= lo <= cap and hi | 1 <= odd_cap
 
 
 class FillState:
@@ -234,13 +226,13 @@ class FillState:
 
     A piece of crossing d is bounded only by the placed non-X pieces of
     crossings d - 2 and d: they alone cover its neighbour cells or lie two
-    diagonals below it.  ``check`` folds those through ``fold_bounds``, with
-    a relation memo thrown away after the fold, and judges the fill by
-    ``fill_fits``; X reads no bounds.  Fills must be strictly increasing, as
-    ``check_fill`` ensures: the rules read a fill's minimum as ``fill[0]``
-    and its maximum as ``fill[-1]``.  It is a class, not a loop in the
-    validator, so that the benchmark tracer can count the validator's
-    checks by patching ``check``.
+    diagonals below it.  ``check`` folds those through ``fold_bounds`` into
+    a floor and two caps, with a relation memo thrown away after the fold,
+    and judges the fill by ``fill_fits``; X reads no bounds.  Fills must be
+    strictly increasing, as ``check_fill`` ensures: the rules read a fill's
+    minimum as ``fill[0]`` and its maximum as ``fill[-1]``.  It is a class,
+    not a loop in the validator, so that the benchmark tracer can count the
+    validator's checks by patching ``check``.
     """
 
     def __init__(self, family: Family):
@@ -350,8 +342,7 @@ def enumerate_domino_tableaux(
     """
     shape = check_partition(shape)
     root = tiling_root(family, shape)
-    # The empty shape has one tableau, which asks for no fill.
-    classes = fill_classes(family, max_letter) if root[0] is not None else []
+    classes = fill_classes(family, max_letter)
     links: list[tuple] = []
     total = tiling_walk(family, shape, root, [(f[0], ((0, len(f)),)) for f in classes], links)
     if total.get(0, 0) > MAX_LISTED:
@@ -424,13 +415,14 @@ def tiling_walk(
     * the ordering rules read the neighbour cells of a piece, whose content
       is at least d - 2, and only pieces of crossing at least d - 2 cover
       such cells;
-    * the southeast rule reads only the pieces of crossing d - 2 and d + 2;
+    * the southeast rule joins pieces two crossings apart, and the later
+      one reads it from the pieces of crossing d - 2;
     * the multiplicity rule of the shifted families is part of the ordering
       rules: ``piece_relation`` reads it, as ``fill_floor`` and its mirror,
       on the same neighbour cells.
 
     So each edge's fills are judged from the frontier alone: every rule is
-    pairwise, and ``fold_bounds`` folds the frontier into a floor and three
+    pairwise, and ``fold_bounds`` folds the frontier into a floor and two
     caps, as ``FillState`` folds the placed pieces for the validator.  The
     fills whose minimum lies between the floor and the cap, or the top rank
     less the edge's column depth, are one slice of the classes.  The
@@ -475,11 +467,10 @@ def tiling_walk(
                 rels = relations.get(id(dom))
                 if rels is None:
                     rels = relations[id(dom)] = {}
-                floor, cap, odd_cap, even_cap = fold_bounds(dom, frontier, rels, set_valued)
+                floor, cap, odd_cap = fold_bounds(dom, frontier, rels, set_valued)
                 top = bisect_right(mins, min(cap, max_rank - depth))
                 for fill, fill_terms in classes[bisect_left(mins, floor) : top]:
-                    hi = fill[-1]
-                    if hi | 1 > odd_cap or hi + (hi & 1) > even_cap:
+                    if fill[-1] | 1 > odd_cap:
                         continue
                     if ahead is None:  # a complete tiling
                         acc = total

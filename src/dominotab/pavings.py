@@ -224,11 +224,8 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
             depth = 0 if shifted else 2 * ((below + 1) // 2)
             options.append((dom, bits[odd], need, depth))
         choices.append(options)
-    due = [0] * n  # the odd cells that must be covered after each step
-    by_last = [0] * (n + 1)  # the odd cells whose last chance is each step
+    by_last = [0] * (n + 1)  # the odd cells whose last chance is each step, due after it
     for cell, i in last.items():
-        if i < n:
-            due[i] |= bits[cell]
         by_last[i] |= bits[cell]
     keep = by_last[:]  # the odd cells a node at each step remembers
     for j in range(n - 1, -1, -1):
@@ -267,7 +264,7 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
         else:
             out = []
             stack.append((i, mask, out))
-            below, due_i, keep_next = memo[i + 1], due[i], keep[i + 1]
+            below, due_i, keep_next = memo[i + 1], by_last[i], keep[i + 1]
             for dom, bit, need, depth in choices[i]:
                 if mask & bit or mask & need != need:
                     continue

@@ -296,9 +296,11 @@ MAX_CANDIDATE_FILLS = 2**16 - 1
 def _candidate_fills(family: Family, max_letter: int) -> list[Fill]:
     """Every admissible cell fill over the first max_letter letters, sorted.
 
-    Raises ValueError when there would be more than MAX_CANDIDATE_FILLS,
-    counted before any fill is built.
+    Raises ValueError for a negative letter count, and when there would be
+    more than MAX_CANDIDATE_FILLS, counted before any fill is built.
     """
+    if max_letter < 0:
+        raise ValueError(f"the letter count must not be negative, got {max_letter}")
     m = 2 * max_letter if family.shifted else max_letter  # the ranks in use
     # 2^m - 1 set fills exceed 2^b - 1 exactly when m > b.
     if m > (MAX_CANDIDATE_FILLS.bit_length() if family.set_valued else MAX_CANDIDATE_FILLS):

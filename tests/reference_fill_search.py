@@ -196,7 +196,7 @@ class FillState:
         self._last_bounds: tuple[Domino, tuple] | None = None
         self._saved_bounds: list[tuple[Domino, tuple] | None] = []  # one per piece
 
-    def bounds(self, dom: Domino) -> tuple[int, float, float, float]:
+    def bounds(self, dom: Domino) -> tuple[int, float, float]:
         """``fold_bounds`` over the placed pieces of crossings d - 2 and d."""
         last_bounds = self._last_bounds
         if last_bounds is not None and last_bounds[0] is dom:
@@ -288,7 +288,7 @@ def domino_fills(
         """The child of each edge, once per valid fill of its domino; the
         piece stays in ``state`` until the next child is asked for."""
         for dom, depth, child in edges:
-            lo_min, lo_max, _, _ = bounds(dom)
+            lo_min, lo_max, _ = bounds(dom)
             top = bisect_right(cand_mins, min(lo_max, max_rank - depth))
             for fill in candidates[bisect_left(cand_mins, lo_min) : top]:
                 if try_add(dom, fill):

@@ -211,6 +211,26 @@ def test_max_letter_past_the_fill_limit_exits_2(capsys, family, letters):
     assert f"over {letters} letters" in captured.err and "limit 65535" in captured.err
 
 
+@pytest.mark.parametrize("family", ["plain", "set-valued", "shifted", "shifted-set-valued"])
+def test_both_listings_agree_on_the_empty_shape(capsys, family):
+    """The empty shape fills no cell, yet both kinds read --max-letter as on
+    any shape: past the fill limit both exit 2 with the same message, and
+    over one letter both list the one empty tableau."""
+    from dominotab.cli import main
+
+    errors = set()
+    for kind in ("tableau", "domino"):
+        argv = ["enumerate", "--kind", kind, "--family", family, "--shape", "[]"]
+        assert main([*argv, "--max-letter", "70000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.add(captured.err)
+        assert main([*argv, "--max-letter", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and '"shape":[]' in out
+    assert errors == {f"error: {family} fills over 70000 letters number more than the limit 65535\n"}
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         run(["quotient", "--shape", "[2]", "--bogus"])

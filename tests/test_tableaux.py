@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 import reference_tableaux
 from conftest import cardinality, parse_fill, tb
 from dominotab import tableaux
+from dominotab.domino_tableaux import enumerate_domino_tableaux
 from dominotab.partitions import is_staircase_admissible, partitions_up_to
 from dominotab.tableaux import (
     MAX_CANDIDATE_FILLS,
@@ -193,6 +194,19 @@ def test_candidate_fills_limit():
             _candidate_fills(family, letters)
         with pytest.raises(ValueError):
             enumerate_tableaux(family, (1,), letters)
+
+
+def test_a_negative_letter_count_is_rejected():
+    """Both listings raise ValueError for max_letter < 0 in every family,
+    where the set-valued families raised a shift-count error and the others
+    listed nothing, or the empty tableau; a count of 0 stays valid."""
+    for family in (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED):
+        for listing in (enumerate_tableaux, enumerate_domino_tableaux):
+            for shape in ((2,), ()):
+                with pytest.raises(ValueError, match="letter count must not be negative, got -1"):
+                    listing(family, shape, -1)
+            assert listing(family, (2,), 0) == []
+            assert len(listing(family, (), 0)) == 1
 
 
 def test_set_valued_minima_restrict_to_plain():
