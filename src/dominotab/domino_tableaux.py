@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .partitions import MAX_LISTED, Shape, Cell, check_partition, is_pavable
@@ -72,9 +73,8 @@ class DominoTableau:
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "pieces", tuple(sorted(self.pieces, key=lambda p: p[0]))
-        )
+        # The pieces sort by domino alone, a tuple compared in C.
+        object.__setattr__(self, "pieces", tuple(sorted(self.pieces, key=itemgetter(0))))
 
     def paving(self) -> Paving:
         """The tiling by the pieces' dominoes; raises ValueError unless they
@@ -356,7 +356,7 @@ def enumerate_domino_tableaux(
         if down is None:
             down = downs[id(node)] = [(dom, X_FILL) for dom in node[1]]
         out.append(DominoTableau(family, shape, tuple(pieces + down)))
-    out.sort(key=lambda t: t.pieces)
+    out.sort(key=attrgetter("pieces"))
     return out
 
 

@@ -12,6 +12,7 @@ and lists layer by layer and ``domino_tableaux.tiling_walk`` walks.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -20,25 +21,24 @@ from .partitions import MAX_LISTED, Shape, Cell, cells, check_cells, check_parti
 from .partitions import is_staircase_admissible, two_quotient
 
 
-@dataclass(frozen=True, order=True)
-class Domino:
+class Domino(namedtuple("Domino", "row col horiz")):
     """A 2x1 piece: top-left cell plus orientation.
 
-    The package builds each one through ``domino``, which interns it, so a
-    domino that many shapes hold is one object, built once.  A Domino built
-    directly is equal, hashes and sorts equal to the interned one.
+    A tuple-backed value: it equals, hashes and sorts as the tuple
+    (row, col, horiz), so by row, then column, then vertical before
+    horizontal, all in C.  The package builds each one through ``domino``,
+    which interns it, so a domino that many shapes hold is one object,
+    built once.  A Domino built directly is equal, hashes and sorts equal
+    to the interned one.  Fields and geometry cannot be assigned or deleted.
     """
 
-    row: int
-    col: int
-    horiz: bool
-
-    def __post_init__(self) -> None:
+    def __new__(cls, row: int, col: int, horiz: bool) -> Domino:
+        self = super().__new__(cls, row, col, horiz)
         # Geometry is queried in hot loops; precompute it once.
-        if self.horiz:
-            cs = ((self.row, self.col), (self.row, self.col + 1))
+        if horiz:
+            cs = ((row, col), (row, col + 1))
         else:
-            cs = ((self.row, self.col), (self.row + 1, self.col))
+            cs = ((row, col), (row + 1, col))
         contents = tuple(c - r for r, c in cs)
         object.__setattr__(self, "_cells", cs)
         object.__setattr__(self, "_contents", contents)
@@ -46,6 +46,13 @@ class Domino:
         object.__setattr__(self, "_crossing", contents[even])
         object.__setattr__(self, "_crossing_cell", cs[even])
         object.__setattr__(self, "_dtype", 1 if max(contents) % 2 == 0 else 2)
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def cells(self) -> tuple[Cell, Cell]:
         return self._cells
@@ -66,7 +73,8 @@ class Domino:
 
 # The interning constructor of Domino: domino(row, col, horiz).  The cache is
 # bounded; an evicted domino stays valid, and the next call builds it anew.
-# Typed keys keep 1 and True apart.
+# Typed keys keep 1 and True apart: the tuples (1, 2, 1) and (1, 2, True) are
+# equal, but each call gets back a domino holding the types it passed.
 domino = lru_cache(maxsize=4096, typed=True)(Domino)
 
 

@@ -68,3 +68,10 @@ def test_fields_and_geometry_are_read_only(name):
 def test_domino_interns():
     for a in ARGS:
         assert domino(*a) is domino(*a)
+
+
+def test_comparisons_and_hash_are_the_tuples_own():
+    # Listing sorts dominoes by the hundred thousand: a Python-level
+    # comparison or hash here would undo the C ones.
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__", "__hash__"):
+        assert getattr(Domino, name) is getattr(tuple, name), name
