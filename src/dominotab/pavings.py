@@ -54,6 +54,12 @@ class Domino(namedtuple("Domino", "row col horiz")):
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Domino:
+        # namedtuple's _make, and so _replace, would build the tuple alone,
+        # without the geometry.
+        return cls(*iterable)
+
     def cells(self) -> tuple[Cell, Cell]:
         return self._cells
 

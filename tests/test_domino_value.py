@@ -65,6 +65,13 @@ def test_fields_and_geometry_are_read_only(name):
     assert (d.row, d.col, d.horiz) == (2, 2, True) and geometry(d) == before
 
 
+def test_replace_and_make_build_the_geometry():
+    d = domino(2, 3, False)
+    for e in (d._replace(row=4, horiz=True), Domino._make((4, 3, True))):
+        assert type(e) is Domino and e == domino(4, 3, True)
+        assert geometry(e) == geometry(domino(4, 3, True))
+
+
 def test_domino_interns():
     for a in ARGS:
         assert domino(*a) is domino(*a)
