@@ -43,7 +43,7 @@ the folded bounds, and which reads the letter rule of the flat cells,
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Iterable
 
@@ -57,38 +57,64 @@ from .tableaux import check_fill, fill_classes, fill_floor, fills_weight, format
 
 Piece = tuple[Domino, Fill]
 INF = float("inf")
+_set = object.__setattr__  # DominoTableau's own fields, past its raising __setattr__
 
 
-@dataclass(frozen=True, slots=True)
 class DominoTableau:
-    family: Family
-    shape: Shape
-    pieces: tuple[Piece, ...]
-    # The paving and the diagonal order, kept in two slots once computed:
-    # they depend on the fields alone, and equality, the hash and the repr
-    # read only the fields.
-    _paving: Paving | None = field(default=None, init=False, compare=False, repr=False)
-    _diagonal_order: tuple[Piece, ...] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    """Pieces, each a domino and its fill, sorted by domino, on a shape.
 
-    def __post_init__(self) -> None:
+    An immutable value with no ``__dict__``: it equals another
+    DominoTableau of equal fields and hashes as the tuple of its fields.
+    Besides the fields it keeps, once computed, the paving and the
+    diagonal order: they depend on the fields alone, and equality, the
+    hash and the repr read only the fields.
+    """
+
+    __slots__ = ("family", "shape", "pieces", "_paving", "_diagonal_order")
+
+    def __init__(self, family: Family, shape: Shape, pieces: tuple[Piece, ...]) -> None:
+        _set(self, "family", family)
+        _set(self, "shape", shape)
         # The pieces sort by domino alone, a tuple compared in C.
-        object.__setattr__(self, "pieces", tuple(sorted(self.pieces, key=itemgetter(0))))
+        _set(self, "pieces", tuple(sorted(pieces, key=itemgetter(0))))
+        _set(self, "_paving", None)
+        _set(self, "_diagonal_order", None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.shape, self.pieces) == (other.family, other.shape, other.pieces)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.shape, self.pieces))
+
+    def __repr__(self) -> str:
+        fields = f"family={self.family!r}, shape={self.shape!r}, pieces={self.pieces!r}"
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through __init__: a copy would otherwise restore the slots
+        # through the raising __setattr__.
+        return (type(self), (self.family, self.shape, self.pieces))
 
     def paving(self) -> Paving:
         """The tiling by the pieces' dominoes; raises ValueError unless they
         tile the shape.  It is proved on the first call and kept."""
         if self._paving is None:
-            dominoes = tuple(d for d, _ in self.pieces)
-            object.__setattr__(self, "_paving", Paving(self.shape, dominoes))
+            _set(self, "_paving", Paving(self.shape, tuple(d for d, _ in self.pieces)))
         return self._paving
 
     def diagonal_order(self) -> tuple[Piece, ...]:
         """The pieces in diagonal reading order, sorted on the first call
         and kept."""
         if self._diagonal_order is None:
-            object.__setattr__(self, "_diagonal_order", tuple(_diag_order(self.pieces)))
+            _set(self, "_diagonal_order", tuple(_diag_order(self.pieces)))
         return self._diagonal_order
 
     def up_pieces(self) -> tuple[Piece, ...]:
@@ -114,6 +140,11 @@ SE_DOWN_FLOOR = 16  # ... with the domino's last cell weakly SE of its first: mi
 SE_DOWN_CAP = 32  # ... with its last cell weakly SE of the domino's first: max | 1 <= lo
 
 
+# A pure function of its arguments, cached by value: a verify-unshifted pass
+# asks 23,817 times for 686 distinct triples.  An entry takes about 160
+# bytes, so a full cache about 0.7 MB, besides the dominoes its keys keep
+# alive, which are mostly the interned ones of ``pavings.domino``.
+@lru_cache(maxsize=4096)
 def piece_relation(dom: Domino, other: Domino, set_valued: bool) -> int:
     """Which bounds a placed piece on ``other`` puts on a fill of ``dom``,
     as the sum of the flags above; 0 for none.  The dominoes must not

@@ -13,7 +13,6 @@ and lists layer by layer and ``domino_tableaux.tiling_walk`` walks.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -84,19 +83,26 @@ class Domino(namedtuple("Domino", "row col horiz")):
 domino = lru_cache(maxsize=4096, typed=True)(Domino)
 
 
-@dataclass(frozen=True)
-class Paving:
-    """A tiling of a Young diagram by disjoint dominoes."""
+class Paving(namedtuple("Paving", "shape dominoes")):
+    """A tiling of a Young diagram by disjoint dominoes, sorted.
 
-    shape: Shape
-    dominoes: tuple[Domino, ...]
+    A tuple-backed value, as Domino is.  Every way of building one, ``_make``
+    and ``_replace`` included, proves the tiling and sorts the dominoes.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, shape: Shape, dominoes: tuple[Domino, ...]) -> Paving:
         # Sizes first, so that a huge shape never builds its cell set.
-        covered = {cell for d in self.dominoes for cell in d.cells()}
-        if 2 * len(self.dominoes) != sum(self.shape) or covered != set(cells(self.shape)):
+        covered = {cell for d in dominoes for cell in d.cells()}
+        if 2 * len(dominoes) != sum(shape) or covered != set(cells(shape)):
             raise ValueError("dominoes do not tile the shape")
-        object.__setattr__(self, "dominoes", tuple(sorted(self.dominoes)))
+        return super().__new__(cls, shape, tuple(sorted(dominoes)))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Paving:
+        # namedtuple's _make, and so _replace, would skip the check.
+        return cls(*iterable)
 
 
 def enumerate_pavings(shape: Shape) -> list[Paving]:
@@ -234,7 +240,7 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
             # on its left cell, unless it is in column 1.
             top_on_d0 = shifted and d == 0 and odd == (r + 1, c) and c > 1
             need = bits[(r, c - 1)] if top_on_d0 else 0
-            below = heights[dom.col - 1] - max(r, odd[0])
+            below = heights[top_left[1] - 1] - max(r, odd[0])
             depth = 0 if shifted else 2 * ((below + 1) // 2)
             options.append((dom, bits[odd], need, depth))
         choices.append(options)

@@ -8,7 +8,7 @@ alphabet, so degrees are bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from operator import lshift
 from threading import Lock
@@ -28,17 +28,26 @@ def grlex_key(exps: Monomial) -> tuple:
     return (sum(exps), exps)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    n: int
-    terms: dict[Monomial, int] = field(default_factory=dict)
+class Polynomial(namedtuple("Polynomial", "n terms")):
+    """``terms`` maps each monomial, a tuple of n nonnegative exponents, to
+    its nonzero coefficient.  Every way of building one, ``_make`` and
+    ``_replace`` included, drops zero coefficients and checks the
+    monomials.  A tuple-backed value, but it equals only a Polynomial and
+    hashes by its terms as a set."""
 
-    def __post_init__(self) -> None:
-        clean = {m: c for m, c in self.terms.items() if c != 0}
+    __slots__ = ()
+
+    def __new__(cls, n: int, terms: dict[Monomial, int] | None = None) -> Polynomial:
+        clean = {m: c for m, c in (terms or {}).items() if c != 0}
         for m in clean:
-            if len(m) != self.n or any(e < 0 for e in m):
-                raise ValueError(f"bad monomial {m} for {self.n} variables")
-        object.__setattr__(self, "terms", clean)
+            if len(m) != n or any(e < 0 for e in m):
+                raise ValueError(f"bad monomial {m} for {n} variables")
+        return super().__new__(cls, n, clean)
+
+    @classmethod
+    def _make(cls, iterable) -> Polynomial:
+        # namedtuple's _make, and so _replace, would skip the check.
+        return cls(*iterable)
 
     @staticmethod
     def zero(n: int) -> "Polynomial":
@@ -92,6 +101,9 @@ class Polynomial:
             and self.n == other.n
             and self.terms == other.terms
         )
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other  # tuple's own != would compare the fields
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.terms.items())))
@@ -238,16 +250,12 @@ def _unpack(n: int, bits: int, packed: dict[int, int]) -> Polynomial:
 
     The terms come from the transfers and products, which build only
     monomials of n nonnegative fields, so the result skips the per-monomial
-    check of ``Polynomial.__post_init__``; zero coefficients are dropped
-    here instead.  ``Polynomial(n, terms)`` stays the checked boundary."""
+    check of ``Polynomial.__new__``; zero coefficients are dropped here
+    instead.  ``Polynomial(n, terms)`` stays the checked boundary."""
     field = (1 << bits) - 1
     shifts = [bits * j for j in range(n)]
-    poly = object.__new__(Polynomial)
-    object.__setattr__(poly, "n", n)
-    object.__setattr__(
-        poly, "terms", {tuple([m >> s & field for s in shifts]): c for m, c in packed.items() if c}
-    )
-    return poly
+    terms = {tuple([m >> s & field for s in shifts]): c for m, c in packed.items() if c}
+    return tuple.__new__(Polynomial, (n, terms))
 
 
 @lru_cache(maxsize=32)

@@ -20,7 +20,7 @@ walk recorded.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .partitions import (
@@ -81,11 +81,11 @@ def check_fill(fill: Fill) -> Fill:
     return fill
 
 
-@dataclass(frozen=True)
-class Family:
-    name: str
-    set_valued: bool
-    shifted: bool
+# Families, tableaux and reading words are tuple-backed values, as
+# ``pavings.Domino`` is: each equals and hashes as the tuple of its fields,
+# and holds no field that can be assigned.
+class Family(namedtuple("Family", "name set_valued shifted")):
+    __slots__ = ()
 
 
 PLAIN = Family("plain", set_valued=False, shifted=False)
@@ -96,11 +96,8 @@ SHIFTED_SET_VALUED = Family("shifted-set-valued", set_valued=True, shifted=True)
 FAMILIES = {f.name: f for f in (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED)}
 
 
-@dataclass(frozen=True)
-class Tableau:
-    family: Family
-    shape: Shape
-    rows: tuple[tuple[Fill, ...], ...]
+class Tableau(namedtuple("Tableau", "family shape rows")):
+    __slots__ = ()
 
     def fill_at(self, row: int, col: int) -> Fill:
         return self.rows[row - 1][col - 1]
@@ -111,8 +108,7 @@ class Tableau:
                 yield (r, c, fill)
 
 
-@dataclass(frozen=True)
-class ReadingWord:
+class ReadingWord(namedtuple("ReadingWord", "start step segments")):
     """Per-diagonal segments, lowest diagonal first.
 
     ``start`` is the diagonal of the first segment and ``step`` the spacing
@@ -120,9 +116,7 @@ class ReadingWord:
     tableaux).
     """
 
-    start: int
-    step: int
-    segments: tuple[tuple[Fill, ...], ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         return " / ".join(

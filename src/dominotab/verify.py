@@ -4,7 +4,7 @@ signed sums over domino tableaux, shape by shape."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .partitions import (
@@ -26,18 +26,15 @@ MAX_JOBS = 64
 MAX_SWEEP_SIZE = 24
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    family: Family
-    lam: Shape
-    mu: Optional[Shape]
-    nu: Optional[Shape]
-    n: int
-    lhs: Optional[Polynomial]
-    rhs: Optional[Polynomial]
-    status: str  # PASS | FAIL | SKIP
-    first_diff: Optional[tuple[Monomial, int, int]]
-    elapsed_us: int
+class VerificationReport(
+    namedtuple("VerificationReport", "family lam mu nu n lhs rhs status first_diff elapsed_us")
+):
+    """One shape's verdict, a tuple-backed value.  ``status`` is PASS, FAIL
+    or SKIP; a SKIP has no quotient (``mu``, ``nu``), no sides (``lhs``,
+    ``rhs``) and no ``first_diff``, the first differing monomial with its
+    two coefficients."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -474,6 +474,18 @@ def test_package_imports_no_process_pool():
     assert out.strip() == "[]"
 
 
+def test_package_imports_no_dataclasses_or_inspect():
+    # A fresh interpreter, as above: the test session itself loads both.
+    code = (
+        "import sys, dominotab, dominotab.cli; "
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_listings_past_the_limit_exit_2(monkeypatch, capsys):
     """``enumerate`` of either kind exits 2 with an error past MAX_LISTED,
     one constant for every listing, above the longest list the tests, the

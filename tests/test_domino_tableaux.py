@@ -87,9 +87,9 @@ def test_a_parsed_tableau_is_tiled_and_ordered_once(monkeypatch, plain_example):
     text = canonical.serialize(plain_example)
     fresh = canonical.parse(text)
     tilings, sorts = [], []
-    post_init, diag_order = pavings.Paving.__post_init__, domino_tableaux._diag_order
+    new, diag_order = pavings.Paving.__new__, domino_tableaux._diag_order
     monkeypatch.setattr(
-        pavings.Paving, "__post_init__", lambda self: tilings.append(1) or post_init(self)
+        pavings.Paving, "__new__", lambda cls, *args: tilings.append(1) or new(cls, *args)
     )
     monkeypatch.setattr(
         domino_tableaux, "_diag_order", lambda pieces: sorts.append(1) or diag_order(pieces)
@@ -301,10 +301,10 @@ def test_enumerate_domino_tableaux_past_the_listing_limit_raises(monkeypatch, ca
     built = 0
 
     class CountedTableau(DominoTableau):
-        def __post_init__(self):
+        def __init__(self, *args):
             nonlocal built
             built += 1
-            super().__post_init__()
+            super().__init__(*args)
 
     monkeypatch.setattr(domino_tableaux, "DominoTableau", CountedTableau)
     monkeypatch.setattr(domino_tableaux, "MAX_LISTED", count)

@@ -150,25 +150,45 @@ def test_pickle_and_copies_give_an_equal_value(case):
         assert copied == value and hash(copied) == hash(value) and repr(copied) == text
 
 
+GOOD_PAVING = Paving((2, 2), (domino(1, 1, True), domino(2, 1, True)))
+
+
 def test_paving_checks_its_input():
     # A domino short, and two that overlap.
     for shape, dominoes in [
         ((2, 2), (domino(1, 1, True),)),
         ((2, 2), (domino(1, 1, True), domino(1, 1, False))),
     ]:
-        for build in (lambda: Paving(shape, dominoes), lambda: Paving(shape=shape, dominoes=dominoes)):
+        for build in (
+            lambda: Paving(shape, dominoes),
+            lambda: Paving(shape=shape, dominoes=dominoes),
+            lambda: Paving._make((shape, dominoes)),
+            lambda: GOOD_PAVING._replace(dominoes=dominoes),
+            lambda: GOOD_PAVING._replace(shape=(3, 1)),
+        ):
             with pytest.raises(ValueError, match="do not tile"):
                 build()
-    # The dominoes are sorted whichever order they come in.
-    dominoes = (domino(1, 1, True), domino(2, 1, True))
+    # The dominoes are sorted whichever way they come in.
+    dominoes = GOOD_PAVING.dominoes
     assert Paving((2, 2), dominoes[::-1]).dominoes == dominoes
+    assert Paving._make(((2, 2), dominoes[::-1])).dominoes == dominoes
+    assert GOOD_PAVING._replace(dominoes=dominoes[::-1]) == GOOD_PAVING
 
 
 def test_polynomial_checks_its_input():
     # A monomial of the wrong length, and a negative exponent.
     for n, terms in [(2, {(1,): 1}), (2, {(1, -1): 1})]:
-        for build in (lambda: Polynomial(n, terms), lambda: Polynomial(n=n, terms=terms)):
+        for build in (
+            lambda: Polynomial(n, terms),
+            lambda: Polynomial(n=n, terms=terms),
+            lambda: Polynomial._make((n, terms)),
+            lambda: Polynomial(2)._replace(terms=terms),
+        ):
             with pytest.raises(ValueError, match="bad monomial"):
                 build()
+    with pytest.raises(ValueError, match="bad monomial"):
+        Polynomial(2, {(1, 1): 1})._replace(n=3)
     # Zero coefficients are dropped, and the terms default to none.
     assert Polynomial(2, {(1, 1): 0}).terms == Polynomial(2).terms == {}
+    assert Polynomial._make((2, {(1, 1): 0})).terms == {}
+    assert Polynomial(2, {(1, 0): 1})._replace(terms={(1, 1): 0}).terms == {}
