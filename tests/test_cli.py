@@ -45,6 +45,28 @@ def test_verify_command_exit_codes(capsys):
     assert any(line.startswith("SKIP") for line in out.splitlines())
 
 
+def test_verify_failure_prints_the_report_and_exits_1(monkeypatch, capsys):
+    """A failed identity still prints every report, then exits 1."""
+    from dominotab import verify
+    from dominotab.polyring import Polynomial
+
+    x1 = Polynomial(2, {(1, 0): 1})
+    monkeypatch.setattr(verify, "domino_genfun", lambda family, lam, n: x1)
+    code, out = invoke(capsys, "verify", "--family", "plain", "--shape", "[2,2]", "--vars", "2")
+    assert code == 1
+    assert out.startswith("FAIL plain [2,2] n=2 (") and " first_diff exps=" in out
+    code, out = invoke(capsys, "verify", "--family", "plain", "--max-size", "4", "--vars", "2")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 12  # every partition of size 0 to 4
+    assert {line.split()[0] for line in lines} == {"FAIL", "SKIP"}
+    code, out = invoke(
+        capsys, "verify", "--family", "plain", "--shape", "[2,2]", "--vars", "2",
+        "--format", "canonical",
+    )
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "FAIL" and report["first_diff"] is not None
+
+
 def test_usage_errors_exit_2(monkeypatch, capsys):
     import concurrent.futures
 

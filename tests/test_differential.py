@@ -20,7 +20,8 @@ checked, and the row-major search that listed flat tableaux before the
 listing over the flat walk.  ``reference_bijections.py`` keeps the split that rebuilt each half
 from its reading word and the merge that recomputed the inverse 2-quotient
 per cell, and ``reference_render.py`` the ASCII renderer that asked four
-wall predicates per junction.  The criterion-3 pools are pinned by count and by a digest of
+wall predicates per junction and the LaTeX renderer that read cell owners
+from a dict.  The criterion-3 pools are pinned by count and by a digest of
 their canonical serialisation, in enumeration order.
 """
 
@@ -56,7 +57,7 @@ from dominotab.partitions import (
 )
 from dominotab.pavings import enumerate_pavings, is_shifted_pavable, is_shifted_paving
 from dominotab.polyring import Polynomial, domino_genfun, genfun
-from dominotab.render import render_ascii
+from dominotab.render import render_ascii, render_latex
 from dominotab.tableaux import (
     PLAIN,
     SET_VALUED,
@@ -67,6 +68,7 @@ from dominotab.tableaux import (
     _candidate_fills,
     enumerate_tableaux,
     fill_floor,
+    make_tableau,
     validate_tableau,
 )
 from reference_bijections import gamma_merge as reference_gamma_merge
@@ -82,6 +84,7 @@ from reference_genfun import (
     streamed_genfun,
 )
 from reference_render import render_ascii as reference_render_ascii
+from reference_render import render_latex as reference_render_latex
 from reference_tableaux import enumerate_tableaux as reference_enumerate_tableaux
 from reference_tableaux import enumerate_tableaux_by_search
 from reference_tableaux import validate_tableau as reference_validate_tableau
@@ -408,6 +411,13 @@ def test_render_ascii_matches_reference(split_sample):
     for t, t1, t2 in split_sample:
         for obj in (t, t1, t2):
             assert render_ascii(obj) == reference_render_ascii(obj), obj
+
+
+def test_render_latex_matches_reference(split_sample):
+    empty = [make_tableau(PLAIN, (), []), DominoTableau(PLAIN, (), ())]
+    objs = empty + [obj for triple in split_sample for obj in triple]
+    for obj in objs:
+        assert render_latex(obj) == reference_render_latex(obj), obj
 
 
 def _materialised_sign(family, t, shape):
