@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Thin dispatch only: every subcommand parses arguments, calls one library
-operation, and prints either canonical or human-readable text.  Exit status
+operation, and formats either canonical or human-readable text, which one
+tail of ``run`` writes.  Exit status
 is 0 on success, 1 when a verification fails, 2 on usage or input errors.
 """
 
@@ -133,32 +134,29 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
     cmd = args.command
+    code = 0
 
     if cmd == "quotient":
         q1, q2 = two_quotient(canonical.parse_shape(args.shape))
-        _emit(f"({canonical.format_shape(q1)},{canonical.format_shape(q2)})", args.out)
-        return 0
+        text = f"({canonical.format_shape(q1)},{canonical.format_shape(q2)})"
 
-    if cmd == "inverse-quotient":
+    elif cmd == "inverse-quotient":
         lam = inverse_two_quotient(
             canonical.parse_shape(args.shape), canonical.parse_shape(args.shape2)
         )
-        _emit(canonical.format_shape(lam), args.out)
-        return 0
+        text = canonical.format_shape(lam)
 
-    if cmd == "pavable":
+    elif cmd == "pavable":
         shape = canonical.parse_shape(args.shape)
         family = _family(args.family)
         result = is_shifted_pavable(shape) if family.shifted else is_pavable(shape)
-        _emit("true" if result else "false", args.out)
-        return 0
+        text = "true" if result else "false"
 
-    if cmd == "pavings":
+    elif cmd == "pavings":
         ps = enumerate_pavings(canonical.parse_shape(args.shape))
-        _emit("\n".join(canonical.serialize(p) for p in ps), args.out)
-        return 0
+        text = "\n".join(canonical.serialize(p) for p in ps)
 
-    if cmd == "enumerate":
+    elif cmd == "enumerate":
         family = _family(args.family)
         shape = canonical.parse_shape(args.shape)
         max_letter = _at_least(args.max_letter, 1, "--max-letter")
@@ -166,40 +164,33 @@ def run(argv: list[str]) -> int:
             items = enumerate_domino_tableaux(family, shape, max_letter)
         else:
             items = enumerate_tableaux(family, shape, max_letter)
-        _emit("\n".join(canonical.serialize(t) for t in items), args.out)
-        return 0
+        text = "\n".join(canonical.serialize(t) for t in items)
 
-    if cmd == "split":
+    elif cmd == "split":
         obj = _read_value(args.infile)
         if not isinstance(obj, DominoTableau):
             raise ValueError("split expects a domino tableau")
         t1, t2 = gamma_split(obj)
         payload = [canonical.to_jsonable(t1), canonical.to_jsonable(t2)]
-        _emit(json.dumps(payload, separators=(",", ":")), args.out)
-        return 0
+        text = json.dumps(payload, separators=(",", ":"))
 
-    if cmd == "merge":
+    elif cmd == "merge":
         data = canonical.loads(_read_input(args.infile))
         if not isinstance(data, list) or len(data) != 2:
             raise ValueError("merge expects a two-element array [t1,t2]")
-        t1 = canonical.from_jsonable(data[0])
-        t2 = canonical.from_jsonable(data[1])
+        t1, t2 = map(canonical.from_jsonable, data)
         if not isinstance(t1, Tableau) or not isinstance(t2, Tableau):
             raise ValueError("merge expects flat tableaux")
-        merged = gamma_merge(t1.family, t1, t2)
-        _emit(canonical.serialize(merged), args.out)
-        return 0
+        text = canonical.serialize(gamma_merge(t1.family, t1, t2))
 
-    if cmd == "genfun":
+    elif cmd == "genfun":
         family = _family(args.family)
         shape = canonical.parse_shape(args.shape)
         fn = domino_genfun if args.domino else genfun
         poly = fn(family, shape, _at_least(args.vars, 1, "--vars"))
         text = canonical.serialize(poly) if args.format == "canonical" else str(poly)
-        _emit(text, args.out)
-        return 0
 
-    if cmd == "verify":
+    elif cmd == "verify":
         family = _family(args.family)
         if (args.shape is None) == (args.max_size is None):
             raise ValueError("verify needs exactly one of --shape or --max-size")
@@ -214,18 +205,18 @@ def run(argv: list[str]) -> int:
             text = "\n".join(canonical.serialize(r) for r in reports)
         else:
             text = "\n".join(r.line() for r in reports)
-        _emit(text, args.out)
-        return 0 if all(r.status != "FAIL" for r in reports) else 1
+        code = 0 if all(r.status != "FAIL" for r in reports) else 1
 
-    if cmd == "render":
+    elif cmd == "render":
         obj = _read_value(args.infile)
         if not isinstance(obj, (Tableau, DominoTableau)):
             raise ValueError("render expects a tableau or domino tableau")
         text = render_latex(obj) if args.format == "latex" else render_ascii(obj)
-        _emit(text, args.out)
-        return 0
 
-    raise ValueError(f"unknown command {cmd!r}")
+    else:
+        raise ValueError(f"unknown command {cmd!r}")
+    _emit(text, args.out)
+    return code
 
 
 def main(argv: Optional[list[str]] = None) -> int:

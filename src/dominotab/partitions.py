@@ -66,10 +66,6 @@ def size(shape: Shape) -> int:
     return sum(shape)
 
 
-def content(row: int, col: int) -> int:
-    return col - row
-
-
 def cells(shape: Shape) -> Iterator[Cell]:
     """All cells of the diagram in row-major order."""
     for r, length in enumerate(shape, start=1):

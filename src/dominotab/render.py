@@ -5,16 +5,17 @@ rendered output is self-describing and machine-recoverable:
 ``parse_canonical_header`` reads it back, and the ``split`` and ``render``
 commands take a drawing as input through it.
 
-``render_ascii`` draws in one pass over one owner grid, with each piece's
-label formatted once; ``render_latex`` places walls and labels from
-``_layout``.
+Both read one framed owner grid, built by ``_owner_grid``: ``render_ascii``
+draws in one pass over it, with each piece's label formatted once, and
+``render_latex`` places its walls, its labels and its dashed diagonal runs
+from it.
 """
 
 from __future__ import annotations
 
 from .canonical import serialize
 from .domino_tableaux import DominoTableau
-from .partitions import Shape
+from .partitions import Cell
 from .tableaux import Fill, Tableau, format_fill
 
 Renderable = Tableau | DominoTableau
@@ -23,43 +24,29 @@ Renderable = Tableau | DominoTableau
 HEADER_PREFIXES = ("# canonical: ", "% canonical: ")
 
 
-def _layout(obj: Renderable) -> tuple[Shape, dict, dict]:
-    """(shape, cell -> piece id, piece id -> (cells, fill))."""
-    owner: dict[tuple[int, int], int] = {}
-    pieces: dict[int, tuple[tuple[tuple[int, int], ...], Fill]] = {}
+def _owner_grid(obj: Renderable) -> tuple[list[list[int]], list[tuple[tuple[Cell, ...], Fill]]]:
+    """(ids, pieces) for a value of non-empty shape.  ``ids[r][c]`` is the
+    index of the piece owning cell (r, c), -1 outside the shape, so on the
+    frame of rows 0, nrows+1 and columns 0, ncols+1, ncols+2 too; ``pieces``
+    lists each piece as its cells and its fill."""
+    shape = obj.shape
+    ids = [[-1] * (shape[0] + 3) for _ in range(len(shape) + 2)]
     if isinstance(obj, Tableau):
-        i = 0
-        for r, c, fill in obj.cells_with_fills():
-            owner[(r, c)] = i
-            pieces[i] = (((r, c),), fill)
-            i += 1
+        pieces = [(((r, c),), fill) for r, c, fill in obj.cells_with_fills()]
     else:
-        for i, (dom, fill) in enumerate(obj.pieces):
-            for cell in dom.cells():
-                owner[cell] = i
-            pieces[i] = (dom.cells(), fill)
-    return obj.shape, owner, pieces
+        pieces = [(dom.cells(), fill) for dom, fill in obj.pieces]
+    for i, (cells, _) in enumerate(pieces):
+        for r, c in cells:
+            ids[r][c] = i
+    return ids, pieces
 
 
 def render_ascii(obj: Renderable) -> str:
     header = HEADER_PREFIXES[0] + serialize(obj)
-    shape = obj.shape
-    if not shape:
+    if not obj.shape:
         return header + "\n(empty)"
-    ncols = shape[0]
-    # ids[r][c]: the piece owning cell (r, c), -1 outside the shape, so on
-    # the frame of rows 0, nrows+1 and columns 0, ncols+1, ncols+2 too.
-    ids = [[-1] * (ncols + 3) for _ in range(len(shape) + 2)]
-    labels: list[str] = []  # piece id -> its fill's text
-    if isinstance(obj, Tableau):
-        for r, c, fill in obj.cells_with_fills():
-            ids[r][c] = len(labels)
-            labels.append(format_fill(fill))
-    else:
-        for i, (dom, fill) in enumerate(obj.pieces):
-            for r, c in dom.cells():
-                ids[r][c] = i
-            labels.append(format_fill(fill))
+    ids, pieces = _owner_grid(obj)
+    labels = [format_fill(fill) for _, fill in pieces]
     width = max(map(len, labels)) + 2
     dash, blank = "-" * width, " " * width
 
@@ -103,11 +90,12 @@ def _fmt(x: float) -> str:
 
 def render_latex(obj: Renderable) -> str:
     """Standalone picture-environment source with dashed even diagonals."""
-    shape, owner, pieces = _layout(obj)
+    shape = obj.shape
     out = [HEADER_PREFIXES[1] + serialize(obj)]
     if not shape:
         out.append("% (empty)")
         return "\n".join(out)
+    ids, pieces = _owner_grid(obj)
     nrows, ncols = len(shape), shape[0]
     out.append(r"\setlength{\unitlength}{22pt}")
     out.append(rf"\begin{{picture}}({ncols + 3},{nrows + 2})(0,-1)")
@@ -117,19 +105,21 @@ def render_latex(obj: Renderable) -> str:
         return (float(c - 1), float(nrows - r + 1))
 
     walls: list[str] = []
-    for (r, c), idx in sorted(owner.items()):
-        x, y = pt(r, c)
-        if owner.get((r - 1, c)) != idx:
-            walls.append(rf"\put({_fmt(x)},{_fmt(y)}){{\line(1,0){{1}}}}")
-        if owner.get((r + 1, c)) != idx:
-            walls.append(rf"\put({_fmt(x)},{_fmt(y - 1)}){{\line(1,0){{1}}}}")
-        if owner.get((r, c - 1)) != idx:
-            walls.append(rf"\put({_fmt(x)},{_fmt(y - 1)}){{\line(0,1){{1}}}}")
-        if owner.get((r, c + 1)) != idx:
-            walls.append(rf"\put({_fmt(x + 1)},{_fmt(y - 1)}){{\line(0,1){{1}}}}")
+    for r, length in enumerate(shape, start=1):
+        for c in range(1, length + 1):
+            idx = ids[r][c]
+            x, y = pt(r, c)
+            if ids[r - 1][c] != idx:
+                walls.append(rf"\put({_fmt(x)},{_fmt(y)}){{\line(1,0){{1}}}}")
+            if ids[r + 1][c] != idx:
+                walls.append(rf"\put({_fmt(x)},{_fmt(y - 1)}){{\line(1,0){{1}}}}")
+            if ids[r][c - 1] != idx:
+                walls.append(rf"\put({_fmt(x)},{_fmt(y - 1)}){{\line(0,1){{1}}}}")
+            if ids[r][c + 1] != idx:
+                walls.append(rf"\put({_fmt(x + 1)},{_fmt(y - 1)}){{\line(0,1){{1}}}}")
     out.extend(dict.fromkeys(walls))
 
-    for cells, fill in pieces.values():
+    for cells, fill in pieces:
         rows = [r for r, _ in cells]
         cols = [c for _, c in cells]
         x = (min(cols) - 1 + max(cols)) / 2
@@ -141,7 +131,7 @@ def render_latex(obj: Renderable) -> str:
         for d in diags:
             r0 = max(1, 1 - d)
             run = 0
-            while (r0 + run, r0 + run + d) in owner:
+            while ids[r0 + run][r0 + run + d] != -1:
                 run += 1
             x0, y0 = pt(r0, r0 + d)
             steps = 4 * run + 4
