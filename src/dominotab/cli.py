@@ -178,7 +178,8 @@ def run(argv: list[str]) -> int:
         data = canonical.loads(_read_input(args.infile))
         if not isinstance(data, list) or len(data) != 2:
             raise ValueError("merge expects a two-element array [t1,t2]")
-        t1, t2 = map(canonical.from_jsonable, data)
+        t1 = canonical.from_jsonable(data[0])
+        t2 = canonical.from_jsonable(data[1])
         if not isinstance(t1, Tableau) or not isinstance(t2, Tableau):
             raise ValueError("merge expects flat tableaux")
         text = canonical.serialize(gamma_merge(t1.family, t1, t2))
