@@ -130,6 +130,23 @@ def test_pavable_matches_exhaustive_oracle():
         assert is_pavable(lam) == exhaustive_pavable(lam), lam
 
 
+def test_pavable_matches_the_quotient_rule_up_to_size_26():
+    """``is_pavable`` against the quotient's statement of the 2-core: a
+    shape is pavable iff its 2-quotient holds all of its cells, on every
+    partition up to size 26."""
+    count = 0
+    for lam in partitions_up_to(26):
+        q1, q2 = two_quotient(lam)
+        assert is_pavable(lam) == (sum(lam) == 2 * (sum(q1) + sum(q2))), lam
+        count += 1
+    assert count == 11_732
+
+
+def test_is_pavable_rejects_a_non_partition():
+    with pytest.raises(ValueError, match="not a partition"):
+        is_pavable((1, 2))
+
+
 def test_quotient_size_identity():
     for lam in partitions_up_to(14):
         q1, q2 = two_quotient(lam)

@@ -133,6 +133,14 @@ def test_from_reading_word_rejects_bad_profile():
         tableau_from_reading_word(PLAIN, ReadingWord(0, 1, (((2,), (2,)),)))
 
 
+def test_from_reading_word_rejects_an_invalid_word():
+    from dominotab.tableaux import ReadingWord
+
+    # The profile is the one-row shape (2), but the row decreases, 2 then 1.
+    with pytest.raises(ValueError, match="^reading word does not define a valid tableau$"):
+        tableau_from_reading_word(PLAIN, ReadingWord(0, 1, (((4,),), ((2,),))))
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_reading_word_roundtrip_exhaustive(family):
     for lam in partitions_up_to(6):
