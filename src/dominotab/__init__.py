@@ -34,8 +34,6 @@ from .tableaux import (
 )
 from .domino_tableaux import (
     DominoTableau,
-    diagonal_reading,
-    dt_weight,
     enumerate_domino_tableaux,
     make_domino_tableau,
     up_fingerprint,
@@ -73,8 +71,6 @@ __all__ = [
     "validate_tableau",
     "weight",
     "DominoTableau",
-    "diagonal_reading",
-    "dt_weight",
     "enumerate_domino_tableaux",
     "make_domino_tableau",
     "up_fingerprint",

@@ -37,7 +37,8 @@ def gamma_split(t: DominoTableau) -> tuple[Tableau, Tableau]:
     tableau matching its type; X dominoes of shifted families come through as
     X cells.  The j-th piece of type t on D_{2k} (from 0, northwest to
     southeast) takes cell (r0 + j, r0 + j + k) of half t, r0 = max(1, 1 - k),
-    the j-th cell of D_k.
+    the j-th cell of D_k.  The domino tableau is validated, once; the halves
+    are not, since the bijection sends a valid tableau to a valid pair.
     """
     if not validate_domino_tableau(t):
         raise ValueError("gamma_split requires a valid domino tableau")

@@ -138,7 +138,7 @@ def from_jsonable(data: Any) -> Any:
             raise ValueError(f"bad 'rows': {rows!r}")
         return make_tableau(
             _family(data),
-            check_partition(_field(data, "shape", list)),
+            _field(data, "shape", list),
             [[_fill_in(f) for f in row] for row in rows],
         )
     if "dominoes" in data and "family" in data:
@@ -146,9 +146,7 @@ def from_jsonable(data: Any) -> Any:
             (_domino_in(d), _fill_in(_field(d, "fill")))
             for d in _field(data, "dominoes", list)
         ]
-        return make_domino_tableau(
-            _family(data), check_partition(_field(data, "shape", list)), pieces
-        )
+        return make_domino_tableau(_family(data), _field(data, "shape", list), pieces)
     if "dominoes" in data:
         return Paving(
             check_partition(_field(data, "shape", list)),

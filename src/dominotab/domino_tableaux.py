@@ -52,8 +52,8 @@ from .pavings import Domino, Node, Paving, _tiling_automaton
 from .pavings import is_shifted_pavable, is_shifted_paving
 # Unused here; the benchmark tracer patches the paving enumerator under this name.
 from .pavings import enumerate_pavings  # noqa: F401
-from .tableaux import MAX_TRANSFER_TERMS, Family, Fill, ReadingWord, X_FILL, _letter_ok
-from .tableaux import check_fill, fill_classes, fill_floor, fills_weight, format_fill, walk_paths
+from .tableaux import MAX_TRANSFER_TERMS, Family, Fill, X_FILL, _letter_ok
+from .tableaux import check_fill, fill_classes, fill_floor, format_fill, walk_paths
 
 Piece = tuple[Domino, Fill]
 INF = float("inf")
@@ -317,25 +317,6 @@ def _diag_order(pieces: Iterable[Piece]) -> list[Piece]:
     return sorted(pieces, key=lambda p: _diag_key(p[0]))
 
 
-def diagonal_reading(t: DominoTableau) -> ReadingWord:
-    """Segments per even diagonal ascending, each read northwest to southeast,
-    from the tableau's diagonal order; a diagonal between the first and the
-    last that crosses no piece reads as an empty segment.
-
-    Shifted families start at D_0; the X-filled down region never appears.
-    """
-    order = t.diagonal_order()
-    if t.family.shifted:
-        order = [p for p in order if p[0].crossing() >= 0]
-    if not order:
-        return ReadingWord(start=0, step=2, segments=())
-    start = order[0][0].crossing()
-    segments: list[list[Fill]] = [[] for _ in range(start, order[-1][0].crossing() + 2, 2)]
-    for dom, fill in order:
-        segments[(dom.crossing() - start) // 2].append(fill)
-    return ReadingWord(start=start, step=2, segments=tuple(map(tuple, segments)))
-
-
 def up_fingerprint(t: DominoTableau) -> str:
     """Canonical serialisation of the filled up-region dominoes."""
     if not t.family.shifted:
@@ -345,13 +326,6 @@ def up_fingerprint(t: DominoTableau) -> str:
         orient = "H" if dom.horiz else "V"
         parts.append(f"{orient}{dom.row},{dom.col}:{format_fill(fill)}")
     return "|".join(parts)
-
-
-def dt_weight(t: DominoTableau | Iterable[Piece], n: int) -> tuple[int, ...]:
-    """Exponent vector of a domino tableau or of its pieces; each domino
-    contributes its fill once."""
-    pieces = t.pieces if isinstance(t, DominoTableau) else t
-    return fills_weight((fill for _, fill in pieces), n)
 
 
 def enumerate_domino_tableaux(
@@ -394,9 +368,8 @@ def enumerate_domino_tableaux(
 def tiling_root(family: Family, shape: Shape) -> Node:
     """The root of the tiling automaton whose paths are the family's
     tilings of ``shape``: all pavings, or the up regions of the shifted
-    pavings.  Shapes that are not pavable, or not shifted pavable, raise
-    ValueError."""
-    shape = check_partition(shape)
+    pavings.  Shapes that are not partitions, not pavable, or not shifted
+    pavable, raise ValueError."""
     if not is_pavable(shape):
         raise ValueError(f"shape {shape} is not pavable")
     if family.shifted and not is_shifted_pavable(shape):

@@ -62,10 +62,6 @@ def check_cells(shape: Shape) -> None:
         raise ValueError(f"a shape may have at most {MAX_CELLS} cells, got {total}")
 
 
-def size(shape: Shape) -> int:
-    return sum(shape)
-
-
 def cells(shape: Shape) -> Iterator[Cell]:
     """All cells of the diagram in row-major order."""
     for r, length in enumerate(shape, start=1):
@@ -145,13 +141,17 @@ def two_quotient(shape: Shape) -> tuple[Shape, Shape]:
 
 
 def is_pavable(shape: Shape) -> bool:
-    """True iff the diagram can be tiled by dominoes.
+    """True iff the diagram can be tiled by dominoes, that is, iff its
+    2-core is empty.
 
-    Decided arithmetically: a partition is pavable iff its size equals twice
-    the total size of its 2-quotient (equivalently, its 2-core is empty).
+    Decided by counting beads on the 2-abacus (James-Kerber), without the
+    2-quotient: padded with a zero part to an even number m of parts, the
+    shape is pavable iff exactly m/2 of its beta numbers lambda_j + m-1-j
+    (j from 0) are odd.  The padding part's beta number is 0, which is even.
     """
-    q1, q2 = two_quotient(shape)
-    return size(shape) == 2 * (size(q1) + size(q2))
+    shape = check_partition(shape)
+    m = len(shape) + len(shape) % 2
+    return 2 * sum((p + m - 1 - j) & 1 for j, p in enumerate(shape)) == m
 
 
 def inverse_two_quotient(q1: Shape, q2: Shape) -> Shape:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .partitions import MAX_LISTED, Shape, Cell, cells, check_cells, check_partition
-from .partitions import is_staircase_admissible, two_quotient
+from .partitions import is_pavable, is_staircase_admissible, two_quotient
 
 
 class Domino(namedtuple("Domino", "row col horiz")):
@@ -142,9 +142,11 @@ def is_shifted_paving(paving: Paving) -> bool:
 
     The shape must be shifted pavable, and no vertical domino on D_0 may
     have all of its left-adjacent dominoes strictly below D_0.  A vertical
-    on D_0 in column 1 has no left neighbours and is never forbidden.
+    on D_0 in column 1 has no left neighbours and is never forbidden.  The
+    paving proves its shape pavable, so only the quotient is read of it, as
+    in ``is_shifted_pavable``.
     """
-    if not is_shifted_pavable(paving.shape):
+    if not all(map(is_staircase_admissible, two_quotient(paving.shape))):
         return False
     owner: dict[Cell, Domino] = {}
     for d in paving.dominoes:
@@ -164,14 +166,8 @@ def is_shifted_paving(paving: Paving) -> bool:
 def is_shifted_pavable(shape: Shape) -> bool:
     """True iff the shape has a shifted paving: by the shifted bijection,
     iff it is pavable and both 2-quotient components are staircase
-    admissible.  The quotient is computed once: the shape is pavable iff the
-    quotient holds all of its cells, as in ``is_pavable``."""
-    q1, q2 = two_quotient(shape)
-    return (
-        sum(shape) == 2 * (sum(q1) + sum(q2))
-        and is_staircase_admissible(q1)
-        and is_staircase_admissible(q2)
-    )
+    admissible.  The quotient is computed only for a pavable shape."""
+    return is_pavable(shape) and all(map(is_staircase_admissible, two_quotient(shape)))
 
 
 # A node of the tiling automaton is (edges, down dominoes).  Its edges, each

@@ -30,10 +30,11 @@ def grlex_key(exps: Monomial) -> tuple:
 
 class Polynomial(namedtuple("Polynomial", "n terms")):
     """``terms`` maps each monomial, a tuple of n nonnegative exponents, to
-    its nonzero coefficient.  Every way of building one, ``_make`` and
-    ``_replace`` included, drops zero coefficients and checks the
-    monomials.  A tuple-backed value, but it equals only a Polynomial and
-    hashes by its terms as a set."""
+    its nonzero coefficient.  Every way of building one from its fields,
+    ``_make`` and ``_replace`` included, drops zero coefficients and checks
+    the monomials; a pickle or a copy of one is rebuilt without the check.
+    A tuple-backed value, but it equals only a Polynomial and hashes by its
+    terms as a set."""
 
     __slots__ = ()
 
@@ -48,6 +49,11 @@ class Polynomial(namedtuple("Polynomial", "n terms")):
     def _make(cls, iterable) -> Polynomial:
         # namedtuple's _make, and so _replace, would skip the check.
         return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        # A pickle or a copy is rebuilt unchecked, as ``_unpack`` builds:
+        # the terms were checked when this polynomial was made.
+        return (tuple.__new__, (type(self), (self.n, self.terms)))
 
     @staticmethod
     def zero(n: int) -> "Polynomial":
@@ -292,9 +298,10 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
 
     The sum is ``domino_tableaux.tiling_walk`` over the shape's tiling
     automaton, with each (min, max) class of fills weighing the summed
-    terms of its fills, and lists no tableau.  The 2-quotient enters only
-    the shifted shape test, never the sum, and the bijection not at all, so
-    the identity check stays independent of them.
+    terms of its fills, and lists no tableau.  ``tiling_root`` decides
+    pavability by counting beads; the 2-quotient enters only the shifted
+    shape test, never the sum, and the bijection not at all, so the
+    identity check stays independent of them.
 
     A layer of more than MAX_TRANSFER_STATES states, or of more than
     MAX_TRANSFER_TERMS terms in its polynomials, raises ValueError, and so

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .partitions import (
     MAX_LISTED,
@@ -202,14 +202,8 @@ def validate_tableau(t: Tableau) -> bool:
 
 def weight(t: Tableau, n: int) -> tuple[int, ...]:
     """Exponent vector: e_i counts occurrences of i and i' together."""
-    return fills_weight((fill for _, _, fill in t.cells_with_fills()), n)
-
-
-def fills_weight(fills: Iterable[Fill], n: int) -> tuple[int, ...]:
-    """Exponent vector of the fills: e_i counts occurrences of i and i'
-    together, over all of them."""
     exps = [0] * n
-    for fill in fills:
+    for _, _, fill in t.cells_with_fills():
         for letter in fill:
             idx = letter_index(letter)
             if idx > n:
@@ -237,7 +231,9 @@ def reading_word(t: Tableau) -> ReadingWord:
 def _tableau_from_cells(family: Family, fills: dict[Cell, Fill]) -> Tableau:
     """The tableau with the given fill on each cell.  ValueError unless the
     cells form a partition shape, as segments of a reading word laid on
-    their diagonals must, and unless the tableau is valid."""
+    their diagonals must.  The fills are not judged: ``gamma_split`` lays
+    the halves of a valid domino tableau, which are valid by the theorem it
+    states, and ``tableau_from_reading_word`` validates its own."""
     widths: dict[int, int] = {}  # cells per row
     for r, _ in fills:
         widths[r] = widths.get(r, 0) + 1
@@ -251,10 +247,7 @@ def _tableau_from_cells(family: Family, fills: dict[Cell, Fill]) -> Tableau:
         rows = None
     if rows is None or not is_partition(shape):
         raise ValueError("segment lengths do not form a partition profile")
-    t = Tableau(family, shape, rows)
-    if not validate_tableau(t):
-        raise ValueError("reading word does not define a valid tableau")
-    return t
+    return Tableau(family, shape, rows)
 
 
 def tableau_from_reading_word(family: Family, word: ReadingWord) -> Tableau:
@@ -262,7 +255,9 @@ def tableau_from_reading_word(family: Family, word: ReadingWord) -> Tableau:
 
     For shifted families a word starting at D_0 with no X entries is completed
     with the X cells implied by the shape; a word that carries X entries on
-    negative diagonals is laid out verbatim.
+    negative diagonals is laid out verbatim.  The word comes from outside, so
+    the tableau is validated: ValueError unless its segments lay out a
+    partition shape and the tableau obeys its family's rules.
     """
     if word.step != 1:
         raise ValueError("flat tableaux read with step-1 diagonals")
@@ -278,7 +273,10 @@ def tableau_from_reading_word(family: Family, word: ReadingWord) -> Tableau:
         for r in range(2, nrows + 1):
             for c in range(1, r):
                 fills[(r, c)] = X_FILL
-    return _tableau_from_cells(family, fills)
+    t = _tableau_from_cells(family, fills)
+    if not validate_tableau(t):
+        raise ValueError("reading word does not define a valid tableau")
+    return t
 
 
 # The most candidate fills a cell may have, in every family: 65,535 letters

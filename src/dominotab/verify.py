@@ -11,6 +11,7 @@ from .partitions import (
     Shape,
     check_cells,
     check_partition,
+    is_pavable,
     is_staircase_admissible,
     partitions_up_to,
     two_quotient,
@@ -68,11 +69,12 @@ def verify_identity(family: Family, lam: Shape, n: int) -> VerificationReport:
     symmetric.
     Shapes the identity does not cover (not pavable, or not shifted pavable
     for the shifted families) yield a SKIP report rather than an error.
-    Both facts are read off the 2-quotient (mu, nu), computed once: lam is
-    pavable iff |lam| = 2(|mu| + |nu|), and shifted pavable iff moreover mu
-    and nu are staircase admissible, as in ``is_shifted_pavable``.  The flat
-    sums come from the memo of ``genfun``; the domino sum is computed afresh,
-    and its sum reads neither the quotient nor that memo.
+    Pavability is read by ``is_pavable``, which counts beads, and only a
+    pavable lam has its 2-quotient (mu, nu) computed, once: lam is shifted
+    pavable iff moreover mu and nu are staircase admissible, as in
+    ``is_shifted_pavable``.  The flat sums come from the memo of ``genfun``;
+    the domino sum is computed afresh, and its sum reads neither the
+    quotient nor that memo.
     More than MAX_VARIABLES variables, or a shape of more than MAX_CELLS
     cells, raise ValueError before either side is computed.
     """
@@ -80,10 +82,10 @@ def verify_identity(family: Family, lam: Shape, n: int) -> VerificationReport:
     check_variables(n)
     check_cells(lam)
     start = time.perf_counter()
-    mu, nu = two_quotient(lam)
-    ok = sum(lam) == 2 * (sum(mu) + sum(nu)) and (
-        not family.shifted or (is_staircase_admissible(mu) and is_staircase_admissible(nu))
-    )
+    ok = is_pavable(lam)
+    if ok:
+        mu, nu = two_quotient(lam)
+        ok = not family.shifted or (is_staircase_admissible(mu) and is_staircase_admissible(nu))
     if not ok:
         elapsed = int((time.perf_counter() - start) * 1e6)
         return VerificationReport(
@@ -114,15 +116,19 @@ def verify_sweep(
     then, in batches of about len(shapes) / (4 * jobs), so about four per
     worker.  The pool starts min(jobs, len(shapes)) workers, which never
     outnumber the batches.  The report order is identical either way.  Fewer
-    than 1 or more than MAX_JOBS jobs, or a max_size above MAX_SWEEP_SIZE,
-    raise ValueError.
+    than 1 or more than MAX_JOBS jobs, a negative max_size or one above
+    MAX_SWEEP_SIZE, and more than MAX_VARIABLES variables raise ValueError
+    before any shape is listed.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > MAX_JOBS:
         raise ValueError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
+    if max_size < 0:
+        raise ValueError(f"max size must be at least 0, got {max_size}")
     if max_size > MAX_SWEEP_SIZE:
         raise ValueError(f"max size must be at most {MAX_SWEEP_SIZE}, got {max_size}")
+    check_variables(n)
     shapes = list(partitions_up_to(max_size))
     jobs = min(jobs, len(shapes))
     if jobs > 1:

@@ -4,14 +4,16 @@ import pytest
 
 from dominotab.pavings import Domino
 from dominotab.polyring import Polynomial
-from dominotab.domino_tableaux import make_domino_tableau
+from dominotab.domino_tableaux import DominoTableau, make_domino_tableau
 from dominotab.tableaux import (
     PLAIN,
     SET_VALUED,
     SHIFTED,
     SHIFTED_SET_VALUED,
     X_FILL,
+    ReadingWord,
     check_fill,
+    letter_index,
     make_tableau,
     parse_letter,
 )
@@ -73,6 +75,34 @@ def dt_cardinality(t):
 
 def up_domino_count(t):
     return len(t.up_pieces())
+
+
+def dt_weight(t, n):
+    """Exponent vector of a domino tableau or of its pieces; each domino
+    contributes its fill once, and e_i counts i and i' together."""
+    exps = [0] * n
+    for _, fill in t.pieces if isinstance(t, DominoTableau) else t:
+        for letter in fill:
+            exps[letter_index(letter) - 1] += 1
+    return tuple(exps)
+
+
+def diagonal_reading(t):
+    """The reading word of a domino tableau: a segment per even diagonal
+    ascending, each read northwest to southeast, from the tableau's
+    diagonal order; a diagonal between the first and the last that crosses
+    no piece reads as an empty segment.  Shifted families start at D_0, so
+    the X-filled down region never appears."""
+    order = t.diagonal_order()
+    if t.family.shifted:
+        order = [p for p in order if p[0].crossing() >= 0]
+    if not order:
+        return ReadingWord(start=0, step=2, segments=())
+    start = order[0][0].crossing()
+    segments = [[] for _ in range(start, order[-1][0].crossing() + 2, 2)]
+    for dom, fill in order:
+        segments[(dom.crossing() - start) // 2].append(fill)
+    return ReadingWord(start=start, step=2, segments=tuple(map(tuple, segments)))
 
 
 @pytest.fixture

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from conftest import cardinality, up_cell_count
+from conftest import cardinality, dt_weight, up_cell_count
 from dominotab.domino_tableaux import (
     MAX_TRANSFER_STATES,
     MAX_TRANSFER_TERMS,
     Piece,
-    dt_weight,
     tiling_root,
 )
 from dominotab.partitions import Shape, check_partition

@@ -1,14 +1,10 @@
 import pytest
 
-from conftest import cardinality, dt_cardinality, tb
-from dominotab import bijections
+from conftest import cardinality, dt_cardinality, dt_weight, tb
+from dominotab import bijections, tableaux
 from dominotab.bijections import gamma_merge, gamma_split
-from dominotab.domino_tableaux import (
-    dt_weight,
-    enumerate_domino_tableaux,
-    up_fingerprint,
-)
-from dominotab.partitions import is_pavable, partitions_up_to, size, two_quotient
+from dominotab.domino_tableaux import enumerate_domino_tableaux, up_fingerprint
+from dominotab.partitions import is_pavable, partitions_up_to, two_quotient
 from dominotab.pavings import is_shifted_pavable
 from dominotab.tableaux import (
     PLAIN,
@@ -56,6 +52,34 @@ def test_split_fixture_shifted_set_valued(shifted_set_valued_bijection_case):
     assert gamma_split(T) == (t1, t2)
     merged = gamma_merge(SHIFTED_SET_VALUED, t1, t2)
     assert up_fingerprint(merged) == up_fingerprint(T)
+
+
+def test_split_validates_no_half(
+    monkeypatch,
+    plain_bijection_case,
+    set_valued_bijection_case,
+    shifted_bijection_case,
+    shifted_set_valued_bijection_case,
+):
+    """The split validates the domino tableau it is given, and not the
+    halves it lays out: the bijection makes them valid."""
+    calls = []
+    real = tableaux.validate_tableau
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(tableaux, "validate_tableau", counted)
+    monkeypatch.setattr(bijections, "validate_tableau", counted)
+    for T, t1, t2 in (
+        plain_bijection_case,
+        set_valued_bijection_case,
+        shifted_bijection_case,
+        shifted_set_valued_bijection_case,
+    ):
+        assert gamma_split(T) == (t1, t2)
+    assert calls == []
 
 
 def test_split_shape_is_quotient(plain_bijection_case):

@@ -6,10 +6,9 @@ import sys
 
 import pytest
 
-from conftest import dt, parse_fill, tb
+from conftest import diagonal_reading, dt, parse_fill, tb
 from dominotab import canonical
 from dominotab.cli import run
-from dominotab.domino_tableaux import diagonal_reading
 from dominotab.render import parse_canonical_header, render_ascii, render_latex
 from dominotab.tableaux import PLAIN, SHIFTED, make_tableau
 

@@ -3,15 +3,20 @@ import pickle
 
 import pytest
 
-from conftest import dt, dt_cardinality, up_cell_count, up_domino_count
+from conftest import (
+    diagonal_reading,
+    dt,
+    dt_cardinality,
+    dt_weight,
+    up_cell_count,
+    up_domino_count,
+)
 from dominotab import domino_tableaux
 from dominotab.cli import main
-from dominotab.partitions import is_pavable, partitions_up_to, size, two_quotient
+from dominotab.partitions import is_pavable, partitions_up_to, two_quotient
 from dominotab.pavings import Domino, is_shifted_pavable, is_shifted_paving
 from dominotab.domino_tableaux import (
     DominoTableau,
-    diagonal_reading,
-    dt_weight,
     enumerate_domino_tableaux,
     up_fingerprint,
     validate_domino_tableau,
@@ -263,8 +268,8 @@ def test_enumerate_shifted_dedupes_by_fingerprint():
 def test_set_valued_cardinality_bound():
     for lam in ((2, 2), (4,), (3, 1)):
         for t in enumerate_domino_tableaux(SET_VALUED, lam, 2):
-            assert dt_cardinality(t) >= size(lam) // 2
-            if dt_cardinality(t) == size(lam) // 2:
+            assert dt_cardinality(t) >= sum(lam) // 2
+            if dt_cardinality(t) == sum(lam) // 2:
                 assert all(len(f) == 1 for _, f in t.pieces)
 
 

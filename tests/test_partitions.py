@@ -13,7 +13,6 @@ from dominotab.partitions import (
     is_pavable,
     partitions_of,
     partitions_up_to,
-    size,
     two_quotient,
 )
 from dominotab.verify import MAX_SWEEP_SIZE
@@ -151,7 +150,7 @@ def test_quotient_size_identity():
     for lam in partitions_up_to(14):
         q1, q2 = two_quotient(lam)
         if is_pavable(lam):
-            assert size(lam) == 2 * (size(q1) + size(q2))
+            assert sum(lam) == 2 * (sum(q1) + sum(q2))
 
 
 def test_beta_vector_strictly_decreasing():
@@ -180,7 +179,7 @@ def test_quotient_surjects_on_pairs():
     small = list(partitions_up_to(4))
     for q1 in small:
         for q2 in small:
-            if size(q1) + size(q2) > 6:
+            if sum(q1) + sum(q2) > 6:
                 continue
             lam = inverse_two_quotient(q1, q2)
             assert is_pavable(lam)
@@ -228,4 +227,4 @@ def test_sorted_lists_are_partitions(parts):
 def test_pavable_iff_quotient_accounts_for_size(parts):
     lam = tuple(sorted(parts, reverse=True))
     q1, q2 = two_quotient(lam)
-    assert is_pavable(lam) == (size(lam) == 2 * (size(q1) + size(q2)))
+    assert is_pavable(lam) == (sum(lam) == 2 * (sum(q1) + sum(q2)))

@@ -5,7 +5,7 @@ import pytest
 from conftest import region_split
 from dominotab import pavings
 from dominotab.cli import main
-from dominotab.partitions import is_pavable, partitions_up_to, size, two_quotient
+from dominotab.partitions import is_pavable, partitions_up_to, two_quotient
 from dominotab.pavings import (
     Domino,
     Paving,
@@ -97,7 +97,7 @@ def test_pavings_are_valid_and_distinct():
         assert bool(ps) == is_pavable(lam)
         for p in ps:
             covered = [cell for d in p.dominoes for cell in d.cells()]
-            assert len(covered) == size(lam) == len(set(covered))
+            assert len(covered) == sum(lam) == len(set(covered))
 
 
 def test_type_counts_match_quotient():
@@ -105,8 +105,8 @@ def test_type_counts_match_quotient():
         q1, q2 = two_quotient(lam)
         for p in enumerate_pavings(lam):
             types = [d.dtype() for d in p.dominoes]
-            assert types.count(1) == size(q1)
-            assert types.count(2) == size(q2)
+            assert types.count(1) == sum(q1)
+            assert types.count(2) == sum(q2)
 
 
 def test_paving_invariant_rejects_overlap():

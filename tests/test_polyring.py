@@ -440,3 +440,27 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
+
+
+def test_pickles_and_copies_are_rebuilt_unchecked(monkeypatch):
+    """A pickled or copied polynomial, alone or inside a sweep's reports, is
+    rebuilt equal without ``Polynomial.__new__``: its terms were checked
+    when it was made."""
+    import copy
+    import pickle
+
+    from dominotab.verify import verify_sweep
+
+    values = [genfun(SET_VALUED, (2, 1), 3), Polynomial.zero(2), verify_sweep(PLAIN, 6, 3)]
+    pickled = pickle.dumps(values)
+    calls = []
+    real = Polynomial.__new__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(Polynomial, "__new__", staticmethod(counted))
+    for copied in (pickle.loads(pickled), copy.deepcopy(values), list(map(copy.copy, values))):
+        assert copied == values
+    assert calls == []

@@ -42,20 +42,22 @@ def test_identity_set_valued_quotient_pair():
 
 
 def test_identity_computes_the_quotient_once(monkeypatch):
-    """Pavability, shifted pavability and the flat sides all come from one
-    2-quotient a shape.  The domino side, which tiles the shape on its own,
-    is stubbed so that only the calls of the check itself are counted."""
+    """Shifted pavability and the flat sides come from one 2-quotient a
+    pavable shape, and a shape that is not pavable, which ``is_pavable``
+    tells by counting beads, has no quotient computed.  The domino side,
+    which tiles the shape on its own, is stubbed so that only the calls of
+    the check itself are counted."""
     from dominotab import partitions, pavings
 
-    cases = [
-        (PLAIN, (2, 2), "PASS"),
-        (SET_VALUED, (3, 3, 1, 1), "PASS"),
-        (SHIFTED, (4, 3, 1), "PASS"),
-        (SHIFTED_SET_VALUED, (4, 3, 1), "PASS"),
-        (SET_VALUED, (4, 2, 2, 1, 1, 1), "SKIP"),
-        (SHIFTED, (5, 5, 4, 3, 3, 2), "SKIP"),
+    cases = [  # (family, shape, status, quotients computed)
+        (PLAIN, (2, 2), "PASS", 1),
+        (SET_VALUED, (3, 3, 1, 1), "PASS", 1),
+        (SHIFTED, (4, 3, 1), "PASS", 1),
+        (SHIFTED_SET_VALUED, (4, 3, 1), "PASS", 1),
+        (SET_VALUED, (4, 2, 2, 1, 1, 1), "SKIP", 0),  # not pavable
+        (SHIFTED, (5, 5, 4, 3, 3, 2), "SKIP", 1),  # pavable, not shifted pavable
     ]
-    sides = {(family, lam): verify_identity(family, lam, 2).rhs for family, lam, _ in cases}
+    sides = {(family, lam): verify_identity(family, lam, 2).rhs for family, lam, _, _ in cases}
     calls = []
     real = partitions.two_quotient
 
@@ -66,10 +68,10 @@ def test_identity_computes_the_quotient_once(monkeypatch):
     for module in (partitions, pavings, verify):
         monkeypatch.setattr(module, "two_quotient", counted)
     monkeypatch.setattr(verify, "domino_genfun", lambda family, lam, n: sides[family, lam])
-    for family, lam, status in cases:
+    for family, lam, status, quotients in cases:
         calls.clear()
         report = verify_identity(family, lam, 2)
-        assert calls == [lam] and report.status == status, (family, lam)
+        assert calls == [lam] * quotients and report.status == status, (family, lam)
         if status == "SKIP":
             assert report.mu is None and report.nu is None
 
@@ -99,6 +101,23 @@ def test_sweep_rejects_a_size_above_the_limit(monkeypatch):
     for max_size in (verify.MAX_SWEEP_SIZE + 1, 100_000):
         with pytest.raises(ValueError, match=f"at most {verify.MAX_SWEEP_SIZE}"):
             verify_sweep(PLAIN, max_size, 2)
+
+
+def test_sweep_rejects_a_negative_size_and_a_bad_variable_count(monkeypatch):
+    from dominotab.polyring import MAX_VARIABLES
+
+    def no_listing(max_size):
+        pytest.fail("the shapes were listed")
+
+    monkeypatch.setattr(verify, "partitions_up_to", no_listing)
+    for max_size, n, message in [
+        (-5, 2, "max size must be at least 0, got -5"),
+        (-1, 99, "max size must be at least 0, got -1"),
+        (4, MAX_VARIABLES + 1, f"at most {MAX_VARIABLES} variables are allowed"),
+        (4, -1, "must not be negative, got -1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            verify_sweep(PLAIN, max_size, n)
 
 
 def test_sweep_rejects_fewer_than_one_job(monkeypatch):
