@@ -142,9 +142,9 @@ def is_shifted_paving(paving: Paving) -> bool:
 
     The shape must be shifted pavable, and no vertical domino on D_0 may
     have all of its left-adjacent dominoes strictly below D_0.  A vertical
-    on D_0 in column 1 has no left neighbours and is never forbidden.  The
-    paving proves its shape pavable, so only the quotient is read of it, as
-    in ``is_shifted_pavable``.
+    on D_0 in column 1 has no left neighbours and is never forbidden.  A
+    paving proves its shape pavable, so of ``is_shifted_pavable`` only the
+    test of the 2-quotient's components is left.
     """
     if not all(map(is_staircase_admissible, two_quotient(paving.shape))):
         return False

@@ -85,7 +85,7 @@ def verify_identity(family: Family, lam: Shape, n: int) -> VerificationReport:
     ok = is_pavable(lam)
     if ok:
         mu, nu = two_quotient(lam)
-        ok = not family.shifted or (is_staircase_admissible(mu) and is_staircase_admissible(nu))
+        ok = not family.shifted or all(map(is_staircase_admissible, (mu, nu)))
     if not ok:
         elapsed = int((time.perf_counter() - start) * 1e6)
         return VerificationReport(
@@ -117,8 +117,8 @@ def verify_sweep(
     worker.  The pool starts min(jobs, len(shapes)) workers, which never
     outnumber the batches.  The report order is identical either way.  Fewer
     than 1 or more than MAX_JOBS jobs, a negative max_size or one above
-    MAX_SWEEP_SIZE, and more than MAX_VARIABLES variables raise ValueError
-    before any shape is listed.
+    MAX_SWEEP_SIZE, and a negative variable count or more than MAX_VARIABLES
+    variables raise ValueError before any shape is listed.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
