@@ -482,6 +482,24 @@ def test_closed_output_pipe_exits_quietly():
     assert b"Traceback" not in err, err.decode()
 
 
+def test_cli_digest_tool_is_stable():
+    """``tools/cli_digest.py`` at size 4: one line per command, with its
+    invocation count and a sha256 that two runs agree on, timings masked."""
+    tool = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+    argv = [sys.executable, os.path.join(tool, "cli_digest.py"), "--size", "4", "--pool-size", "2"]
+    runs = [
+        subprocess.run(argv, capture_output=True, text=True, env=_src_env(), check=True).stdout
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    lines = [line.split() for line in runs[0].splitlines()]
+    assert {cmd: int(count) for cmd, count, _ in lines} == {
+        "enumerate": 116, "genfun": 194, "inverse-quotient": 39, "merge": 64, "pavable": 49,
+        "pavings": 13, "quotient": 15, "render": 126, "split": 66, "verify": 108,
+    }
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, _, digest in lines)
+
+
 def test_package_imports_no_process_pool():
     # A fresh interpreter, since this session may have loaded the pool already:
     # only a parallel sweep imports it.

@@ -16,6 +16,7 @@ from dominotab.partitions import (
     two_quotient,
 )
 from dominotab.verify import MAX_SWEEP_SIZE
+import reference_partitions
 from reference_partitions import is_partition as reference_is_partition
 from reference_partitions import partitions_of as reference_partitions_of
 
@@ -184,6 +185,35 @@ def test_quotient_surjects_on_pairs():
             lam = inverse_two_quotient(q1, q2)
             assert is_pavable(lam)
             assert two_quotient(lam) == (q1, q2)
+
+
+def test_quotient_and_pavability_match_reference_up_to_size_30():
+    """``two_quotient`` and ``is_pavable`` against the forms that read k
+    beta numbers and swapped the components when k was odd, on every
+    partition up to size 30."""
+    count = 0
+    for lam in partitions_up_to(30):
+        assert two_quotient(lam) == reference_partitions.two_quotient(lam), lam
+        assert is_pavable(lam) == reference_partitions.is_pavable(lam), lam
+        count += 1
+    assert count == 28_629
+
+
+def test_inverse_quotient_matches_reference_up_to_total_size_12():
+    pool = list(partitions_up_to(12))
+    count = 0
+    for q1 in pool:
+        for q2 in pool:
+            if sum(q1) + sum(q2) <= 12:
+                assert inverse_two_quotient(q1, q2) == reference_partitions.inverse_two_quotient(
+                    q1, q2
+                ), (q1, q2)
+                count += 1
+    assert count == sum(
+        len(list(partitions_of(a))) * len(list(partitions_of(b)))
+        for a in range(13)
+        for b in range(13 - a)
+    )
 
 
 def test_diagonal_cells():

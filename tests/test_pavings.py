@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+import reference_pavings
 from conftest import region_split
 from dominotab import pavings
 from dominotab.cli import main
@@ -154,6 +155,23 @@ def test_shifted_paving_fixtures():
     assert not is_shifted_paving(RIGHT_PAVING)
     for p in enumerate_pavings((5, 5, 4, 3, 3, 2)):
         assert not is_shifted_paving(p)
+
+
+def test_shifted_paving_matches_owner_grid_reference():
+    """``is_shifted_paving`` against the owner-grid test, on the fixtures
+    and on every paving of every pavable shape up to size 22."""
+    assert reference_pavings.is_shifted_paving(LEFT_PAVING) is is_shifted_paving(LEFT_PAVING)
+    assert reference_pavings.is_shifted_paving(RIGHT_PAVING) is is_shifted_paving(RIGHT_PAVING)
+    checked = shifted = 0
+    for lam in partitions_up_to(22):
+        if not is_pavable(lam):
+            continue
+        for p in enumerate_pavings(lam):
+            expected = reference_pavings.is_shifted_paving(p)
+            assert is_shifted_paving(p) is expected, p
+            checked += 1
+            shifted += expected
+    assert (checked, shifted) == (35_881, 3_375)
 
 
 def test_is_shifted_pavable():
