@@ -141,7 +141,8 @@ SE_DOWN_CAP = 32  # ... with its last cell weakly SE of the domino's first: max 
 
 
 # A pure function of its arguments, cached by value: a verify-unshifted pass
-# asks 23,817 times for 686 distinct triples.  An entry takes about 160
+# asks 91,933 times for 686 distinct triples, and the domino sum of GQ
+# (6,5,5,4) with n=3 2.17 million times for 138.  An entry takes about 160
 # bytes, so a full cache about 0.7 MB, besides the dominoes its keys keep
 # alive, which are mostly the interned ones of ``pavings.domino``.
 @lru_cache(maxsize=4096)
@@ -185,9 +186,7 @@ def piece_relation(dom: Domino, other: Domino, set_valued: bool) -> int:
     return rel
 
 
-def fold_bounds(
-    dom: Domino, pieces: Iterable[Piece], rels: dict[int, int], set_valued: bool
-) -> tuple[int, float, float]:
+def fold_bounds(dom: Domino, pieces: Iterable[Piece], set_valued: bool) -> tuple[int, float, float]:
     """What the placed non-X ``pieces``, each before ``dom`` in diagonal
     reading order, require of a fill on ``dom``: (floor, cap, odd_cap),
     with ``inf`` for no bound.  A fill is accepted iff
@@ -196,16 +195,12 @@ def fold_bounds(
     Each piece is read through ``piece_relation``: left and above are the
     largest minimum of their pieces, floor the largest of
     ``fill_floor(left, above)`` and the southeast floors, cap the least of
-    the lower caps, and odd_cap the least minimum of its pieces.  ``rels``
-    memoises the relations of ``dom`` by the id of the other domino; the
-    caller keeps every domino it keys alive.
+    the lower caps, and odd_cap the least minimum of its pieces.
     """
     left = above = 0
     floor, cap, odd_cap = 0, INF, INF
     for other, fill in pieces:
-        rel = rels.get(id(other))
-        if rel is None:
-            rel = rels[id(other)] = piece_relation(dom, other, set_valued)
+        rel = piece_relation(dom, other, set_valued)
         if not rel:
             continue
         lo = fill[0]
@@ -258,12 +253,11 @@ class FillState:
     A piece of crossing d is bounded only by the placed non-X pieces of
     crossings d - 2 and d: they alone cover its neighbour cells or lie two
     diagonals below it.  ``check`` folds those through ``fold_bounds`` into
-    a floor and two caps, with a relation memo thrown away after the fold,
-    and judges the fill by ``fill_fits``; X reads no bounds.  Fills must be
-    strictly increasing, as ``check_fill`` ensures: the rules read a fill's
-    minimum as ``fill[0]`` and its maximum as ``fill[-1]``.  It is a class,
-    not a loop in the validator, so that the benchmark tracer can count the
-    validator's checks by patching ``check``.
+    a floor and two caps, and judges the fill by ``fill_fits``; X reads no
+    bounds.  Fills must be strictly increasing, as ``check_fill`` ensures:
+    the rules read a fill's minimum as ``fill[0]`` and its maximum as
+    ``fill[-1]``.  It is a class, not a loop in the validator, so that the
+    benchmark tracer can count the validator's checks by patching ``check``.
     """
 
     def __init__(self, family: Family):
@@ -275,7 +269,7 @@ class FillState:
         if fill != X_FILL:
             d, placed = dom.crossing(), self.by_crossing
             near = (*placed.get(d - 2, ()), *placed.get(d, ()))
-            bounds = fold_bounds(dom, near, {}, self.family.set_valued)
+            bounds = fold_bounds(dom, near, self.family.set_valued)
         return fill_fits(self.family, dom, fill, bounds)
 
     def add(self, dom: Domino, fill: Fill) -> None:
@@ -430,12 +424,10 @@ def tiling_walk(
     caps, as ``FillState`` folds the placed pieces for the validator.  The
     fills whose minimum lies between the floor and the cap, or the top rank
     less the edge's column depth, are one slice of the classes.  The
-    relation memo is per call and keyed by id, which is safe because the
-    automaton keeps every domino alive until the call ends.  The per-piece family rules, which
-    ``fill_fits`` adds for the validator, never fire here, because the
-    candidate fills are admissible already: plain fills are single
-    letters, unshifted fills hold no primed letter, and shifted edges cross
-    at 0 or above.
+    per-piece family rules, which ``fill_fits`` adds for the validator,
+    never fire here, because the candidate fills are admissible already:
+    plain fills are single letters, unshifted fills hold no primed letter,
+    and shifted edges cross at 0 or above.
 
     Layer i holds the states at even cell i, and every frontier in it holds
     the pieces of the same earlier even cells, so the pieces that fall out
@@ -449,7 +441,6 @@ def tiling_walk(
     mins = [fill[0] for fill, _ in classes]
     max_rank = mins[-1] if mins else 0
     set_valued = family.set_valued
-    relations: dict[int, dict[int, int]] = {}  # piece_relation by id(dom), id(other)
     total: dict[int, int] = {}
     # A state's key is its node's id and the ids of its frontier's dominoes
     # and fill classes (one interned object per domino, one first fill per
@@ -468,10 +459,7 @@ def tiling_walk(
             if ahead is not None:
                 kept, kept_key = frontier[drop:], key[1 + 2 * drop :]
             for dom, depth, child in node[0]:
-                rels = relations.get(id(dom))
-                if rels is None:
-                    rels = relations[id(dom)] = {}
-                floor, cap, odd_cap = fold_bounds(dom, frontier, rels, set_valued)
+                floor, cap, odd_cap = fold_bounds(dom, frontier, set_valued)
                 top = bisect_right(mins, min(cap, max_rank - depth))
                 for fill, fill_terms in classes[bisect_left(mins, floor) : top]:
                     if fill[-1] | 1 > odd_cap:

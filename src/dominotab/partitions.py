@@ -110,67 +110,55 @@ def beta_vector(shape: Shape) -> tuple[int, ...]:
 
 
 def two_quotient(shape: Shape) -> tuple[Shape, Shape]:
-    """The 2-quotient (q1, q2) of a partition, ordered by domino type.
+    """The 2-quotient (q1, q2) of a partition, ordered by domino type: in
+    any domino paving of the shape, q1 counts the type-1 dominoes and q2
+    the type-2.
 
-    Computed from the beta vector L with k = number of nonzero parts: the even
-    entries of L, after subtracting the largest possible distinct even values
-    0, 2, 4, ... assigned right to left and halving, give one component; the
-    odd entries give the other the same way with 1, 3, 5, ...  The pair is
-    returned so that in any domino paving of the shape the first component
-    counts type-1 dominoes and the second type-2; concretely the evens-derived
-    component comes first when k is even and second when k is odd (padding
-    lambda with a zero part flips the parity of every beta number and hence
-    swaps the two components, so a fixed intrinsic order needs this
-    correction).
+    Read on the even 2-abacus (James-Kerber): padded with a zero part to an
+    even number of parts, the shape's beta numbers are its beads, and
+    runner t holds the beads b of parity t, at positions b >> 1.  Read from
+    the top down, less the staircase of the runner's bead count, and with
+    the zeros dropped, these positions give component t + 1.
     """
     shape = check_partition(shape)
-    k = len(shape)
-    if k == 0:
-        return ((), ())
-    beta = beta_vector(shape)
-    evens = [b for b in beta if b % 2 == 0]
-    odds = [b for b in beta if b % 2 == 1]
-    ne, no = len(evens), len(odds)
-    from_evens = [(evens[j] - 2 * (ne - 1 - j)) // 2 for j in range(ne)]
-    from_odds = [(odds[j] - 2 * (no - 1 - j) - 1) // 2 for j in range(no)]
-    q_even = tuple(p for p in from_evens if p > 0)
-    q_odd = tuple(p for p in from_odds if p > 0)
-    if k % 2 == 1:
-        return (q_odd, q_even)
-    return (q_even, q_odd)
+    beads = beta_vector(shape + (0,) * (len(shape) % 2))
+    quotient = []
+    for t in (0, 1):
+        runner = [b >> 1 for b in beads if b & 1 == t]
+        top = len(runner) - 1
+        quotient.append(tuple(p for p in (b - (top - i) for i, b in enumerate(runner)) if p))
+    return quotient[0], quotient[1]
 
 
 def is_pavable(shape: Shape) -> bool:
     """True iff the diagram can be tiled by dominoes, that is, iff its
     2-core is empty.
 
-    Decided by counting beads on the 2-abacus (James-Kerber), without the
-    2-quotient: padded with a zero part to an even number m of parts, the
-    shape is pavable iff exactly m/2 of its beta numbers lambda_j + m-1-j
-    (j from 0) are odd.  The padding part's beta number is 0, which is even.
+    Decided by counting beads on the even 2-abacus of ``two_quotient``,
+    without the quotient: the shape is pavable iff exactly half of its
+    beads are odd.
     """
     shape = check_partition(shape)
-    m = len(shape) + len(shape) % 2
-    return 2 * sum((p + m - 1 - j) & 1 for j, p in enumerate(shape)) == m
+    beads = beta_vector(shape + (0,) * (len(shape) % 2))
+    return 2 * sum(b & 1 for b in beads) == len(beads)
 
 
 def inverse_two_quotient(q1: Shape, q2: Shape) -> Shape:
     """The unique pavable partition whose 2-quotient is (q1, q2).
 
-    With both components padded by zeros to m = max(len(q1), len(q2)) parts,
-    q1 gives the even beta numbers 2(q1_j + m-1-j) and q2 the odd ones
-    2(q2_j + m-1-j) + 1; sorting these 2m numbers in decreasing order and
-    subtracting the staircase 2m-1, ..., 1, 0 gives the parts.  An even count
-    of beta numbers keeps q1 first, matching the order of two_quotient.
+    The even 2-abacus of ``two_quotient`` read backwards: with both
+    components padded by zeros to m = max(len(q1), len(q2)) parts, each
+    beta number b of q1 gives the bead 2b on runner 0 and each of q2 the
+    bead 2b + 1 on runner 1.  These 2m beads, in decreasing order, less the
+    staircase 2m-1, ..., 1, 0, give the parts.
     """
     q1, q2 = check_partition(q1), check_partition(q2)
     m = max(len(q1), len(q2))
-    beta = sorted(
-        [2 * (p + m - 1 - j) for j, p in enumerate(q1 + (0,) * (m - len(q1)))]
-        + [2 * (p + m - 1 - j) + 1 for j, p in enumerate(q2 + (0,) * (m - len(q2)))],
+    beads = sorted(
+        (2 * b + t for t, q in enumerate((q1, q2)) for b in beta_vector(q + (0,) * (m - len(q)))),
         reverse=True,
     )
-    return tuple(p for p in (b - (2 * m - 1 - i) for i, b in enumerate(beta)) if p)
+    return tuple(p for p in (b - (2 * m - 1 - i) for i, b in enumerate(beads)) if p)
 
 
 def partitions_of(n: int) -> Iterator[Shape]:

@@ -141,26 +141,24 @@ def is_shifted_paving(paving: Paving) -> bool:
     """Check the two shifted-paving conditions.
 
     The shape must be shifted pavable, and no vertical domino on D_0 may
-    have all of its left-adjacent dominoes strictly below D_0.  A vertical
-    on D_0 in column 1 has no left neighbours and is never forbidden.  A
-    paving proves its shape pavable, so of ``is_shifted_pavable`` only the
-    test of the 2-quotient's components is left.
+    have all of its left-adjacent dominoes strictly below D_0.  A paving
+    proves its shape pavable, so of ``is_shifted_pavable`` only the test of
+    the 2-quotient's components is left.
+
+    The second condition is a chain rule on the vertical dominoes whose top
+    cell (r, r) lies on D_0: each one past row 1 needs the one whose top is
+    (r-1, r-1).  Its left cells are (r, r-1), of content -1, and (r+1, r-1),
+    of content -2.  The domino on (r+1, r-1) crosses D_-2, and the one on
+    (r, r-1) crosses D_0 only if it covers a cell of content 0 too, which
+    with (r, r) taken can only be (r-1, r-1), on a vertical domino.  A
+    vertical domino whose bottom cell (r, r) lies on D_0 has its left cell
+    (r-1, r-1) on D_0 too, so it is never forbidden.  ``_tiling_automaton``
+    reads the same rule as its ``need`` bit.
     """
     if not all(map(is_staircase_admissible, two_quotient(paving.shape))):
         return False
-    owner: dict[Cell, Domino] = {}
-    for d in paving.dominoes:
-        for cell in d.cells():
-            owner[cell] = d
-    for d in paving.dominoes:
-        if d.horiz or d.crossing() != 0:
-            continue
-        if d.col == 1:
-            continue
-        left = {owner[(d.row, d.col - 1)], owner[(d.row + 1, d.col - 1)]}
-        if all(nb.crossing() < 0 for nb in left):
-            return False
-    return True
+    tops = {d.row for d in paving.dominoes if not d.horiz and d.row == d.col}
+    return all(r - 1 in tops for r in tops if r > 1)
 
 
 def is_shifted_pavable(shape: Shape) -> bool:
@@ -233,7 +231,8 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
             if not shifted or odd[1] > odd[0]:
                 last[odd] = i
             # A vertical domino with its top cell on D_0 needs an up domino
-            # on its left cell, unless it is in column 1.
+            # on its left cell, unless it is in column 1: the chain rule of
+            # ``is_shifted_paving``.
             top_on_d0 = shifted and d == 0 and odd == (r + 1, c) and c > 1
             need = bits[(r, c - 1)] if top_on_d0 else 0
             below = heights[top_left[1] - 1] - max(r, odd[0])

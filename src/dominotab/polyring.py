@@ -41,7 +41,11 @@ class Polynomial(namedtuple("Polynomial", "n terms")):
     def __new__(cls, n: int, terms: dict[Monomial, int] | None = None) -> Polynomial:
         clean = {m: c for m, c in (terms or {}).items() if c != 0}
         for m in clean:
-            if len(m) != n or any(e < 0 for e in m):
+            if not (
+                isinstance(m, tuple)
+                and len(m) == n
+                and all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in m)
+            ):
                 raise ValueError(f"bad monomial {m} for {n} variables")
         return super().__new__(cls, n, clean)
 

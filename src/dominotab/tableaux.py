@@ -76,7 +76,10 @@ def format_fill(fill: Fill) -> str:
 def check_fill(fill: Fill) -> Fill:
     if len(fill) == 1 and type(fill[0]) is int and fill[0] > 0:
         return fill  # the common one-letter fill, valid without sorting
-    if fill != tuple(sorted(set(fill))) or any(r < 1 for r in fill):
+    # Ranks are integers >= 1, bools not among them: checked before the sort,
+    # which would raise TypeError on some other values and accept others.
+    ranks_ok = all(isinstance(r, int) and not isinstance(r, bool) and r > 0 for r in fill)
+    if not ranks_ok or fill != tuple(sorted(set(fill))):
         raise ValueError(f"fill must be strictly increasing positive ranks: {fill!r}")
     return fill
 

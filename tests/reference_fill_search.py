@@ -182,9 +182,7 @@ class FillState:
     per domino and set of placed pieces, as ``validate_domino_tableau``
     folds a tableau's own pieces: ``add`` sets the last result aside and
     ``pop``, which brings back the pieces it was folded over, restores it.
-    ``check`` judges each fill against the result by ``fill_fits``.  The
-    relation memo keeps every domino it keys, so a state that outlives the
-    dominoes of one shape never reads a relation under a recycled id.
+    ``check`` judges each fill against the result by ``fill_fits``.
     """
 
     def __init__(self, family: Family):
@@ -192,7 +190,6 @@ class FillState:
         self.set_valued = family.set_valued
         self.pieces: list[Piece] = []
         self.by_crossing: dict[int, list[Piece]] = {}
-        self.relations: dict[int, tuple[Domino, dict[int, int]]] = {}
         self._last_bounds: tuple[Domino, tuple] | None = None
         self._saved_bounds: list[tuple[Domino, tuple] | None] = []  # one per piece
 
@@ -201,12 +198,9 @@ class FillState:
         last_bounds = self._last_bounds
         if last_bounds is not None and last_bounds[0] is dom:
             return last_bounds[1]
-        entry = self.relations.get(id(dom))
-        if entry is None:  # the entry holds dom, so no other domino takes its id
-            entry = self.relations[id(dom)] = (dom, {})
         d, placed = dom.crossing(), self.by_crossing
         near = (*placed.get(d - 2, ()), *placed.get(d, ()))
-        result = fold_bounds(dom, near, entry[1], self.set_valued)
+        result = fold_bounds(dom, near, self.set_valued)
         self._last_bounds = (dom, result)
         return result
 
@@ -216,8 +210,6 @@ class FillState:
     def add(self, dom: Domino, fill: Fill) -> None:
         self._saved_bounds.append(self._last_bounds)
         self._last_bounds = None
-        if id(dom) not in self.relations:  # hold dom: later relations key its id
-            self.relations[id(dom)] = (dom, {})
         self.pieces.append((dom, fill))
         if fill != X_FILL:
             self.by_crossing.setdefault(dom.crossing(), []).append((dom, fill))

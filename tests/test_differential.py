@@ -126,9 +126,9 @@ def test_check_matches_reference_on_every_enumerator_try(family, monkeypatch):
     fold_bounds = domino_tableaux.fold_bounds
     checks, mismatches = 0, []
 
-    def paired_fold(dom, frontier, rels, set_valued):
+    def paired_fold(dom, frontier, set_valued):
         nonlocal checks
-        bounds = fold_bounds(dom, frontier, rels, set_valued)
+        bounds = fold_bounds(dom, frontier, set_valued)
         ref = ReferenceFillState(family)
         for other, fill in frontier:
             ref.add(other, fill)
@@ -303,14 +303,14 @@ def test_validate_folds_only_pieces_before_the_domino(pools, monkeypatch):
     fold_bounds = domino_tableaux.fold_bounds
     folds = 0
 
-    def checked_fold(dom, pieces, rels, set_valued):
+    def checked_fold(dom, pieces, set_valued):
         nonlocal folds
         cells = set(dom.cells())
         for placed, _ in pieces:
             assert not cells & set(placed.cells()), (placed, dom)
             assert _diag_key(placed) < _diag_key(dom), (placed, dom)
         folds += 1
-        return fold_bounds(dom, pieces, rels, set_valued)
+        return fold_bounds(dom, pieces, set_valued)
 
     monkeypatch.setattr(domino_tableaux, "fold_bounds", checked_fold)
     for family, _, _, count, _ in POOLS:

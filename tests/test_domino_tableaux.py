@@ -336,7 +336,7 @@ def test_fill_search_adds_pieces_in_diagonal_order_without_overlap(family, monke
     fold_bounds = domino_tableaux.fold_bounds
     folds = 0
 
-    def checked_fold(dom, frontier, rels, set_valued):
+    def checked_fold(dom, frontier, set_valued):
         nonlocal folds
         cells = set(dom.cells())
         for placed, _ in frontier:
@@ -347,7 +347,7 @@ def test_fill_search_adds_pieces_in_diagonal_order_without_overlap(family, monke
                 dom.crossing_cell(),
             ), (placed, dom)
         folds += 1
-        return fold_bounds(dom, frontier, rels, set_valued)
+        return fold_bounds(dom, frontier, set_valued)
 
     monkeypatch.setattr(domino_tableaux, "fold_bounds", checked_fold)
     shapes = tableaux = 0

@@ -144,13 +144,13 @@ def test_domino_genfun_never_builds_a_layer_over_the_limit(monkeypatch):
     largest = []
     fold_bounds = domino_tableaux.fold_bounds
 
-    def watched_fold(dom, pieces, rels, set_valued):
+    def watched_fold(dom, pieces, set_valued):
         local = sys._getframe(1).f_locals
         size = max(len(local["layer"]), len(local["nxt"]))
         if size > limit:
             pytest.fail(f"a layer of {size} states was built")
         largest.append(size)
-        return fold_bounds(dom, pieces, rels, set_valued)
+        return fold_bounds(dom, pieces, set_valued)
 
     monkeypatch.setattr(domino_tableaux, "fold_bounds", watched_fold)
     with pytest.raises(ValueError):

@@ -176,8 +176,10 @@ def test_paving_checks_its_input():
 
 
 def test_polynomial_checks_its_input():
-    # A monomial of the wrong length, and a negative exponent.
-    for n, terms in [(2, {(1,): 1}), (2, {(1, -1): 1})]:
+    # A monomial of the wrong length, a negative exponent, exponents that
+    # are not integers, and a monomial that is not a tuple.
+    bad = [(1,), (1, -1), (1.5, 0), (True, 0), "ab"]
+    for n, terms in [(2, {m: 1}) for m in bad]:
         for build in (
             lambda: Polynomial(n, terms),
             lambda: Polynomial(n=n, terms=terms),

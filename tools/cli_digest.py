@@ -60,7 +60,8 @@ ERRORS = (
     (["enumerate", "--family", "plain", "--shape", "[3]", "--max-letter", "0"], ""),
     (["enumerate", "--family", "plain", "--shape", "[3]", "--max-letter", "2", "--kind", "x"], ""),
     (["enumerate", "--family", "plain", "--shape", "[3]", "--max-letter", "2", *DOMINO], ""),
-    (["enumerate", "--family", "shifted", "--shape", "[2,2]", "--max-letter", "2", *DOMINO], ""),
+    (["enumerate", "--family", "shifted", "--shape", "[5,5,4,3,3,2]", "--max-letter", "2",
+      *DOMINO], ""),
     (["genfun", "--family", "plain", "--shape", "[2]", "--vars", "0"], ""),
     (["genfun", "--family", "plain", "--shape", "[3]", "--vars", "2", "--domino"], ""),
     (["verify", "--family", "plain", "--vars", "2"], ""),
@@ -100,7 +101,7 @@ class Digest:
     """The sha256 and the count of the invocations of each command."""
 
     def __init__(self) -> None:
-        self.hashes: dict[str, hashlib._Hash] = defaultdict(hashlib.sha256)
+        self.hashes = defaultdict(hashlib.sha256)
         self.counts: dict[str, int] = defaultdict(int)
 
     def run(self, argv: list[str], stdin: str = "") -> tuple[int, str]:
