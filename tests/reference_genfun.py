@@ -20,6 +20,11 @@ classes and their results with the copies of ``_fill_classes`` and
 ``_unpack`` below, as they were before the library cached the classes and
 built its transfer results unchecked: a fresh list per call, and a
 ``Polynomial`` that checks every monomial.
+
+``unfloored_tiling_walk`` is ``domino_tableaux.tiling_walk`` as it stood
+before each unshifted domino's fill got a floor from the cells above it in
+its column: the oracle of the walk census in ``test_differential.py``,
+which compares the two walks' totals and recorded links.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dominotab.domino_tableaux import (
     MAX_TRANSFER_STATES,
     MAX_TRANSFER_TERMS,
     Piece,
+    fold_bounds,
     tiling_root,
 )
 from dominotab.partitions import Shape, check_partition
@@ -261,3 +267,65 @@ def row_major_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
             layer = nxt
     total = next(iter(layer.values()), {})  # the one state left has an empty frontier
     return _unpack(n, bits, total)
+
+
+def unfloored_tiling_walk(
+    family: Family, shape: Shape, root: Node, classes: list, links: list | None = None
+) -> dict[int, int]:
+    """``domino_tableaux.tiling_walk`` without a column floor: a fill's
+    minimum is bounded below by the frontier's pieces alone."""
+    if root[0] is None:  # the empty shape
+        return {0: 1}
+    mins = [fill[0] for fill, _ in classes]
+    max_rank = mins[-1] if mins else 0
+    set_valued = family.set_valued
+    total: dict[int, int] = {}
+    # A state's key is its node's id and the ids of its frontier's dominoes
+    # and fill classes (one interned object per domino, one first fill per
+    # class, each alive until the call ends), so no key hashes a Domino.
+    layer = {(id(root),): (root, (), {0: 1})}
+    while layer:
+        nxt: dict[tuple[int, ...], tuple[Node, tuple[Piece, ...], dict[int, int]]] = {}
+        stored = 0
+        # Every frontier of a layer drops the same leading pieces.
+        some_node, some_frontier, _ = next(iter(layer.values()))
+        ahead = some_node[0][0][2][0]  # the edges of the next even cell, None at the end
+        if ahead is not None:
+            keep_from = ahead[0][0].crossing() - 2
+            drop = sum(1 for dom, _ in some_frontier if dom.crossing() < keep_from)
+        for key, (node, frontier, terms) in layer.items():
+            if ahead is not None:
+                kept, kept_key = frontier[drop:], key[1 + 2 * drop :]
+            for dom, depth, child in node[0]:
+                floor, cap, odd_cap = fold_bounds(dom, frontier, set_valued)
+                top = bisect_right(mins, min(cap, max_rank - depth))
+                for fill, fill_terms in classes[bisect_left(mins, floor) : top]:
+                    if fill[-1] | 1 > odd_cap:
+                        continue
+                    if ahead is None:  # a complete tiling
+                        acc = total
+                    else:
+                        child_key = (id(child), *kept_key, id(dom), id(fill))
+                        state = nxt.get(child_key)
+                        if state is None:
+                            if len(nxt) >= MAX_TRANSFER_STATES:
+                                raise ValueError(
+                                    f"walking the tilings of {shape} needs more than "
+                                    f"{MAX_TRANSFER_STATES} states in one layer"
+                                )
+                            state = nxt[child_key] = (child, kept + ((dom, fill),), {})
+                        acc = state[2]
+                    if links is not None:
+                        links.append((terms, dom, fill, child, acc))
+                    before = len(acc)
+                    for m, c in terms.items():
+                        for e, s in fill_terms:
+                            acc[m + e] = acc.get(m + e, 0) + c * s
+                    stored += len(acc) - before
+                    if stored > MAX_TRANSFER_TERMS:
+                        raise ValueError(
+                            f"walking the tilings of {shape} needs more than "
+                            f"{MAX_TRANSFER_TERMS} terms in one layer"
+                        )
+        layer = nxt
+    return total

@@ -12,8 +12,10 @@ tiling automaton, whose listing the walk's must repeat in order.
 enumerated list, and ``streamed_genfun`` (in ``reference_genfun.py``) the
 sum over the fills ``reference_domino_fills`` yields,
 ``fillstate_domino_genfun`` (beside it) the domino transfer that rebuilt an
-``IndexedFillState`` per state, and ``enumerated_genfun`` (beside it) the
-flat sum over the list the reference enumerator returns.
+``IndexedFillState`` per state, ``unfloored_tiling_walk`` (beside it) the
+domino walk before its column floor, whose totals and links a census
+compares, and ``enumerated_genfun`` (beside it) the flat sum over the list
+the reference enumerator returns.
 ``reference_tableaux.py`` keeps the flat enumerator and validator that
 count every letter per line, against which the single neighbour bound is
 checked, and the row-major search that listed flat tableaux before the
@@ -32,7 +34,7 @@ import pytest
 
 from conftest import dt_cardinality, dt_weight, up_domino_count
 import reference_bijections
-from dominotab import bijections, canonical, domino_tableaux, tableaux
+from dominotab import bijections, canonical, domino_tableaux, polyring, tableaux
 from dominotab.bijections import gamma_merge, gamma_split
 from dominotab.domino_tableaux import (
     ABOVE,
@@ -46,6 +48,7 @@ from dominotab.domino_tableaux import (
     fill_fits,
     piece_relation,
     tiling_root,
+    tiling_walk,
     validate_domino_tableau,
 )
 from dominotab.partitions import (
@@ -66,6 +69,7 @@ from dominotab.tableaux import (
     Tableau,
     _candidate_fills,
     enumerate_tableaux,
+    fill_classes,
     fill_floor,
     make_tableau,
     validate_tableau,
@@ -81,6 +85,7 @@ from reference_genfun import (
     fillstate_domino_genfun,
     row_major_genfun,
     streamed_genfun,
+    unfloored_tiling_walk,
 )
 from reference_render import render_ascii as reference_render_ascii
 from reference_render import render_latex as reference_render_latex
@@ -514,6 +519,65 @@ def test_domino_genfun_matches_fillstate_transfer(family, n, max_size):
         assert new == _genfun_or_error(fillstate_domino_genfun, family, lam, n), lam
         nonzero += new is not ValueError and bool(new.terms)
     assert nonzero > 15
+
+
+def walk_census(walk, family, shape, root, classes):
+    """The total ``walk`` returns, the links it records, and how many of
+    them are live: marked from the last link back, as ``walk_paths`` marks
+    them, a link is live when it enters the total or a state with a live
+    link out."""
+    links = []
+    total = walk(family, shape, root, classes, links)
+    live_states, live = set(), 0
+    for terms, _, _, _, acc in reversed(links):
+        if acc is total or id(acc) in live_states:
+            live_states.add(id(terms))
+            live += 1
+    return total, links, live
+
+
+@pytest.mark.parametrize(
+    "family,n,max_size", FILLSTATE_CASES, ids=[f"{c[0].name}-n{c[1]}" for c in FILLSTATE_CASES]
+)
+def test_tiling_walk_matches_unfloored_walk(family, n, max_size):
+    """On every shape up to ``max_size``, with each fill class weighing its
+    number of fills (the listing's count) and its signed terms
+    (``domino_genfun``'s), the walk returns the total of the walk without a
+    column floor and records as many live links, and never more links; in
+    the shifted families, which have no column floor, the very same links."""
+    for lam in shapes(family, max_size):
+        root = tiling_root(family, lam)
+        counts = [(f[0], ((0, len(f)),)) for f in fill_classes(family, n)]
+        signed = polyring._fill_classes(family, n, sum(lam).bit_length())
+        for classes in (counts, signed):
+            total, links, live = walk_census(tiling_walk, family, lam, root, classes)
+            old_total, old_links, old_live = walk_census(
+                unfloored_tiling_walk, family, lam, root, classes
+            )
+            assert total == old_total, lam
+            assert live == old_live, lam
+            assert len(links) <= len(old_links), lam
+            if family.shifted:
+                assert links == old_links, lam
+
+
+@pytest.mark.parametrize("family", (PLAIN, SET_VALUED), ids=lambda f: f.name)
+@pytest.mark.parametrize("n", (3, 4))
+def test_column_floor_is_sound_and_tight(family, n):
+    """Over the domino tableaux the per-paving search lists on every shape
+    up to size 12, a piece whose top-left cell is in row r has a minimum of
+    at least rank 2 + 2 (r // 2), letter 1 + ceil((r - 1) / 2): the r - 1
+    cells above it in its column rise strictly, but within a vertical
+    domino, and so hold at least ceil((r - 1) / 2) smaller letters.  Every
+    row that occurs reaches that bound on some shape, though not on every
+    one: the pavings of (4,3,2,2,1) never pair the two cells above row 3."""
+    least: dict[int, int] = {}
+    for lam in shapes(family, 12):
+        for pieces in reference_domino_fills(family, lam, n):
+            for dom, fill in pieces:
+                least[dom.row] = min(least.get(dom.row, fill[0]), fill[0])
+    # Row 2n would need letter n + 1, so the rows are 1 to 2n - 1.
+    assert least == {r: 2 + 2 * (r // 2) for r in range(1, 2 * n)}
 
 
 def _automaton_dominoes(family, shape):
