@@ -422,12 +422,24 @@ def tiling_walk(
     So each edge's fills are judged from the frontier alone: every rule is
     pairwise, and ``fold_bounds`` folds the frontier into a floor and two
     caps, as ``FillState`` folds the placed pieces for the validator.  The
-    fills whose minimum lies between the floor and the cap, or the top rank
-    less the edge's column depth, are one slice of the classes.  The
     per-piece family rules, which ``fill_fits`` adds for the validator,
     never fire here, because the candidate fills are admissible already:
     plain fills are single letters, unshifted fills hold no primed letter,
     and shifted edges cross at 0 or above.
+
+    The shape bounds an unshifted fill's minimum too, from its column.  The
+    minima rise strictly down a column, but within one vertical domino (in
+    the set-valued family the minima form a plain domino tableau), so k
+    cells in a column hold at least ceil(k/2) distinct minima, paired at
+    best by vertical dominoes.  The k cells below a domino cap its minimum
+    at the top rank less the edge's column depth, 2 ceil(k/2).  Its mirror,
+    the column floor: the r - 1 cells above a domino whose top-left cell is
+    in row r hold ceil((r - 1)/2) smaller minima, so its own is at least
+    letter 1 + ceil((r - 1)/2), rank 2 + 2 (r // 2).  Neither holds in the
+    shifted families, where a primed letter may repeat down a column.  The
+    classes are sorted by minimum, so the fills whose minimum lies between
+    the larger floor and the least cap are one slice of them, and only the
+    odd cap is read class by class.
 
     Layer i holds the states at even cell i, and every frontier in it holds
     the pieces of the same earlier even cells, so the pieces that fall out
@@ -441,6 +453,7 @@ def tiling_walk(
     mins = [fill[0] for fill, _ in classes]
     max_rank = mins[-1] if mins else 0
     set_valued = family.set_valued
+    rise = 0 if family.shifted else 2  # the column floor's ranks per two rows, unshifted
     total: dict[int, int] = {}
     # A state's key is its node's id and the ids of its frontier's dominoes
     # and fill classes (one interned object per domino, one first fill per
@@ -460,6 +473,7 @@ def tiling_walk(
                 kept, kept_key = frontier[drop:], key[1 + 2 * drop :]
             for dom, depth, child in node[0]:
                 floor, cap, odd_cap = fold_bounds(dom, frontier, set_valued)
+                floor = max(floor, rise * (1 + dom.row // 2))
                 top = bisect_right(mins, min(cap, max_rank - depth))
                 for fill, fill_terms in classes[bisect_left(mins, floor) : top]:
                     if fill[-1] | 1 > odd_cap:

@@ -200,7 +200,10 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
 
     An edge's column depth is 2 ceil(k/2) for an unshifted domino with k
     cells below it in a column (it needs ceil(k/2) distinct dominoes there,
-    each with a larger minimum two ranks up), and 0 for a shifted one.
+    each with a larger minimum two ranks up), and 0 for a shifted one.  Its
+    mirror, the column floor from the cells above the domino, is no field
+    of the edge: ``domino_tableaux.tiling_walk`` reads it off the domino's
+    row.
 
     A shape of more than MAX_CELLS cells, or an automaton of more than
     MAX_AUTOMATON_STATES states, raises ValueError.
