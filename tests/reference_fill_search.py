@@ -9,13 +9,18 @@ incremental checker ``FillState`` and the listing ``enumerate_domino_tableaux``
 built on it, as they stood before the listing became a walk of the
 automaton's layers.  All are kept here only as oracles of the differential
 tests in ``test_differential.py``.
+
+``unpruned_root`` is the root of the tiling automaton with every edge kept,
+and ``column_depth`` the column depth 2 ceil(k/2) of a domino with k cells
+below it, read off the shape's column heights: the oracle walks read no
+bound off the automaton's edges.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from dominotab import domino_tableaux
 from dominotab.domino_tableaux import (
@@ -30,6 +35,27 @@ from dominotab.partitions import Cell, Shape, cells, check_partition
 from dominotab.pavings import Domino, Edge, Node, Paving, is_shifted_paving
 from dominotab.tableaux import Family, Fill, X_FILL, _candidate_fills
 from reference_fillstate import IndexedFillState
+
+
+def unpruned_root(family: Family, shape: Shape) -> Node:
+    """The root of the family's tiling automaton of ``shape``, with an edge
+    for every domino of every tiling, whatever its fills."""
+    return tiling_root(family, shape)
+
+
+def column_depth(family: Family, shape: Shape) -> Callable[[Domino], int]:
+    """The column depth of each domino of ``shape``: 2 ceil(k/2) for an
+    unshifted domino with k cells below it in its column (they hold at
+    least ceil(k/2) distinct larger minima, paired at best by vertical
+    dominoes), and 0 in the shifted families, where a primed letter may
+    repeat down a column."""
+    heights = [sum(1 for part in shape if part >= c) for c in range(1, max(shape, default=0) + 1)]
+
+    def depth(dom: Domino) -> int:
+        below = heights[dom.col - 1] - dom.cells()[1][0]
+        return 0 if family.shifted else 2 * ((below + 1) // 2)
+
+    return depth
 
 
 def enumerate_pavings(shape: Shape) -> list[Paving]:
@@ -258,7 +284,7 @@ def domino_fills(
     candidate fills are sorted, so the fills whose minimum lies in a range
     are one slice of them.  A domino's range runs from the floor to the cap
     that ``fold_bounds`` gives over the placed pieces, and to the top rank
-    less the edge's column depth at most; ``FillState.check`` still judges
+    less the domino's column depth at most; ``FillState.check`` still judges
     every fill of the slice.
 
     Shifted families fill the up region only (fills constrain nothing else)
@@ -266,10 +292,11 @@ def domino_fills(
     yield one representative per equivalence class.  Shapes that are not
     pavable, or not shifted pavable, raise ValueError before any search.
     """
-    root = tiling_root(family, shape)
+    root = unpruned_root(family, shape)
     if root[0] is None:  # the empty shape
         yield ()
         return
+    depth = column_depth(family, shape)
     candidates = _candidate_fills(family, max_letter)
     cand_mins = [fill[0] for fill in candidates]
     max_rank = cand_mins[-1] if candidates else 0
@@ -279,9 +306,9 @@ def domino_fills(
     def options(edges: tuple[Edge, ...]) -> Iterator[Node]:
         """The child of each edge, once per valid fill of its domino; the
         piece stays in ``state`` until the next child is asked for."""
-        for dom, depth, child in edges:
+        for dom, _, child in edges:
             lo_min, lo_max, _ = bounds(dom)
-            top = bisect_right(cand_mins, min(lo_max, max_rank - depth))
+            top = bisect_right(cand_mins, min(lo_max, max_rank - depth(dom)))
             for fill in candidates[bisect_left(cand_mins, lo_min) : top]:
                 if try_add(dom, fill):
                     yield child

@@ -24,7 +24,10 @@ built its transfer results unchecked: a fresh list per call, and a
 ``unfloored_tiling_walk`` is ``domino_tableaux.tiling_walk`` as it stood
 before each unshifted domino's fill got a floor from the cells above it in
 its column: the oracle of the walk census in ``test_differential.py``,
-which compares the two walks' totals and recorded links.
+which compares the two walks' totals and recorded links.  It and
+``fillstate_domino_genfun`` walk the ``unpruned_root`` of the shape and
+read each domino's ``column_depth`` off the shape (both in
+``reference_fill_search.py``), not off the automaton's edges.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from dominotab.domino_tableaux import (
     MAX_TRANSFER_TERMS,
     Piece,
     fold_bounds,
-    tiling_root,
 )
 from dominotab.partitions import Shape, check_partition
 from dominotab.pavings import Node
@@ -51,7 +53,7 @@ from dominotab.tableaux import (
     letter_index,
     weight,
 )
-from reference_fill_search import reference_domino_fills
+from reference_fill_search import column_depth, reference_domino_fills, unpruned_root
 from reference_fillstate import IndexedFillState
 from reference_tableaux import enumerate_tableaux
 
@@ -159,9 +161,10 @@ def fillstate_domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     MAX_TRANSFER_TERMS terms in its polynomials, raises ValueError.
     """
     shape = check_partition(shape)
-    root = tiling_root(family, shape)
+    root = unpruned_root(family, shape)
     if root[0] is None:  # the empty shape
         return Polynomial.one(n)
+    depth = column_depth(family, shape)
     bits = sum(shape).bit_length()  # no letter index occurs more than |shape| times
     classes = _fill_classes(family, n, bits)
     class_mins = [fill[0] for fill, _ in classes]
@@ -184,9 +187,9 @@ def fillstate_domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
                 keep_from = ahead[0][0].crossing() - 2
                 drop = sum(1 for dom, _ in frontier if dom.crossing() < keep_from)
                 kept, kept_key = frontier[drop:], key[1 + 2 * drop :]
-            for dom, depth, child in edges:
+            for dom, _, child in edges:
                 lo_min, lo_max, _, _ = state.bounds(dom)
-                top = bisect_right(class_mins, min(lo_max, max_rank - depth))
+                top = bisect_right(class_mins, min(lo_max, max_rank - depth(dom)))
                 for fill, fill_terms in classes[bisect_left(class_mins, lo_min) : top]:
                     if not state.check(dom, fill):
                         continue
@@ -273,9 +276,12 @@ def unfloored_tiling_walk(
     family: Family, shape: Shape, root: Node, classes: list, links: list | None = None
 ) -> dict[int, int]:
     """``domino_tableaux.tiling_walk`` without a column floor: a fill's
-    minimum is bounded below by the frontier's pieces alone."""
+    minimum is bounded below by the frontier's pieces alone.  ``root`` is
+    an ``unpruned_root``, whose edges carry no bound: the cap from the
+    cells below each domino is its ``column_depth``, read off the shape."""
     if root[0] is None:  # the empty shape
         return {0: 1}
+    depth = column_depth(family, shape)
     mins = [fill[0] for fill, _ in classes]
     max_rank = mins[-1] if mins else 0
     set_valued = family.set_valued
@@ -296,9 +302,9 @@ def unfloored_tiling_walk(
         for key, (node, frontier, terms) in layer.items():
             if ahead is not None:
                 kept, kept_key = frontier[drop:], key[1 + 2 * drop :]
-            for dom, depth, child in node[0]:
+            for dom, _, child in node[0]:
                 floor, cap, odd_cap = fold_bounds(dom, frontier, set_valued)
-                top = bisect_right(mins, min(cap, max_rank - depth))
+                top = bisect_right(mins, min(cap, max_rank - depth(dom)))
                 for fill, fill_terms in classes[bisect_left(mins, floor) : top]:
                     if fill[-1] | 1 > odd_cap:
                         continue

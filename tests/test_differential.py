@@ -78,7 +78,7 @@ from reference_bijections import gamma_merge as reference_gamma_merge
 from reference_bijections import reading_word_split
 from reference_fill_search import enumerate_domino_tableaux as search_enumerate_domino_tableaux
 from reference_fill_search import enumerate_pavings as reference_pavings
-from reference_fill_search import reference_domino_fills
+from reference_fill_search import reference_domino_fills, unpruned_root
 from reference_fillstate import IndexedFillState, ReferenceFillState, reference_validate
 from reference_genfun import (
     enumerated_genfun,
@@ -522,10 +522,11 @@ def test_domino_genfun_matches_fillstate_transfer(family, n, max_size):
 
 
 def walk_census(walk, family, shape, root, classes):
-    """The total ``walk`` returns, the links it records, and how many of
-    them are live: marked from the last link back, as ``walk_paths`` marks
-    them, a link is live when it enters the total or a state with a live
-    link out."""
+    """The total ``walk`` returns, its links without the node each enters
+    (two automata of one shape hold equal nodes as distinct objects), and
+    how many of them are live: marked from the last link back, as
+    ``walk_paths`` marks them, a link is live when it enters the total or a
+    state with a live link out."""
     links = []
     total = walk(family, shape, root, classes, links)
     live_states, live = set(), 0
@@ -533,7 +534,7 @@ def walk_census(walk, family, shape, root, classes):
         if acc is total or id(acc) in live_states:
             live_states.add(id(terms))
             live += 1
-    return total, links, live
+    return total, [(terms, dom, fill, acc) for terms, dom, fill, _, acc in links], live
 
 
 # A tall shape, in every census case, on which the unshifted column floor
@@ -548,17 +549,19 @@ def test_tiling_walk_matches_unfloored_walk(family, n, max_size):
     """On every shape up to ``max_size``, with each fill class weighing its
     number of fills (the listing's count) and its signed terms
     (``domino_genfun``'s), the walk returns the total of the walk without a
-    column floor and records as many live links, and never more links,
-    strictly fewer on ``TALL`` in the unshifted families; in the shifted
-    families, which have no column floor, the very same links."""
+    column floor, on the automaton with every edge kept, and records as
+    many live links, and never more links, strictly fewer on ``TALL`` in
+    the unshifted families; in the shifted families, which have no column
+    floor, the very same links."""
     for lam in shapes(family, max_size):
         root = tiling_root(family, lam)
+        unpruned = unpruned_root(family, lam)
         counts = [(f[0], ((0, len(f)),)) for f in fill_classes(family, n)]
         signed = polyring._fill_classes(family, n, sum(lam).bit_length())
         for classes in (counts, signed):
             total, links, live = walk_census(tiling_walk, family, lam, root, classes)
             old_total, old_links, old_live = walk_census(
-                unfloored_tiling_walk, family, lam, root, classes
+                unfloored_tiling_walk, family, lam, unpruned, classes
             )
             assert total == old_total, lam
             assert live == old_live, lam
@@ -589,8 +592,9 @@ def test_column_floor_is_sound_and_tight(family, n):
 
 
 def _automaton_dominoes(family, shape):
-    """The distinct dominoes on the edges of the shape's tiling automaton."""
-    root = tiling_root(family, shape)
+    """The distinct dominoes on the edges of the shape's tiling automaton,
+    with every edge kept."""
+    root = unpruned_root(family, shape)
     seen, stack, dominoes = {id(root)}, [root], set()
     while stack:
         for dom, _, child in stack.pop()[0] or ():

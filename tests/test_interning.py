@@ -15,13 +15,13 @@ from dominotab.bijections import gamma_merge, gamma_split
 from dominotab.domino_tableaux import (
     DominoTableau,
     enumerate_domino_tableaux,
-    tiling_root,
     validate_domino_tableau,
 )
 from dominotab.partitions import is_pavable, partitions_up_to
 from dominotab.pavings import Domino, _least_tiling, domino, is_shifted_pavable
 from dominotab.polyring import domino_genfun
 from dominotab.tableaux import PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED, _candidate_fills
+from reference_fill_search import unpruned_root
 from reference_fillstate import reference_validate
 from reference_genfun import fillstate_domino_genfun
 
@@ -37,7 +37,7 @@ def shapes(family, max_size):
 def automaton_dominoes(family, shape):
     """Every domino on the edges of the shape's tiling automaton, and the
     down dominoes of its complete nodes."""
-    root = tiling_root(family, shape)
+    root = unpruned_root(family, shape)
     seen, stack, out = {id(root)}, [root], []
     while stack:
         edges, down = stack.pop()
