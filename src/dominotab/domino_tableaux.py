@@ -48,7 +48,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .partitions import MAX_LISTED, Shape, Cell, check_partition, is_pavable
-from .pavings import Domino, Node, Paving, _tiling_automaton
+from .pavings import INF, Domino, Node, Paving, _tiling_automaton
 from .pavings import is_shifted_pavable, is_shifted_paving
 # Unused here; the benchmark tracer patches the paving enumerator under this name.
 from .pavings import enumerate_pavings  # noqa: F401
@@ -56,7 +56,6 @@ from .tableaux import MAX_TRANSFER_TERMS, Family, Fill, X_FILL, _letter_ok
 from .tableaux import check_fill, fill_classes, fill_floor, format_fill, walk_paths
 
 Piece = tuple[Domino, Fill]
-INF = float("inf")
 _set = object.__setattr__  # DominoTableau's own fields, past its raising __setattr__
 
 
@@ -340,7 +339,7 @@ def enumerate_domino_tableaux(
     pavable, raise ValueError before any walk.
     """
     shape = check_partition(shape)
-    root = tiling_root(family, shape)
+    root = tiling_root(family, shape, 2 * max_letter)  # the largest class minimum
     classes = fill_classes(family, max_letter)
     links: list[tuple] = []
     total = tiling_walk(family, shape, root, [(f[0], ((0, len(f)),)) for f in classes], links)
@@ -359,16 +358,21 @@ def enumerate_domino_tableaux(
     return out
 
 
-def tiling_root(family: Family, shape: Shape) -> Node:
+def tiling_root(family: Family, shape: Shape, top_rank: float) -> Node | None:
     """The root of the tiling automaton whose paths are the family's
     tilings of ``shape``: all pavings, or the up regions of the shifted
-    pavings.  Shapes that are not partitions, not pavable, or not shifted
-    pavable, raise ValueError."""
+    pavings, each edge with the rank window of its domino when the fills'
+    minima are at most ``top_rank``.  Callers pass the largest minimum of
+    their fill classes, rank 2n over n letters in every family, or 0 when
+    there are none.  None when no tiling has a non-empty window on every
+    domino: then the shape has no domino tableau.  Shapes that are not
+    partitions, not pavable, or not shifted pavable, raise ValueError
+    before any automaton is built."""
     if not is_pavable(shape):
         raise ValueError(f"shape {shape} is not pavable")
     if family.shifted and not is_shifted_pavable(shape):
         raise ValueError(f"shape {shape} is not shifted pavable")
-    return _tiling_automaton(shape, family.shifted)  # not None: the checks above passed
+    return _tiling_automaton(shape, family.shifted, top_rank)
 
 
 # The most states one layer of ``tiling_walk`` may hold.  GQ (6,5,5,4)
@@ -378,7 +382,7 @@ MAX_TRANSFER_STATES = 250_000
 
 
 def tiling_walk(
-    family: Family, shape: Shape, root: Node, classes: list, links: list | None = None
+    family: Family, shape: Shape, root: Node | None, classes: list, links: list | None = None
 ) -> dict[int, int]:
     """The valid fills of the paths of the tiling automaton under ``root``,
     walked layer by layer, one even cell per layer, with the paths' weights
@@ -427,33 +431,30 @@ def tiling_walk(
     plain fills are single letters, unshifted fills hold no primed letter,
     and shifted edges cross at 0 or above.
 
-    The shape bounds an unshifted fill's minimum too, from its column.  The
-    minima rise strictly down a column, but within one vertical domino (in
-    the set-valued family the minima form a plain domino tableau), so k
-    cells in a column hold at least ceil(k/2) distinct minima, paired at
-    best by vertical dominoes.  The k cells below a domino cap its minimum
-    at the top rank less the edge's column depth, 2 ceil(k/2).  Its mirror,
-    the column floor: the r - 1 cells above a domino whose top-left cell is
-    in row r hold ceil((r - 1)/2) smaller minima, so its own is at least
-    letter 1 + ceil((r - 1)/2), rank 2 + 2 (r // 2).  Neither holds in the
-    shifted families, where a primed letter may repeat down a column.  The
-    classes are sorted by minimum, so the fills whose minimum lies between
-    the larger floor and the least cap are one slice of them, and only the
-    odd cap is read class by class.
+    The shape bounds a fill's minimum too: each edge carries its domino's
+    rank window from the tiling automaton (``pavings._tiling_automaton``),
+    whose floor and top, in the unshifted families, come from the cells
+    above and below the domino in its column.  The walk raises the folded
+    floor to the window's floor and caps the minimum at the window's top.
+    The classes are sorted by minimum, so the fills whose minimum lies
+    between the larger floor and the least cap are one slice of them, and
+    only the odd cap is read class by class.
 
     Layer i holds the states at even cell i, and every frontier in it holds
     the pieces of the same earlier even cells, so the pieces that fall out
     of the frontier are the same leading ones in each, counted once per
     layer.  A layer of more than MAX_TRANSFER_STATES states, or of more than
     MAX_TRANSFER_TERMS terms, raises ValueError.  The root of the empty
-    shape is complete, and its one path weighs 1 and has no link.
+    shape is complete, and its one path weighs 1 and has no link; a None
+    root, of a shape whose every tiling has a domino with an empty window,
+    has no path.
     """
+    if root is None:
+        return {}
     if root[0] is None:  # the empty shape
         return {0: 1}
     mins = [fill[0] for fill, _ in classes]
-    max_rank = mins[-1] if mins else 0
     set_valued = family.set_valued
-    rise = 0 if family.shifted else 2  # the column floor's ranks per two rows, unshifted
     total: dict[int, int] = {}
     # A state's key is its node's id and the ids of its frontier's dominoes
     # and fill classes (one interned object per domino, one first fill per
@@ -471,11 +472,10 @@ def tiling_walk(
         for key, (node, frontier, terms) in layer.items():
             if ahead is not None:
                 kept, kept_key = frontier[drop:], key[1 + 2 * drop :]
-            for dom, depth, child in node[0]:
+            for dom, (low, high), child in node[0]:
                 floor, cap, odd_cap = fold_bounds(dom, frontier, set_valued)
-                floor = max(floor, rise * (1 + dom.row // 2))
-                top = bisect_right(mins, min(cap, max_rank - depth))
-                for fill, fill_terms in classes[bisect_left(mins, floor) : top]:
+                top = bisect_right(mins, min(cap, high))
+                for fill, fill_terms in classes[bisect_left(mins, max(floor, low)) : top]:
                     if fill[-1] | 1 > odd_cap:
                         continue
                     if ahead is None:  # a complete tiling

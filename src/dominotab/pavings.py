@@ -19,6 +19,8 @@ from typing import Iterable
 from .partitions import MAX_LISTED, Shape, Cell, cells, check_cells, check_partition
 from .partitions import is_pavable, is_staircase_admissible, two_quotient
 
+INF = float("inf")
+
 
 class Domino(namedtuple("Domino", "row col horiz")):
     """A 2x1 piece: top-left cell plus orientation.
@@ -117,7 +119,7 @@ def enumerate_pavings(shape: Shape) -> list[Paving]:
     MAX_LISTED pavings raises ValueError before any is listed.
     """
     shape = check_partition(shape)
-    root = _tiling_automaton(shape, False)
+    root = _tiling_automaton(shape, False, INF)
     if root is None:
         return []
     layer = [[root, 1]]  # a layer's nodes, each with the number of paths to it
@@ -169,10 +171,12 @@ def is_shifted_pavable(shape: Shape) -> bool:
 
 
 # A node of the tiling automaton is (edges, down dominoes).  Its edges, each
-# (domino, column depth, child node), are None once the tiling is complete;
-# only a complete node of a shifted tiling has down dominoes.
+# (domino, rank window, child node), are None once the tiling is complete;
+# only a complete node of a shifted tiling has down dominoes.  The window is
+# (floor, top): the least and the greatest minimum a fill of the domino may
+# have, whatever the other pieces hold.
 Node = tuple
-Edge = tuple[Domino, int, Node]
+Edge = tuple[Domino, tuple[int, float], Node]
 
 # The most states a tiling automaton may have.  The states grow
 # exponentially with the length of a diagonal: the shifted 12 x 12 square
@@ -180,9 +184,10 @@ Edge = tuple[Domino, int, Node]
 MAX_AUTOMATON_STATES = 500_000
 
 
-def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
-    """The tilings of ``shape`` as the paths of a memoised automaton, or None
-    if there is none.
+def _tiling_automaton(shape: Shape, shifted: bool, top_rank: float) -> Node | None:
+    """The tilings of ``shape`` whose every domino has a non-empty rank
+    window under the top rank ``top_rank``, as the paths of a memoised
+    automaton, or None if there is none.
 
     Every domino covers one even-content cell, its crossing cell, so a
     tiling picks for each even cell, in diagonal reading order (by content,
@@ -198,12 +203,21 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
     (``_least_tiling``), the down dominoes of the complete node.  The shape
     test of ``is_shifted_paving`` is left to the caller.
 
-    An edge's column depth is 2 ceil(k/2) for an unshifted domino with k
-    cells below it in a column (it needs ceil(k/2) distinct dominoes there,
-    each with a larger minimum two ranks up), and 0 for a shifted one.  Its
-    mirror, the column floor from the cells above the domino, is no field
-    of the edge: ``domino_tableaux.tiling_walk`` reads it off the domino's
-    row.
+    An edge's rank window bounds the minimum of a fill on its domino, when
+    the fills' minima are at most ``top_rank``.  In the unshifted families
+    the minima rise strictly down a column, but within one vertical domino
+    (in the set-valued family the minima form a plain domino tableau), so
+    k cells of a column hold at least ceil(k/2) distinct minima, paired at
+    best by vertical dominoes.  So a domino whose top-left cell is in row r,
+    with k cells below it in its column, has the window (2 + 2 (r // 2),
+    top_rank - 2 ceil(k/2)): the r - 1 cells above it hold ceil((r - 1)/2)
+    smaller minima, so its own is at least letter 1 + ceil((r - 1)/2), and
+    the cells below it ceil(k/2) larger ones, two ranks apart.  A shifted
+    edge has the window (0, top_rank), since a primed letter may repeat
+    down a column.  A domino with an empty window covers its odd cell on no
+    path: an odd cell left with no domino makes every path through it
+    dead, and ``enumerate_pavings`` passes ``top_rank`` INF, which empties
+    no window.
 
     A shape of more than MAX_CELLS cells, or an automaton of more than
     MAX_AUTOMATON_STATES states, raises ValueError.
@@ -219,7 +233,7 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
     # The index of the last even cell that can cover each odd cell; shifted
     # cells of content -1 may stay in the down region and are kept to the end.
     last = dict.fromkeys(odds, n)
-    choices = []  # per even cell: (domino, odd cell bit, bit it needs, depth)
+    choices = []  # per even cell: (domino, odd cell bit, bit it needs, rank window)
     for i, (d, r, c) in enumerate(evens):
         options = []
         for odd, top_left, horiz in (
@@ -230,17 +244,19 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
         ):
             if odd not in cell_set:
                 continue
-            dom = domino(*top_left, horiz)
             if not shifted or odd[1] > odd[0]:
                 last[odd] = i
+            below = heights[top_left[1] - 1] - max(r, odd[0])
+            floor = 2 + 2 * (top_left[0] // 2)
+            window = (0, top_rank) if shifted else (floor, top_rank - 2 * ((below + 1) // 2))
+            if window[0] > window[1]:
+                continue
             # A vertical domino with its top cell on D_0 needs an up domino
             # on its left cell, unless it is in column 1: the chain rule of
             # ``is_shifted_paving``.
             top_on_d0 = shifted and d == 0 and odd == (r + 1, c) and c > 1
             need = bits[(r, c - 1)] if top_on_d0 else 0
-            below = heights[top_left[1] - 1] - max(r, odd[0])
-            depth = 0 if shifted else 2 * ((below + 1) // 2)
-            options.append((dom, bits[odd], need, depth))
+            options.append((domino(*top_left, horiz), bits[odd], need, window))
         choices.append(options)
     by_last = [0] * (n + 1)  # the odd cells whose last chance is each step, due after it
     for cell, i in last.items():
@@ -261,7 +277,7 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
         if out is not None:
             below = memo[i + 1]
             edges = tuple(
-                [(dom, depth, node) for dom, depth, child in out if (node := below[child])]
+                [(dom, window, node) for dom, window, child in out if (node := below[child])]
             )
             built[mask] = (edges, ()) if edges else None
             continue
@@ -283,13 +299,13 @@ def _tiling_automaton(shape: Shape, shifted: bool) -> Node | None:
             out = []
             stack.append((i, mask, out))
             below, due_i, keep_next = memo[i + 1], by_last[i], keep[i + 1]
-            for dom, bit, need, depth in choices[i]:
+            for dom, bit, need, window in choices[i]:
                 if mask & bit or mask & need != need:
                     continue
                 covered = mask | bit
                 if covered & due_i == due_i:
                     child = covered & keep_next
-                    out.append((dom, depth, child))
+                    out.append((dom, window, child))
                     if child not in below:
                         stack.append((i + 1, child, None))
     return memo[0][0]

@@ -303,9 +303,12 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     The sum is ``domino_tableaux.tiling_walk`` over the shape's tiling
     automaton, with each (min, max) class of fills weighing the summed
     terms of its fills, and lists no tableau.  ``tiling_root`` decides
-    pavability by counting beads; the 2-quotient enters only the shifted
-    shape test, never the sum, and the bijection not at all, so the
-    identity check stays independent of them.
+    pavability by counting beads, and gives each unshifted domino its rank
+    window under rank 2n, the largest class minimum: a shape none of whose
+    tilings has a non-empty window on every domino has no root, and sums
+    to 0 with no walk.  The 2-quotient enters only the shifted shape test,
+    never the sum, and the bijection not at all, so the identity check
+    stays independent of them.
 
     A layer of more than MAX_TRANSFER_STATES states, or of more than
     MAX_TRANSFER_TERMS terms in its polynomials, raises ValueError, and so
@@ -314,7 +317,7 @@ def domino_genfun(family: Family, shape: Shape, n: int) -> Polynomial:
     """
     shape = check_partition(shape)
     check_variables(n)
-    root = tiling_root(family, shape)
+    root = tiling_root(family, shape, 2 * n)  # the largest class minimum
     bits = sum(shape).bit_length()  # no letter index occurs more than |shape| times
     classes = _fill_classes(family, n, bits)
     return _unpack(n, bits, tiling_walk(family, shape, root, classes))

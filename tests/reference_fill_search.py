@@ -32,7 +32,7 @@ from dominotab.domino_tableaux import (
     tiling_root,
 )
 from dominotab.partitions import Cell, Shape, cells, check_partition
-from dominotab.pavings import Domino, Edge, Node, Paving, is_shifted_paving
+from dominotab.pavings import INF, Domino, Edge, Node, Paving, is_shifted_paving
 from dominotab.tableaux import Family, Fill, X_FILL, _candidate_fills
 from reference_fillstate import IndexedFillState
 
@@ -40,7 +40,7 @@ from reference_fillstate import IndexedFillState
 def unpruned_root(family: Family, shape: Shape) -> Node:
     """The root of the family's tiling automaton of ``shape``, with an edge
     for every domino of every tiling, whatever its fills."""
-    return tiling_root(family, shape)
+    return tiling_root(family, shape, INF)
 
 
 def column_depth(family: Family, shape: Shape) -> Callable[[Domino], int]:

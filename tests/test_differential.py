@@ -554,7 +554,7 @@ def test_tiling_walk_matches_unfloored_walk(family, n, max_size):
     the unshifted families; in the shifted families, which have no column
     floor, the very same links."""
     for lam in shapes(family, max_size):
-        root = tiling_root(family, lam)
+        root = tiling_root(family, lam, 2 * n)
         unpruned = unpruned_root(family, lam)
         counts = [(f[0], ((0, len(f)),)) for f in fill_classes(family, n)]
         signed = polyring._fill_classes(family, n, sum(lam).bit_length())
@@ -570,6 +570,29 @@ def test_tiling_walk_matches_unfloored_walk(family, n, max_size):
                 assert links == old_links, lam
             elif lam == TALL:
                 assert len(links) < len(old_links)
+
+
+# (family, max size, zero-count shapes for n = 1 to 4), as observed.
+ZERO_SUM_CASES = [(PLAIN, 14, (213, 129, 60, 24)), (SET_VALUED, 12, (111, 59, 24, 8))]
+
+
+@pytest.mark.parametrize("family,max_size,zeros", ZERO_SUM_CASES, ids=["plain", "set-valued"])
+def test_pruned_root_is_none_exactly_on_zero_sums(family, max_size, zeros):
+    """On every shape up to ``max_size``, with n = 1 to 4 letters, the root
+    whose edges' empty rank windows are pruned is None exactly when the
+    unfloored walk on the automaton with every edge kept counts no domino
+    tableau.  A None root implies no tableau, since every window holds the
+    minimum of any fill its domino can take; the converse, that the
+    windows alone find every shape without a tableau, is observed on these
+    shapes, not proved."""
+    for n, expected in zip((1, 2, 3, 4), zeros):
+        counts = [(f[0], ((0, len(f)),)) for f in fill_classes(family, n)]
+        found = 0
+        for lam in shapes(family, max_size):
+            total = unfloored_tiling_walk(family, lam, unpruned_root(family, lam), counts)
+            assert (tiling_root(family, lam, 2 * n) is None) == (not total.get(0)), (lam, n)
+            found += not total.get(0)
+        assert found == expected, n
 
 
 @pytest.mark.parametrize("family", (PLAIN, SET_VALUED), ids=lambda f: f.name)

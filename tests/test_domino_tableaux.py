@@ -15,6 +15,7 @@ from dominotab import domino_tableaux
 from dominotab.cli import main
 from dominotab.partitions import is_pavable, partitions_up_to, two_quotient
 from dominotab.pavings import Domino, is_shifted_pavable, is_shifted_paving
+from dominotab.polyring import Polynomial, domino_genfun
 from dominotab.domino_tableaux import (
     DominoTableau,
     enumerate_domino_tableaux,
@@ -32,6 +33,23 @@ from dominotab.tableaux import (
 from reference_fillstate import weakly_southeast
 
 FAMILIES = (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_an_empty_alphabet_fills_only_the_empty_shape(family):
+    """Over no letters every domino's rank window is empty in the unshifted
+    families, and no fill class exists in the shifted ones: a non-empty
+    shape sums to 0 and lists nothing, and the empty shape sums to 1 and
+    lists the empty tableau."""
+    assert domino_genfun(family, (), 0) == Polynomial.one(0)
+    assert enumerate_domino_tableaux(family, (), 0) == [DominoTableau(family, (), ())]
+    nonempty = [lam for lam in partitions_up_to(8) if lam and is_pavable(lam)]
+    if family.shifted:
+        nonempty = [lam for lam in nonempty if is_shifted_pavable(lam)]
+    assert len(nonempty) > 5
+    for lam in nonempty:
+        assert not domino_genfun(family, lam, 0).terms, lam
+        assert enumerate_domino_tableaux(family, lam, 0) == [], lam
 
 
 def test_validate_fixtures(plain_example, set_valued_example):

@@ -222,10 +222,10 @@ def test_automaton_size_is_limited(monkeypatch, capsys):
     # The one-row shape (3000) needs 1,501 states, the most any test or
     # benchmark workload reaches.
     assert pavings.MAX_AUTOMATON_STATES > 1_501
-    assert _tiling_automaton((3000,), False) is not None
+    assert _tiling_automaton((3000,), False, pavings.INF) is not None
     monkeypatch.setattr(pavings, "MAX_AUTOMATON_STATES", 1_000)
     with pytest.raises(ValueError, match="more than 1000 automaton states"):
-        _tiling_automaton((3000,), False)
+        _tiling_automaton((3000,), False, pavings.INF)
     argv = ["genfun", "--family", "plain", "--shape", "[3000]", "--vars", "1", "--domino"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
