@@ -246,3 +246,41 @@ def test_pavings_past_the_listing_limit_raise(monkeypatch, capsys):
     assert len(enumerate_pavings((2, 2, 2, 2))) == 5
     with pytest.raises(ValueError, match="more than 5 pavings"):
         enumerate_pavings((2, 2, 2, 2, 2))
+
+
+def _automaton_nodes(root):
+    """The automaton under ``root`` node by node, in first-visit order: each
+    node as its edges, (domino, rank window, child's index) in edge order,
+    or None once complete, and its down dominoes.  Two automata with equal
+    listings have equal nodes, edges and edge order, and share alike."""
+    if root is None:
+        return None
+    order, index, out = [root], {id(root): 0}, []
+    for edges, down in order:  # the list grows as new children are met
+        row = None
+        if edges is not None:
+            row = []
+            for dom, window, child in edges:
+                if id(child) not in index:
+                    index[id(child)] = len(order)
+                    order.append(child)
+                row.append((dom, dom.horiz, window, index[id(child)]))
+        out.append((row, down))
+    return out
+
+
+def test_automaton_matches_the_cell_set_build():
+    """Node for node, edge order included, on every pavable shape up to size
+    16 and every shifted-pavable one, under each top rank of 0 to 4 letters
+    and under INF."""
+    built = 0
+    for lam in partitions_up_to(16):
+        for shifted, ok in ((False, is_pavable), (True, is_shifted_pavable)):
+            if not ok(lam):
+                continue
+            for top in (0, 2, 4, 6, 8, pavings.INF):
+                got = _tiling_automaton(lam, shifted, top)
+                want = reference_pavings._tiling_automaton(lam, shifted, top)
+                assert _automaton_nodes(got) == _automaton_nodes(want), (lam, shifted, top)
+                built += 1
+    assert built == 3_144
