@@ -53,7 +53,7 @@ from .pavings import is_shifted_pavable, is_shifted_paving
 # Unused here; the benchmark tracer patches the paving enumerator under this name.
 from .pavings import enumerate_pavings  # noqa: F401
 from .tableaux import MAX_TRANSFER_TERMS, Family, Fill, X_FILL, _letter_ok
-from .tableaux import check_fill, fill_classes, fill_floor, format_fill, walk_paths
+from .tableaux import check_count, check_fill, fill_classes, fill_floor, format_fill, walk_paths
 
 Piece = tuple[Domino, Fill]
 _set = object.__setattr__  # DominoTableau's own fields, past its raising __setattr__
@@ -336,9 +336,11 @@ def enumerate_domino_tableaux(
     region only (fills constrain nothing else) and complete each up region
     with its least down region, so they list one representative per
     equivalence class.  Shapes that are not pavable, or not shifted
-    pavable, raise ValueError before any walk.
+    pavable, raise ValueError before any walk, and so does a letter count
+    that ``tableaux.check_count`` rejects.
     """
     shape = check_partition(shape)
+    check_count(max_letter, "letter")
     root = tiling_root(family, shape, 2 * max_letter)  # the largest class minimum
     classes = fill_classes(family, max_letter)
     links: list[tuple] = []

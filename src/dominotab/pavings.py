@@ -217,18 +217,31 @@ def _tiling_automaton(shape: Shape, shifted: bool, top_rank: float) -> Node | No
     down a column.  A domino with an empty window covers its odd cell on no
     path: an odd cell left with no domino makes every path through it
     dead, and ``enumerate_pavings`` passes ``top_rank`` INF, which empties
-    no window.
+    no window.  An even cell left with no domino makes every path dead, so
+    the first one found returns None before any state is built.
+
+    The cells are listed row by row, and a neighbour is in the shape when
+    its row is and its column is at most that row's part.
 
     A shape of more than MAX_CELLS cells, or an automaton of more than
     MAX_AUTOMATON_STATES states, raises ValueError.
     """
     check_cells(shape)
-    cell_set = set(cells(shape))
-    least = 0 if shifted else 1 - len(shape)  # the least even content searched
-    evens = sorted((c - r, r, c) for r, c in cell_set if c - r >= least and (c - r) % 2 == 0)
-    odds = sorted((r, c) for r, c in cell_set if c - r >= least - 1 and (c - r) % 2)
+    rows = len(shape)
+    evens, odds = [], []
+    for r, part in enumerate(shape, 1):
+        low = max(1, r - 1) if shifted else 1  # shifted: from content -1
+        even = low + (low - r) % 2  # the first column of even content
+        evens += [(c - r, r, c) for c in range(even, part + 1, 2)]
+        odds += [(r, c) for c in range(low if even > low else low + 1, part + 1, 2)]
+    evens.sort()  # diagonal reading order
+    downs = [  # the cells below D_0, where a shifted tiling's down region lies
+        (r, c) for r, part in enumerate(shape, 1) if shifted for c in range(1, min(part + 1, r))
+    ]
+    heights: list[int] = []  # the column heights, off the rows from the bottom up
+    for r in range(rows, 0, -1):
+        heights += [r] * (shape[r - 1] - len(heights))
     bits = {cell: 1 << k for k, cell in enumerate(odds)}
-    heights = [sum(1 for part in shape if part >= c) for c in range(1, max(shape, default=0) + 1)]
     n = len(evens)
     # The index of the last even cell that can cover each odd cell; shifted
     # cells of content -1 may stay in the down region and are kept to the end.
@@ -236,14 +249,14 @@ def _tiling_automaton(shape: Shape, shifted: bool, top_rank: float) -> Node | No
     choices = []  # per even cell: (domino, odd cell bit, bit it needs, rank window)
     for i, (d, r, c) in enumerate(evens):
         options = []
-        for odd, top_left, horiz in (
-            ((r, c - 1), (r, c - 1), True),
-            ((r - 1, c), (r - 1, c), False),
-            ((r, c + 1), (r, c), True),
-            ((r + 1, c), (r, c), False),
-        ):
-            if odd not in cell_set:
-                continue
+        # The odd neighbours in the shape, each with its domino's top-left
+        # cell: rows are left-justified, and none is longer than the one above.
+        for odd, top_left, horiz in filter(None, (
+            c > 1 and ((r, c - 1), (r, c - 1), True),
+            r > 1 and ((r - 1, c), (r - 1, c), False),
+            c < shape[r - 1] and ((r, c + 1), (r, c), True),
+            r < rows and c <= shape[r] and ((r + 1, c), (r, c), False),
+        )):
             if not shifted or odd[1] > odd[0]:
                 last[odd] = i
             below = heights[top_left[1] - 1] - max(r, odd[0])
@@ -257,6 +270,8 @@ def _tiling_automaton(shape: Shape, shifted: bool, top_rank: float) -> Node | No
             top_on_d0 = shifted and d == 0 and odd == (r + 1, c) and c > 1
             need = bits[(r, c - 1)] if top_on_d0 else 0
             options.append((domino(*top_left, horiz), bits[odd], need, window))
+        if not options:  # no tiling covers (r, c)
+            return None
         choices.append(options)
     by_last = [0] * (n + 1)  # the odd cells whose last chance is each step, due after it
     for cell, i in last.items():
@@ -291,9 +306,7 @@ def _tiling_automaton(shape: Shape, shifted: bool, top_rank: float) -> Node | No
         if i == n:
             built[mask] = (None, ())
             if shifted:
-                down = _least_tiling(
-                    cell for cell in cell_set if cell[1] < cell[0] and not mask & bits.get(cell, 0)
-                )
+                down = _least_tiling(cell for cell in downs if not mask & bits.get(cell, 0))
                 built[mask] = None if down is None else (None, down)
         else:
             out = []

@@ -4,17 +4,25 @@ A polynomial in n variables maps exponent tuples of length n to nonzero
 integer coefficients.  With a fixed variable count every tableau generating
 function is a finite exact polynomial: set fills draw from an n-letter
 alphabet, so degrees are bounded.
+
+The sums and products work on monomials packed into integers, one field of
+bits per variable.  What depends on a monomial alone is worked out once per
+process and kept in ``_codes``: its code in each field width, and back, and
+its orbit under the permutations of the variables, which
+``Polynomial.is_symmetric`` reads.  Those tables and the memo of ``genfun``
+are each bounded by MAX_MEMO_TERMS.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from math import factorial
 from operator import lshift
 from threading import Lock
 
 from .partitions import Shape, check_cells, check_partition, is_staircase_admissible
-from .tableaux import Family, Fill, fill_classes, flat_walk, letter_index
+from .tableaux import Family, Fill, check_count, fill_classes, flat_walk, letter_index
 from .domino_tableaux import tiling_root, tiling_walk
 # Unused here; the benchmark tracer finds the flat enumerator under this name.
 from .tableaux import enumerate_tableaux  # noqa: F401
@@ -87,14 +95,14 @@ class Polynomial(namedtuple("Polynomial", "n terms")):
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """The product, over monomials packed into integers whose fields are
         wide enough for every exponent of the product, so that multiplying
-        two monomials is one integer addition."""
+        two monomials is one integer addition.  The factors are packed, and
+        the product unpacked, through the code tables of ``_codes``."""
         self._match(other)
         # No exponent of the product exceeds the sum of the factors' degrees.
         top = max(map(sum, self.terms), default=0) + max(map(sum, other.terms), default=0)
         bits = top.bit_length()
-        shifts = [bits * j for j in range(self.n)]
-        left = [(sum(map(lshift, m, shifts)), c) for m, c in self.terms.items()]
-        right = [(sum(map(lshift, m, shifts)), c) for m, c in other.terms.items()]
+        left = _codes.encode(self.n, bits, self.terms)
+        right = _codes.encode(self.n, bits, other.terms)
         terms: dict[int, int] = {}
         for m1, c1 in left:
             for m2, c2 in right:
@@ -123,14 +131,20 @@ class Polynomial(namedtuple("Polynomial", "n terms")):
         return sorted(self.terms.items(), key=lambda mc: grlex_key(mc[0]))
 
     def is_symmetric(self) -> bool:
-        """Invariance under every adjacent variable swap."""
-        for i in range(self.n - 1):
-            for m, c in self.terms.items():
-                swapped = list(m)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if self.terms.get(tuple(swapped), 0) != c:
-                    return False
-        return True
+        """Invariance under every permutation of the variables: every
+        monomial has the coefficient of its sorted monomial.  So each term's
+        sorted monomial holds the term's coefficient, and the terms fill
+        whole orbits: they number the summed sizes of the orbits whose
+        sorted monomials they hold.  ``_codes`` keeps each monomial's sorted
+        monomial and orbit size."""
+        terms, orbits, whole = self.terms, _codes.orbits, 0
+        for m, c in terms.items():
+            rep, size = orbits.get(m) or _codes.orbit(m)
+            if terms.get(rep) != c:
+                return False
+            if rep == m:
+                whole += size
+        return whole == len(terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -196,10 +210,9 @@ MAX_VARIABLES = 32
 
 
 def check_variables(n: int) -> None:
-    """Raise ValueError for a negative variable count or more than
-    MAX_VARIABLES variables."""
-    if n < 0:
-        raise ValueError(f"the variable count must not be negative, got {n}")
+    """Raise ValueError for a variable count that ``tableaux.check_count``
+    rejects, or for more than MAX_VARIABLES variables."""
+    check_count(n, "variable")
     if n > MAX_VARIABLES:
         raise ValueError(f"at most {MAX_VARIABLES} variables are allowed, got {n}")
 
@@ -209,6 +222,9 @@ def check_variables(n: int) -> None:
 # 116 sums of 1,252 terms, and a plain size-24 sweep with n=3 keeps 272
 # sums of 2,730 terms.  A kept term takes about 110 bytes with n=3 and 350
 # with n=32 (MAX_VARIABLES), so the memo holds at most about 6 and 18 MB.
+# The same number bounds the entries of the code tables (``_codes``): a
+# verify-unshifted pass fills 1,382 of them, and full tables hold at most
+# about 6 MB with n=3 and 18 MB with n=32 (measured by tracemalloc).
 MAX_MEMO_TERMS = 50_000
 
 
@@ -254,18 +270,102 @@ class _SumMemo:
 _flat_memo = _SumMemo()
 
 
+class _MonomialCodes:
+    """What depends on a monomial alone, worked out once per process: one
+    pair of tables per (variable count n, field width) that packs each
+    monomial into its code, its exponent j in field j, and unpacks each
+    code back, and each monomial's orbit under the permutations of the
+    variables, as its sorted monomial and the orbit's size.
+
+    An entry never changes and is never removed, so readers take no lock:
+    a read of a dict is atomic, and an entry is the same whichever thread
+    adds it.  Adding holds the lock, which keeps the tables' count in step.
+    The tables hold at most MAX_MEMO_TERMS entries together, a monomial
+    with its code, or with its orbit, counting two; once they are full,
+    what they lack is worked out on each call instead.  ``clear`` empties
+    them."""
+
+    def __init__(self) -> None:
+        self.lock = Lock()
+        self.tables: dict[tuple[int, int], tuple[dict[Monomial, int], dict[int, Monomial]]] = {}
+        self.orbits: dict[Monomial, tuple[Monomial, int]] = {}
+        self.size = 0
+
+    def encode(self, n: int, bits: int, terms: dict[Monomial, int]) -> list[tuple[int, int]]:
+        """The terms as (code, coefficient) pairs, in fields of ``bits`` bits."""
+        codes = self.tables.get((n, bits), ({}, {}))[0]
+        try:
+            return [(codes[m], c) for m, c in terms.items()]
+        except KeyError:
+            shifts = [bits * j for j in range(n)]
+            out = [(sum(map(lshift, m, shifts)), c) for m, c in terms.items()]
+            self._add(n, bits, {code: m for (code, _), m in zip(out, terms)})
+            return out
+
+    def decode(self, n: int, bits: int, packed: dict[int, int]) -> dict[Monomial, int]:
+        """The terms of nonzero coefficient, their codes unpacked into
+        monomials."""
+        monomials = self.tables.get((n, bits), ({}, {}))[1]
+        try:
+            return {monomials[m]: c for m, c in packed.items() if c}
+        except KeyError:
+            field = (1 << bits) - 1
+            shifts = [bits * j for j in range(n)]
+            fresh = {m: tuple([m >> s & field for s in shifts]) for m, c in packed.items() if c}
+            monomials = self._add(n, bits, fresh)
+            return {monomials[m]: c for m, c in packed.items() if c}
+
+    def _add(self, n: int, bits: int, fresh: dict[int, Monomial]) -> dict[int, Monomial]:
+        """``fresh``, codes to their monomials, with each monomial that the
+        tables of (n, bits) hold put in its place, after adding the pairs
+        they lack while there is room."""
+        with self.lock:
+            codes, monomials = pair = self.tables.get((n, bits)) or ({}, {})
+            for code, m in fresh.items():
+                if code in monomials:
+                    fresh[code] = monomials[code]
+                elif self.size + 2 <= MAX_MEMO_TERMS:
+                    codes[m], monomials[code] = code, m
+                    self.size += 2
+            if codes:
+                self.tables[n, bits] = pair
+        return fresh
+
+    def orbit(self, m: Monomial) -> tuple[Monomial, int]:
+        """The sorted monomial of m's orbit and the orbit's size."""
+        orbit = self.orbits.get(m)
+        if orbit is None:
+            size = factorial(len(m))
+            for k in map(m.count, set(m)):
+                size //= factorial(k)
+            orbit = (tuple(sorted(m)), size)
+            with self.lock:
+                if self.size + 2 <= MAX_MEMO_TERMS and m not in self.orbits:
+                    self.orbits[m] = orbit
+                    self.size += 2
+        return orbit
+
+    def clear(self) -> None:
+        with self.lock:
+            self.tables.clear()
+            self.orbits.clear()
+            self.size = 0
+
+
+_codes = _MonomialCodes()
+
+
 def _unpack(n: int, bits: int, packed: dict[int, int]) -> Polynomial:
     """The polynomial of packed terms: a monomial's exponent j is its field
-    j of ``bits`` bits, counting from 0 at the low end.
+    j of ``bits`` bits, counting from 0 at the low end.  The monomials are
+    decoded through the code tables of ``_codes``, so equal monomials that
+    the tables hold are one tuple.
 
     The terms come from the transfers and products, which build only
     monomials of n nonnegative fields, so the result skips the per-monomial
     check of ``Polynomial.__new__``; zero coefficients are dropped here
     instead.  ``Polynomial(n, terms)`` stays the checked boundary."""
-    field = (1 << bits) - 1
-    shifts = [bits * j for j in range(n)]
-    terms = {tuple([m >> s & field for s in shifts]): c for m, c in packed.items() if c}
-    return tuple.__new__(Polynomial, (n, terms))
+    return tuple.__new__(Polynomial, (n, _codes.decode(n, bits, packed)))
 
 
 @lru_cache(maxsize=32)

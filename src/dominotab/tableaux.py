@@ -288,14 +288,23 @@ def tableau_from_reading_word(family: Family, word: ReadingWord) -> Tableau:
 MAX_CANDIDATE_FILLS = 2**16 - 1
 
 
+def check_count(count: int, what: str) -> None:
+    """Raise ValueError unless ``count``, the number of letters or variables
+    that ``what`` names, is an int >= 0; a bool is not a count."""
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"the {what} count must be an int, got {count!r}")
+    if count < 0:
+        raise ValueError(f"the {what} count must not be negative, got {count}")
+
+
 def _candidate_fills(family: Family, max_letter: int) -> list[Fill]:
     """Every admissible cell fill over the first max_letter letters, sorted.
 
-    Raises ValueError for a negative letter count, and when there would be
-    more than MAX_CANDIDATE_FILLS, counted before any fill is built.
+    Raises ValueError for a letter count that ``check_count`` rejects, and
+    when there would be more than MAX_CANDIDATE_FILLS, counted before any
+    fill is built.
     """
-    if max_letter < 0:
-        raise ValueError(f"the letter count must not be negative, got {max_letter}")
+    check_count(max_letter, "letter")
     m = 2 * max_letter if family.shifted else max_letter  # the ranks in use
     # 2^m - 1 set fills exceed 2^b - 1 exactly when m > b.
     if m > (MAX_CANDIDATE_FILLS.bit_length() if family.set_valued else MAX_CANDIDATE_FILLS):

@@ -52,6 +52,16 @@ def test_an_empty_alphabet_fills_only_the_empty_shape(family):
         assert enumerate_domino_tableaux(family, lam, 0) == [], lam
 
 
+def test_a_letter_count_that_is_not_an_int_is_rejected():
+    """A letter count that is not an int, or is a bool, raises ValueError
+    in every family before any automaton is built, where it raised
+    TypeError or, as True, counted one letter."""
+    for family in (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED):
+        for bad in ("3", None, True, 2.0):
+            with pytest.raises(ValueError, match="letter count must be an int, got "):
+                enumerate_domino_tableaux(family, (2,), bad)
+
+
 def test_validate_fixtures(plain_example, set_valued_example):
     assert validate_domino_tableau(plain_example)
     assert validate_domino_tableau(set_valued_example)

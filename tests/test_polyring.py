@@ -1,8 +1,12 @@
+import random
 import sys
+from itertools import permutations
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_genfun
 from conftest import homogeneous_component, min_degree, up_cell_count
 from dominotab import domino_tableaux, polyring, tableaux
 from dominotab.cli import main
@@ -243,24 +247,125 @@ def test_flat_memo_stays_within_its_bound(monkeypatch):
 
 
 def test_flat_memo_under_threads(monkeypatch):
-    """Concurrent calls, evicting one another's sums with threads switched
-    often, all answer right and leave the memo's cost in step with what it
-    holds, which a lost update would break."""
+    """Concurrent calls, evicting one another's sums and filling the code
+    tables past their bound with threads switched often, all answer right,
+    and leave the memo's cost and the tables' count in step with what they
+    hold, which a lost update would break."""
     from concurrent.futures import ThreadPoolExecutor
 
     memo = polyring._flat_memo
     memo.clear()
+    polyring._codes.clear()
     monkeypatch.setattr(polyring, "MAX_MEMO_TERMS", 80)
     tasks = [(family, lam, 2) for family in (PLAIN, SET_VALUED) for lam in partitions_up_to(7)]
+    polys = list(_random_polys(random.Random(7), 3, 40))
+
+    def work(k):
+        if k < len(tasks) * 3:
+            return genfun(*tasks[k % len(tasks)])
+        p, q = polys[k % len(polys)], polys[(3 * k) % len(polys)]
+        return (p * q, p.is_symmetric())
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(lambda task: genfun(*task), tasks * 3, timeout=60))
+            got = list(pool.map(work, range(len(tasks) * 3 + 200), timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert got == [polyring._flat_transfer(*task) for task in tasks * 3]
+    assert polyring._codes.size == _table_count() <= 80
+    polyring._codes.clear()
+    assert got[: len(tasks) * 3] == [polyring._flat_transfer(*task) for task in tasks * 3]
+    for k, (product, symmetric) in enumerate(got[len(tasks) * 3 :], len(tasks) * 3):
+        p, q = polys[k % len(polys)], polys[(3 * k) % len(polys)]
+        assert product == _plain_product(p, q)
+        assert symmetric == _swap_symmetric(p)
     assert memo.cost == sum(memo.cost_of(k, p) for k, p in memo.sums.items()) <= 80
+
+
+def _random_polys(rng, n, count):
+    """Random polynomials in n variables, each followed by its symmetrisation
+    and by that with one term dropped."""
+    for _ in range(count):
+        terms = {
+            tuple(rng.randrange(4) for _ in range(n)): rng.randint(-3, 3)
+            for _ in range(rng.randrange(7))
+        }
+        yield Polynomial(n, terms)
+        whole = {q: c for m, c in terms.items() if c for q in permutations(m)}
+        yield Polynomial(n, whole)
+        if whole:
+            del whole[rng.choice(sorted(whole))]
+            yield Polynomial(n, whole)
+
+
+def _plain_product(a, b):
+    terms = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(map(add, m1, m2))
+            terms[m] = terms.get(m, 0) + c1 * c2
+    return Polynomial(a.n, terms)
+
+
+def _swap_symmetric(p):
+    """``Polynomial.is_symmetric`` as it was: invariance under every
+    adjacent variable swap."""
+    for i in range(p.n - 1):
+        for m, c in p.terms.items():
+            swapped = list(m)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            if p.terms.get(tuple(swapped), 0) != c:
+                return False
+    return True
+
+
+def _table_count():
+    codes = polyring._codes
+    return sum(len(a) + len(b) for a, b in codes.tables.values()) + 2 * len(codes.orbits)
+
+
+def _check_the_code_tables(rng):
+    for n in range(6):
+        polys = list(_random_polys(rng, n, 30))
+        for p in polys:
+            assert p.is_symmetric() == _swap_symmetric(p), p
+            q = polys[rng.randrange(len(polys))]
+            assert p * q == _plain_product(p, q), (p, q)
+        for bits in range(5):
+            shifts = [bits * j for j in range(n)]
+            packed = {
+                sum(rng.randrange(1 << bits) << s for s in shifts): rng.randint(-2, 2)
+                for _ in range(rng.randrange(9))
+            }
+            assert polyring._unpack(n, bits, packed) == reference_genfun._unpack(n, bits, packed)
+
+
+def test_code_tables_match_the_reference_copies():
+    """Products, unpacked terms and the symmetry test agree with a plain
+    product, the reference ``_unpack`` and the adjacent-swap test, on random
+    polynomials in 0 to 5 variables, whether the tables are filling or
+    full; they never hold more than their bound, and they intern."""
+    polyring._codes.clear()
+    _check_the_code_tables(random.Random(1))
+    assert polyring._codes.size == _table_count() <= polyring.MAX_MEMO_TERMS
+    _check_the_code_tables(random.Random(1))  # now read from the tables
+    first = polyring._unpack(3, 4, {1 | 2 << 4: 5})
+    again = polyring._unpack(3, 4, {1 | 2 << 4: -1, 3: 2})
+    assert next(iter(again.terms)) is next(iter(first.terms)) == (1, 2, 0)
+
+
+def test_code_tables_past_a_small_bound(monkeypatch):
+    """Filled past a bound of 50 entries, the tables stop at it, and what
+    they lack is worked out afresh, right."""
+    polyring._codes.clear()
+    monkeypatch.setattr(polyring, "MAX_MEMO_TERMS", 50)
+    try:
+        _check_the_code_tables(random.Random(2))
+        assert polyring._codes.size == _table_count()
+        assert polyring._codes.size == 50
+    finally:
+        polyring._codes.clear()
 
 
 def test_domino_genfun_never_reads_or_writes_the_flat_memo():
@@ -300,6 +405,24 @@ def test_a_negative_variable_count_is_rejected():
     assert genfun(PLAIN, (), 0) == Polynomial.one(0)
     assert genfun(PLAIN, (1,), 0) == Polynomial.zero(0)
     assert verify_identity(PLAIN, (2, 2), 0).passed
+
+
+def test_a_variable_count_that_is_not_an_int_is_rejected():
+    """Both sums, the identity check and the sweep raise ValueError for a
+    variable count that is not an int, or is a bool, where they raised
+    TypeError or, as True, summed in one variable."""
+    from dominotab.verify import verify_sweep
+
+    for bad in ("3", None, True, 2.0):
+        for call in (
+            lambda: genfun(PLAIN, (1,), bad),
+            lambda: domino_genfun(PLAIN, (2,), bad),
+            lambda: domino_genfun(SHIFTED, (2,), bad),
+            lambda: verify_identity(PLAIN, (2, 2), bad),
+            lambda: verify_sweep(PLAIN, 4, bad),
+        ):
+            with pytest.raises(ValueError, match="variable count must be an int, got "):
+                call()
 
 
 def test_variable_count_is_limited(capsys):

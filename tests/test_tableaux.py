@@ -217,6 +217,16 @@ def test_a_negative_letter_count_is_rejected():
             assert len(listing(family, (), 0)) == 1
 
 
+def test_a_letter_count_that_is_not_an_int_is_rejected():
+    """A letter count that is not an int, or is a bool, raises ValueError
+    in every family, where it raised TypeError or, as True, counted one
+    letter."""
+    for family in (PLAIN, SET_VALUED, SHIFTED, SHIFTED_SET_VALUED):
+        for bad in ("3", None, True, 2.0):
+            with pytest.raises(ValueError, match="letter count must be an int, got "):
+                enumerate_tableaux(family, (2,), bad)
+
+
 def test_set_valued_minima_restrict_to_plain():
     for t in enumerate_tableaux(SET_VALUED, (2, 2), 2):
         rows = tuple(tuple((fill[0],) for fill in row) for row in t.rows)
